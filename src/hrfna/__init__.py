@@ -10,6 +10,7 @@ from hrfna.arithmetic import (
     ALIGN_IDENTITY,
     ALIGN_SCALE_UP,
     ALIGN_SHIFT_DOWN,
+    AuditFailure,
     hrfna_add,
     hrfna_mul,
 )
@@ -70,6 +71,12 @@ from hrfna.rns import (
     mod_mul,
     mod_sub,
 )
-from hrfna.workloads import LengthMismatch, chained_mac, dot_product, run_mac_chain
+from hrfna.workloads import (
+    DriftBoundExceeded,
+    LengthMismatch,
+    chained_mac,
+    dot_product,
+    run_mac_chain,
+)
 
 __version__ = "0.1.0"

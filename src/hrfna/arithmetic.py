@@ -16,10 +16,10 @@ it by reconstruction.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from hrfna import rns
-from hrfna.hybrid import HybridConfig, HybridNum, signed_value, tau_int
+from hrfna.errors import HrfnaError
+from hrfna.hybrid import HybridConfig, HybridNum, signed_value
 from hrfna.normalization import needs_normalization, normalize, shift_round_half_even
 from hrfna.rns import ModulusSet
 
@@ -29,13 +29,18 @@ ALIGN_SHIFT_DOWN = "shift-down"  # lossy: smaller-exponent operand shifted down
 ALIGN_IDENTITY = "identity"  # one operand was zero
 
 
+class AuditFailure(HrfnaError):
+    """A debug-mode audit caught a wrapped product, a residue mismatch or a missed crossing."""
+
+
 def _drain(h: HybridNum, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
-    """Apply normalize until the fast detector clears, accumulating events."""
-    events = list(h.norm_events)
+    """Apply normalize until the fast detector clears; h itself if it never fires.
+
+    Each pass appends its event to the ones before, so the result carries all.
+    """
     while needs_normalization(h, ms, cfg):
         h = normalize(h, ms, cfg)
-        events.extend(h.norm_events)
-    return replace(h, norm_events=tuple(events))
+    return h
 
 
 def hrfna_mul(
@@ -46,25 +51,20 @@ def hrfna_mul(
     The magnitude estimate updates additively; if it reaches the threshold
     the result is normalized before returning (each pass adds k to the
     exponent). With debug=True the product is audited by reconstruction:
-    a wrap modulo M or a missed threshold crossing raises AssertionError.
+    a wrap modulo M or a missed threshold crossing raises AuditFailure.
     """
     mant = rns.mod_mul(x.mantissa, y.mantissa, ms)
-    h = HybridNum(
-        mant,
-        x.exponent + y.exponent,
-        x.mag_log2 + y.mag_log2,
-        x.sign * y.sign,
-    )
+    h = HybridNum(mant, x.exponent + y.exponent, x.mag_log2 + y.mag_log2, x.sign * y.sign)
     if debug:
         prod = signed_value(x.mantissa, ms) * signed_value(y.mantissa, ms)
         if 2 * abs(prod) >= ms.composite:
-            raise AssertionError(
+            raise AuditFailure(
                 f"product {prod} wrapped modulo M={ms.composite}; operand bounds misconfigured"
             )
         if signed_value(mant, ms) != prod:
-            raise AssertionError("residue product disagrees with reconstruction")
-        if abs(prod) >= tau_int(ms, cfg) and not needs_normalization(h, ms, cfg):
-            raise AssertionError("magnitude estimator missed a threshold crossing")
+            raise AuditFailure("residue product disagrees with reconstruction")
+        if abs(prod) >= cfg.thresholds(ms)[0] and not needs_normalization(h, ms, cfg):
+            raise AuditFailure("magnitude estimator missed a threshold crossing")
     return _drain(h, ms, cfg)
 
 
@@ -82,7 +82,7 @@ def _aligned_sum(
     if delta == 0:
         return rns.mod_add(hi.mantissa, lo.mantissa, ms), hi.exponent, ALIGN_SCALE_UP
 
-    if hi.mag_log2 + delta < math.log2(tau_int(ms, cfg)) - 1.0:
+    if hi.mag_log2 + delta < cfg.thresholds(ms)[1]:
         scaled = rns.mod_mul(hi.mantissa, rns.encode_residues(1 << delta, ms), ms)
         return rns.mod_add(scaled, lo.mantissa, ms), lo.exponent, ALIGN_SCALE_UP
 
@@ -102,17 +102,16 @@ def hrfna_add(
     are recomputed exactly from the sum (a log-sum estimate cannot survive
     cancellation), and the result is normalized if it reaches threshold.
     """
-    if x.is_zero:
-        return replace(y, align_strategy=ALIGN_IDENTITY, norm_events=())
-    if y.is_zero:
-        return replace(x, align_strategy=ALIGN_IDENTITY, norm_events=())
+    if x.is_zero or y.is_zero:
+        h = y if x.is_zero else x
+        return HybridNum(h.mantissa, h.exponent, h.mag_log2, h.sign, ALIGN_IDENTITY)
 
     hi, lo = (x, y) if x.exponent >= y.exponent else (y, x)
     mant, exponent, strategy = _aligned_sum(hi, lo, ms, cfg)
 
     n = signed_value(mant, ms)
-    mag = math.log2(abs(n)) if n else float("-inf")
-    out = HybridNum(mant, exponent, mag, (n > 0) - (n < 0), align_strategy=strategy)
-    if debug and abs(n) >= tau_int(ms, cfg) and not needs_normalization(out, ms, cfg):
-        raise AssertionError("magnitude estimator missed a threshold crossing")
+    mag = math.log2(abs(n)) if n else -math.inf
+    out = HybridNum(mant, exponent, mag, (n > 0) - (n < 0), strategy)
+    if debug and abs(n) >= cfg.thresholds(ms)[0] and not needs_normalization(out, ms, cfg):
+        raise AuditFailure("magnitude estimator missed a threshold crossing")
     return _drain(out, ms, cfg)

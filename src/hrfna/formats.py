@@ -18,7 +18,7 @@ from hrfna import hybrid, pipeline, rns
 from hrfna.errors import HrfnaError
 from hrfna.hybrid import DEFAULT_CONFIG, HybridConfig, HybridNum
 from hrfna.pipeline import DEFAULT_PIPELINE, Op, PipelineConfig
-from hrfna.rns import DEFAULT_MODULI, ModulusSet
+from hrfna.rns import DEFAULT_MODULI, ModulusSet, format_residues
 
 CONFIG_FORMAT = "hrfna-config v1"
 RECORD_FORMAT = "hrfna-hybrid v1"
@@ -155,16 +155,6 @@ def save_config(path: str, ms: ModulusSet, hcfg: HybridConfig, pcfg: PipelineCon
 # -- hybrid records ----------------------------------------------------------
 
 
-def residue_hex_width(m: int) -> int:
-    return (m.bit_length() + 3) // 4
-
-
-def format_residues(residues, ms: ModulusSet) -> list[str]:
-    return [
-        format(r, f"0{residue_hex_width(m)}x") for r, m in zip(residues, ms.moduli)
-    ]
-
-
 def hybrid_record(h: HybridNum) -> str:
     """One-line textual record: version, per-channel hex residues, exponent."""
     fields = format_residues(h.mantissa.residues, h.set_ref)
@@ -185,7 +175,7 @@ def parse_hybrid_record(line: str, ms: ModulusSet) -> HybridNum:
             raise ParseError(f"residue {r:#x} out of range for modulus {m}")
     rv = rns.ResidueVector(residues, ms)
     n = hybrid.signed_value(rv, ms)
-    mag = math.log2(abs(n)) if n else float("-inf")
+    mag = math.log2(abs(n)) if n else -math.inf
     return HybridNum(rv, exponent, mag, (n > 0) - (n < 0))
 
 

@@ -9,8 +9,9 @@ the sign, so threshold detection and most comparisons avoid reconstruction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from hrfna import rns
 from hrfna.rns import ModulusSet, ResidueVector
@@ -35,6 +36,7 @@ class HybridConfig:
     alpha: Fraction
     scale_shift_k: int
     operand_bound_bits: int
+    _thresholds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.alpha < 1):
@@ -44,6 +46,17 @@ class HybridConfig:
         if self.operand_bound_bits < 3:
             raise ValueError("operand_bound_bits must be >= 3")
 
+    def thresholds(self, ms: ModulusSet) -> tuple[int, float]:
+        """(tau, log2(tau) - 1.0) under ms: the threshold and the fast detector's limit.
+
+        Computed once per modulus set composite and kept on the config.
+        """
+        pair = self._thresholds.get(ms.composite)
+        if pair is None:
+            tau = tau_int(ms, self)
+            pair = self._thresholds[ms.composite] = (tau, math.log2(tau) - 1.0)
+        return pair
+
 
 DEFAULT_CONFIG = HybridConfig(
     alpha=Fraction(3, 8192), scale_shift_k=11, operand_bound_bits=12
@@ -51,7 +64,7 @@ DEFAULT_CONFIG = HybridConfig(
 
 
 def tau_int(ms: ModulusSet, cfg: HybridConfig) -> int:
-    """Integer normalization threshold floor(alpha * M), computed once per use site."""
+    """Integer normalization threshold floor(alpha * M); HybridConfig.thresholds caches it."""
     return (cfg.alpha.numerator * ms.composite) // cfg.alpha.denominator
 
 
@@ -69,8 +82,7 @@ def validate_config(ms: ModulusSet, cfg: HybridConfig) -> None:
         raise ValueError("shift-bound")
 
 
-@dataclass(frozen=True, eq=False)
-class HybridNum:
+class HybridNum(NamedTuple):
     """Immutable hybrid value: mantissa residues, exponent, and estimator channels.
 
     align_strategy and norm_events describe only the operation that produced
@@ -101,6 +113,11 @@ class HybridNum:
             return NotImplemented
         return self._key() == other._key()
 
+    def __ne__(self, other) -> bool:  # tuple's own __ne__ would compare every field
+        if not isinstance(other, HybridNum):
+            return NotImplemented
+        return self._key() != other._key()
+
     def __hash__(self) -> int:
         return hash(self._key())
 
@@ -108,17 +125,24 @@ class HybridNum:
 def signed_value(rv: ResidueVector, ms: ModulusSet) -> int:
     """Symmetric signed reconstruction: n if n < M/2 else n - M."""
     n = rns.crt_reconstruct(rv, ms)
-    if 2 * n >= ms.composite:
-        n -= ms.composite
-    return n
+    return n - ms.composite if 2 * n >= ms.composite else n
 
 
-def make_hybrid(n: int, exponent: int, ms: ModulusSet) -> HybridNum:
-    """Build the hybrid value n * 2^exponent from a signed integer mantissa."""
-    mantissa = rns.encode_signed(n, ms)
-    mag = math.log2(abs(n)) if n else float("-inf")
-    sign = (n > 0) - (n < 0)
-    return HybridNum(mantissa, exponent, mag, sign)
+def make_hybrid(
+    n: int,
+    exponent: int,
+    ms: ModulusSet,
+    align_strategy: str | None = None,
+    norm_events: tuple = (),
+) -> HybridNum:
+    """Build the hybrid value n * 2^exponent from a signed integer mantissa.
+
+    align_strategy and norm_events record the producing operation's provenance.
+    """
+    mag = math.log2(abs(n)) if n else -math.inf
+    return HybridNum(
+        rns.encode_signed(n, ms), exponent, mag, (n > 0) - (n < 0), align_strategy, norm_events
+    )
 
 
 def from_real(x: float, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
@@ -128,16 +152,16 @@ def from_real(x: float, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
     lands in [2^(b-2), 2^(b-1)); zero encodes as an all-zero mantissa with
     f = 0. The round-trip error is at most 2^(f-1).
     """
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError(f"cannot encode non-finite value {x!r}")
     if x == 0.0:
-        return HybridNum(rns.encode_residues(0, ms), 0, float("-inf"), 0)
+        return HybridNum(rns.encode_residues(0, ms), 0, -math.inf, 0)
 
     b = cfg.operand_bound_bits
     _, e = math.frexp(x)  # |x| = m * 2^e with 0.5 <= m < 1
     f = e - b + 1
     n = round(math.ldexp(x, -f))  # exact scaling, then round half to even
-    if abs(n) == 2 ** (b - 1):
+    if abs(n) == 1 << (b - 1):
         # Rounding bumped the mantissa out of the half-open window.
         f += 1
         n = round(math.ldexp(x, -f))

@@ -9,11 +9,10 @@ one-sided safe (it never misses a true crossing).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from hrfna.errors import HrfnaError
-from hrfna.hybrid import HybridConfig, HybridNum, make_hybrid, signed_value, tau_int
+from hrfna.hybrid import HybridConfig, HybridNum, make_hybrid, signed_value
 from hrfna.rns import ModulusSet
 
 
@@ -21,8 +20,7 @@ class DegenerateResult(HrfnaError):
     """Scaling wiped out a nonzero mantissa (shift too large for the value)."""
 
 
-@dataclass(frozen=True)
-class NormalizationEvent:
+class NormalizationEvent(NamedTuple):
     """One normalization: mantissa in/out, the shift, and the exponent move."""
 
     value_in: int
@@ -52,24 +50,26 @@ def needs_normalization(
     Fast mode fires when mag_log2 >= log2(tau) - 1.0, conservative by the
     estimator error bound; exact mode reconstructs and tests |N| >= tau.
     """
-    tau = tau_int(ms, cfg)
+    tau, limit = cfg.thresholds(ms)
     if exact:
         return abs(signed_value(h.mantissa, ms)) >= tau
-    return h.mag_log2 >= math.log2(tau) - 1.0
+    return h.mag_log2 >= limit
 
 
 def normalize(h: HybridNum, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
     """Scale the mantissa down by 2^k and bump the exponent by k.
 
     Callable below threshold as well; callers normally gate through
-    needs_normalization. The result carries its NormalizationEvent and a
-    mag_log2 recomputed exactly from the scaled mantissa.
+    needs_normalization. The result keeps h's align_strategy, carries h's
+    norm_events followed by its own NormalizationEvent (so repeated passes
+    over one operation's result accumulate), and has a mag_log2 recomputed
+    exactly from the scaled mantissa.
     """
     k = cfg.scale_shift_k
     n = signed_value(h.mantissa, ms)
     n_out = shift_round_half_even(n, k)
     if n_out == 0 and n != 0:
         raise DegenerateResult(f"mantissa {n} vanished under shift {k}")
-    event = NormalizationEvent(n, n_out, k, h.exponent, h.exponent + k)
-    out = make_hybrid(n_out, h.exponent + k, ms)
-    return replace(out, align_strategy=h.align_strategy, norm_events=(event,))
+    exponent = h.exponent + k
+    event = NormalizationEvent(n, n_out, k, h.exponent, exponent)
+    return make_hybrid(n_out, exponent, ms, h.align_strategy, h.norm_events + (event,))

@@ -19,7 +19,7 @@ import enum
 import statistics
 from dataclasses import dataclass, field, replace
 
-from hrfna import arithmetic, hybrid
+from hrfna import arithmetic, hybrid, rns
 from hrfna.errors import HrfnaError
 from hrfna.hybrid import HybridConfig, HybridNum
 from hrfna.rns import ModulusSet
@@ -234,15 +234,6 @@ class SimResult:
     names: tuple = ()
 
 
-def _residue_hex(h: HybridNum) -> str:
-    ms = h.set_ref
-    parts = []
-    for r, m in zip(h.mantissa.residues, ms.moduli):
-        width = (m.bit_length() + 3) // 4
-        parts.append(format(r, f"0{width}x"))
-    return "".join(parts)
-
-
 def evaluate_program(program, ms: ModulusSet, hcfg: HybridConfig):
     """Fold the program through the hybrid arithmetic in order.
 
@@ -317,11 +308,8 @@ def simulate(program, cfg: PipelineConfig, hcfg: HybridConfig, ms: ModulusSet) -
             events.append(TraceEvent(cycle, "exponent", "retire", names[entered]))
         leaving = state.occupancy[-1]
         if leaving is not None:
-            events.append(
-                TraceEvent(
-                    cycle, "scheduler", "retire", names[leaving], _residue_hex(results[leaving])
-                )
-            )
+            value_hex = "".join(rns.format_residues(results[leaving].mantissa.residues, ms))
+            events.append(TraceEvent(cycle, "scheduler", "retire", names[leaving], value_hex))
             retired += 1
         state = nxt
 

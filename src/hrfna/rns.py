@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import add, mod, mul, sub
+from typing import NamedTuple
 
 from hrfna.errors import HrfnaError
 
@@ -44,60 +46,38 @@ class MismatchedSet(HrfnaError):
     """Residue vectors built under different modulus sets cannot be combined."""
 
 
-def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-def mod_inverse(a: int, m: int) -> int:
-    """Inverse of a modulo m via extended Euclid; a and m must be coprime."""
-    g, x, _ = extended_gcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} has no inverse modulo {m} (gcd {g})")
-    return x % m
-
-
 @dataclass(frozen=True)
 class ModulusSet:
-    """A fixed modulus set with its precomputed reconstruction constants.
+    """A fixed modulus set with its precomputed constants.
 
     composite is the full product M; crt_weights holds one (M_i, y_i) pair
-    per channel with M_i = M / m_i and y_i = M_i^-1 mod m_i.
+    per channel with M_i = M / m_i and y_i = M_i^-1 mod m_i; crt_coeffs
+    holds M_i * y_i mod M per channel; hex_formats holds the format spec
+    that prints a channel's residue as zero-padded hex as wide as m_i.
     """
 
     moduli: tuple[int, ...]
     composite: int
     crt_weights: tuple[tuple[int, int], ...]
+    crt_coeffs: tuple[int, ...]
+    hex_formats: tuple[str, ...]
 
     def __len__(self) -> int:
         return len(self.moduli)
 
 
-@dataclass(frozen=True)
-class ResidueVector:
+class ResidueVector(NamedTuple):
     """Per-channel residues of one integer under a specific modulus set."""
 
     residues: tuple[int, ...]
     set_ref: ModulusSet
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # the channel count, not the tuple's two fields
         return len(self.residues)
 
 
 def make_modulus_set(moduli) -> ModulusSet:
-    """Build a ModulusSet, validating range and pairwise coprimality.
-
-    y_i comes from extended Euclid and is post-checked against
-    (M_i * y_i) mod m_i == 1 to guard against sign-convention bugs.
-    """
+    """Build a ModulusSet, validating range and pairwise coprimality."""
     moduli = tuple(int(m) for m in moduli)
     if not moduli:
         raise ModulusTooSmall("modulus list is empty")
@@ -114,22 +94,26 @@ def make_modulus_set(moduli) -> ModulusSet:
     composite = 1
     for m in moduli:
         composite *= m
+    weights = tuple((composite // m, pow(composite // m, -1, m)) for m in moduli)
+    return ModulusSet(
+        moduli,
+        composite,
+        weights,
+        tuple(m_i * y_i % composite for m_i, y_i in weights),
+        tuple(f"0{(m.bit_length() + 3) // 4}x" for m in moduli),
+    )
 
-    weights = []
-    for m in moduli:
-        m_i = composite // m
-        y_i = mod_inverse(m_i, m)
-        if (m_i * y_i) % m != 1:
-            raise AssertionError(f"inverse post-check failed for modulus {m}")
-        weights.append((m_i, y_i))
-    return ModulusSet(moduli, composite, tuple(weights))
+
+def format_residues(residues, ms: ModulusSet) -> list[str]:
+    """Each residue as zero-padded lowercase hex, as wide as its modulus."""
+    return list(map(format, residues, ms.hex_formats))
 
 
 def encode_residues(n: int, ms: ModulusSet) -> ResidueVector:
     """Encode a nonnegative integer n in [0, M) into its residue vector."""
     if n < 0 or n >= ms.composite:
         raise OutOfRange(f"{n} not in [0, {ms.composite})")
-    return ResidueVector(tuple(n % m for m in ms.moduli), ms)
+    return ResidueVector(tuple(map(n.__mod__, ms.moduli)), ms)
 
 
 def encode_signed(n: int, ms: ModulusSet) -> ResidueVector:
@@ -140,49 +124,40 @@ def encode_signed(n: int, ms: ModulusSet) -> ResidueVector:
     """
     if 2 * abs(n) >= ms.composite:
         raise OutOfRange(f"|{n}| not below M/2 = {ms.composite / 2}")
-    return ResidueVector(tuple(n % m for m in ms.moduli), ms)
+    return ResidueVector(tuple(map(n.__mod__, ms.moduli)), ms)
 
 
 def _check_set(rv: ResidueVector, ms: ModulusSet) -> None:
-    if rv.set_ref.moduli != ms.moduli:
+    if rv.set_ref is not ms and rv.set_ref.moduli != ms.moduli:
         raise MismatchedSet(f"vector built under {rv.set_ref.moduli}, operating under {ms.moduli}")
 
 
 def crt_reconstruct(rv: ResidueVector, ms: ModulusSet) -> int:
     """Unique n in [0, M) matching every channel of rv.
 
-    The accumulator sum(r_i * M_i * y_i) exceeds M by up to a factor of
-    k * max(m_i); Python integers absorb that without truncation.
+    The accumulator sum(r_i * (M_i * y_i mod M)) stays below k * max(m_i) * M;
+    Python integers absorb that without truncation.
     """
     _check_set(rv, ms)
-    total = 0
-    for r, (m_i, y_i) in zip(rv.residues, ms.crt_weights):
-        total += r * m_i * y_i
-    return total % ms.composite
+    return sum(map(mul, rv.residues, ms.crt_coeffs)) % ms.composite
+
+
+def _channelwise(op, a: ResidueVector, b: ResidueVector, ms: ModulusSet) -> ResidueVector:
+    _check_set(a, ms)
+    _check_set(b, ms)
+    return ResidueVector(tuple(map(mod, map(op, a.residues, b.residues), ms.moduli)), ms)
 
 
 def mod_mul(a: ResidueVector, b: ResidueVector, ms: ModulusSet) -> ResidueVector:
     """Channel-wise product: result[i] = (a[i] * b[i]) mod m_i."""
-    _check_set(a, ms)
-    _check_set(b, ms)
-    return ResidueVector(
-        tuple((x * y) % m for x, y, m in zip(a.residues, b.residues, ms.moduli)), ms
-    )
+    return _channelwise(mul, a, b, ms)
 
 
 def mod_add(a: ResidueVector, b: ResidueVector, ms: ModulusSet) -> ResidueVector:
     """Channel-wise sum: result[i] = (a[i] + b[i]) mod m_i."""
-    _check_set(a, ms)
-    _check_set(b, ms)
-    return ResidueVector(
-        tuple((x + y) % m for x, y, m in zip(a.residues, b.residues, ms.moduli)), ms
-    )
+    return _channelwise(add, a, b, ms)
 
 
 def mod_sub(a: ResidueVector, b: ResidueVector, ms: ModulusSet) -> ResidueVector:
     """Channel-wise difference, wrapped nonnegatively per channel."""
-    _check_set(a, ms)
-    _check_set(b, ms)
-    return ResidueVector(
-        tuple((x - y) % m for x, y, m in zip(a.residues, b.residues, ms.moduli)), ms
-    )
+    return _channelwise(sub, a, b, ms)

@@ -25,6 +25,10 @@ class LengthMismatch(HrfnaError):
     """Dot-product inputs must have equal lengths."""
 
 
+class DriftBoundExceeded(HrfnaError):
+    """A chain's exact relative error exceeds its per-event rounding bound."""
+
+
 # Exact values as (numerator, shift) pairs denoting n * 2^s; cheaper than
 # Fraction over long chains because no gcd runs per operation.
 
@@ -109,7 +113,8 @@ def run_mac_chain(
 
     The oracle folds the encoded operand values exactly, so the measured
     relative error isolates normalization and alignment rounding. The
-    per-event rounding model gives the bound norm_events * 2^(k-1) / tau.
+    per-event rounding model gives the bound norm_events * 2^(k-1) / tau;
+    a chain that exceeds it raises DriftBoundExceeded.
     """
     if len(mults) != len(addends):
         raise LengthMismatch(f"{len(mults)} multipliers vs {len(addends)} addends")
@@ -131,7 +136,8 @@ def run_mac_chain(
 
     rel = relative_error(_pair_of(acc), exact)
     bound = Fraction(norm_events * 2 ** (cfg.scale_shift_k - 1), tau_int(ms, cfg))
-    assert rel <= bound, f"drift {float(rel)} exceeds bound {float(bound)}"
+    if rel > bound:
+        raise DriftBoundExceeded(f"drift {float(rel)} exceeds bound {float(bound)}")
     return DriftReport(
         workload="chained_mac",
         seed=seed,

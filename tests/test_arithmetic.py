@@ -11,7 +11,11 @@ from hrfna import (
     ALIGN_IDENTITY,
     ALIGN_SCALE_UP,
     ALIGN_SHIFT_DOWN,
+    AuditFailure,
+    HrfnaError,
     HybridConfig,
+    HybridNum,
+    encode_signed,
     from_real,
     hrfna_add,
     hrfna_mul,
@@ -55,6 +59,31 @@ class TestMul:
         z = hrfna_mul(one, one, default_ms, hcfg, debug=True)
         assert exact_value(z) == 1
         assert to_real(z) == 1.0
+
+    def test_debug_audit_reports_wrap(self, default_ms, hcfg):
+        # 2^18 squared is 2^36 > M/2: the residue product wraps modulo M.
+        x = make_hybrid(2**18, 0, default_ms)
+        with pytest.raises(AuditFailure, match="wrapped"):
+            hrfna_mul(x, x, default_ms, hcfg, debug=True)
+        assert issubclass(AuditFailure, HrfnaError)
+
+    def test_debug_audit_reports_missed_crossing(self, default_ms, hcfg):
+        # An estimate of log2 |N| = 0 for N = 2^13 hides a product above tau.
+        x = HybridNum(encode_signed(2**13, default_ms), 0, 0.0, 1)
+        with pytest.raises(AuditFailure, match="missed a threshold crossing"):
+            hrfna_mul(x, x, default_ms, hcfg, debug=True)
+
+    def test_two_pass_drain_keeps_both_events(self, default_ms, hcfg):
+        # 180000^2 is about 2^34.9: one k-bit shift leaves it above the
+        # detector limit (about 2^23.6), so the product normalizes twice.
+        k = hcfg.scale_shift_k
+        x = make_hybrid(180_000, 0, default_ms)
+        z = hrfna_mul(x, x, default_ms, hcfg, debug=True)
+        first, second = z.norm_events
+        assert first.value_in == 180_000**2
+        assert first.value_out == second.value_in
+        assert second.value_out == signed_value(z.mantissa, default_ms)
+        assert (first.exponent_before, second.exponent_after) == (0, 2 * k) == (0, z.exponent)
 
     def test_exponents_add(self, default_ms, hcfg):
         rng = random.Random(2)

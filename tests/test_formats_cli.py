@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -22,7 +23,7 @@ from hrfna.formats import (
     save_config,
     vectors_text,
 )
-from hrfna.hybrid import from_real, to_real
+from hrfna.hybrid import HybridConfig, from_real, to_real
 
 
 class TestConfigFormat:
@@ -219,6 +220,18 @@ class TestCli:
         payload = json.loads(a.read_text())
         assert payload["rel_error"] <= payload["bound"]
         assert payload["generator"] == "python-random-mt19937"
+
+    def test_workload_drift_bound_error(self, tmp_path, default_ms, pcfg):
+        path = tmp_path / "cfg.json"
+        cfg = HybridConfig(alpha=Fraction(5, 8192), scale_shift_k=11, operand_bound_bits=12)
+        save_config(str(path), default_ms, cfg, pcfg)
+        code, out, err = self.run(
+            "--config", str(path), "workload", "chained_mac", "--seed", "0", "--steps", "3000"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: DriftBoundExceeded: ")
+        assert err.count("\n") == 1
 
     def test_vectors_command_deterministic(self, tmp_path):
         path = tmp_path / "p.prog"

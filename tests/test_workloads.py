@@ -4,7 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from hrfna import LengthMismatch, chained_mac, dot_product, run_mac_chain, simulate, to_real
+from hrfna import (
+    DriftBoundExceeded,
+    HrfnaError,
+    HybridConfig,
+    LengthMismatch,
+    chained_mac,
+    dot_product,
+    run_mac_chain,
+    simulate,
+    to_real,
+    validate_config,
+)
 from hrfna.hybrid import exact_value
 from hrfna.pipeline import evaluate_program
 from hrfna.workloads import chained_mac_program, mac_sequences
@@ -49,6 +60,15 @@ class TestChainedMac:
     def test_steps_validation(self, default_ms, hcfg):
         with pytest.raises(ValueError):
             chained_mac(1, 0, default_ms, hcfg)
+
+    def test_drift_over_bound_raises_typed_error(self, default_ms):
+        # alpha = 5/8192 passes validate_config, yet chained products wrap
+        # modulo M and seed 0 drifts to about 1.16 against a bound near 0.07.
+        cfg = HybridConfig(alpha=Fraction(5, 8192), scale_shift_k=11, operand_bound_bits=12)
+        validate_config(default_ms, cfg)
+        with pytest.raises(DriftBoundExceeded, match="exceeds bound") as exc:
+            chained_mac(0, 3000, default_ms, cfg)
+        assert isinstance(exc.value, HrfnaError)
 
     def test_mismatched_sequences(self, default_ms, hcfg):
         with pytest.raises(LengthMismatch):
