@@ -72,7 +72,8 @@ def _run(args) -> int:
         a = formats.parse_hybrid_record(args.a, ms)
         b = formats.parse_hybrid_record(args.b, ms)
         fn = arithmetic.hrfna_mul if args.command == "mul" else arithmetic.hrfna_add
-        print(formats.hybrid_record(fn(a, b, ms, hcfg)))
+        # Records are outside input, so the result is audited for a wrap mod M.
+        print(formats.hybrid_record(fn(a, b, ms, hcfg, debug=True)))
         return 0
 
     if args.command == "simulate":
@@ -119,10 +120,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except HrfnaError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (HrfnaError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -3,3 +3,11 @@
 
 class HrfnaError(Exception):
     """Base class for every error raised by this package."""
+
+
+class InvariantViolation(HrfnaError):
+    """A configuration violates a named invariant."""
+
+    def __init__(self, name: str, detail: str = ""):
+        self.name = name
+        super().__init__(f"{name}" + (f": {detail}" if detail else ""))

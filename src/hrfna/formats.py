@@ -15,7 +15,7 @@ import tempfile
 from fractions import Fraction
 
 from hrfna import hybrid, pipeline, rns
-from hrfna.errors import HrfnaError
+from hrfna.errors import HrfnaError, InvariantViolation
 from hrfna.hybrid import DEFAULT_CONFIG, HybridConfig, HybridNum
 from hrfna.pipeline import DEFAULT_PIPELINE, Op, PipelineConfig
 from hrfna.rns import DEFAULT_MODULI, ModulusSet, format_residues
@@ -32,14 +32,6 @@ CONFIG_ENV_VAR = "HRFNA_CONFIG"
 
 class ParseError(HrfnaError):
     """Malformed file or record."""
-
-
-class InvariantViolation(HrfnaError):
-    """A loaded configuration violates a named invariant."""
-
-    def __init__(self, name: str, detail: str = ""):
-        self.name = name
-        super().__init__(f"{name}" + (f": {detail}" if detail else ""))
 
 
 def atomic_write(path: str, text: str) -> None:

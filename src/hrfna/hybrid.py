@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from hrfna import rns
+from hrfna.errors import InvariantViolation
 from hrfna.rns import ModulusSet, ResidueVector
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -50,10 +51,16 @@ class HybridConfig:
         """(tau, log2(tau) - 1.0) under ms: the threshold and the fast detector's limit.
 
         Computed once per modulus set composite and kept on the config.
+        Raises InvariantViolation("operand-bound") when tau is 0: then
+        alpha*M < 1 <= 2^(2b), which validate_config would have rejected.
         """
         pair = self._thresholds.get(ms.composite)
         if pair is None:
             tau = tau_int(ms, self)
+            if tau < 1:
+                raise InvariantViolation(
+                    "operand-bound", f"tau = floor(alpha * M) = {tau} under moduli {ms.moduli}"
+                )
             pair = self._thresholds[ms.composite] = (tau, math.log2(tau) - 1.0)
         return pair
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import enum
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from hrfna import arithmetic, hybrid, rns
 from hrfna.errors import HrfnaError
@@ -109,33 +110,45 @@ class TraceEvent:
     value: str | None = None
 
 
-@dataclass(frozen=True)
-class SimState:
-    """Scheduler and occupancy snapshot at the start of a cycle.
+class SimState(NamedTuple):
+    """Scheduler snapshot at the start of a cycle.
 
-    occupancy[s] holds the index of the issued op sitting in stage s.
-    pending_norms tracks, per issued op, normalization events not yet
-    timed; norm_remaining counts stall cycles left in the open window.
+    The pipe only moves on advancing (non-Normalize) cycles, so after ticks
+    of them the op in stage s is ticks - 1 - s; occupancy, next_issue and
+    stall_asserted are derived from that, never stored. norms holds each
+    op's normalization count, timed how many of the detect-stage op's events
+    have been timed, and norm_remaining the stall cycles left in the open
+    window.
     """
 
     cycle: int
     fsm: Fsm
-    occupancy: tuple
-    stall_asserted: bool
-    next_issue: int
-    pending_norms: tuple
+    ticks: int
+    norms: tuple
+    stages: int
+    timed: int = 0
     norm_remaining: int = 0
+
+    def at(self, stage: int) -> int | None:
+        """Index of the issued op sitting in stage, or None for a bubble."""
+        op = self.ticks - 1 - stage
+        return op if 0 <= op < len(self.norms) else None
+
+    @property
+    def occupancy(self) -> tuple:
+        return tuple(self.at(s) for s in range(self.stages))
+
+    @property
+    def next_issue(self) -> int:
+        return min(self.ticks, len(self.norms))
+
+    @property
+    def stall_asserted(self) -> bool:
+        return self.fsm is Fsm.NORMALIZE
 
 
 def initial_state(op_norms, cfg: PipelineConfig) -> SimState:
-    return SimState(
-        cycle=0,
-        fsm=Fsm.IDLE,
-        occupancy=(None,) * cfg.total_stages,
-        stall_asserted=False,
-        next_issue=0,
-        pending_norms=tuple(op_norms),
-    )
+    return SimState(0, Fsm.IDLE, 0, tuple(op_norms), cfg.total_stages)
 
 
 def scheduler_step(state: SimState, cfg: PipelineConfig) -> SimState:
@@ -147,64 +160,22 @@ def scheduler_step(state: SimState, cfg: PipelineConfig) -> SimState:
     window for back-to-back events); Resume->Execute the following cycle.
     Nothing advances and nothing issues while the FSM is in Normalize.
     """
-    if state.fsm is Fsm.NORMALIZE:
-        remaining = state.norm_remaining - 1
-        if remaining > 0:
-            return replace(state, cycle=state.cycle + 1, norm_remaining=remaining)
-        det = state.occupancy[cfg.detect_stage]
-        if det is not None and state.pending_norms[det] > 0:
-            pend = list(state.pending_norms)
-            pend[det] -= 1
-            return replace(
-                state,
-                cycle=state.cycle + 1,
-                pending_norms=tuple(pend),
-                norm_remaining=cfg.norm_latency,
-            )
-        return replace(
-            state,
-            cycle=state.cycle + 1,
-            fsm=Fsm.RESUME,
-            stall_asserted=False,
-            norm_remaining=0,
-        )
+    cycle, fsm, ticks, norms, stages, timed, remaining = state
+    if fsm is Fsm.NORMALIZE:
+        if remaining > 1:
+            return SimState(cycle + 1, fsm, ticks, norms, stages, timed, remaining - 1)
+        if timed < norms[state.at(cfg.detect_stage)]:
+            return SimState(cycle + 1, fsm, ticks, norms, stages, timed + 1, cfg.norm_latency)
+        return SimState(cycle + 1, Fsm.RESUME, ticks, norms, stages, timed)
 
-    # Advancing cycle: shift every stage, retire out of the last slot.
-    occupancy = (None,) + state.occupancy[:-1]
-    next_issue = state.next_issue
-    issued = False
-    if next_issue < len(state.pending_norms):
-        occupancy = (next_issue,) + occupancy[1:]
-        next_issue += 1
-        issued = True
-
-    pending = state.pending_norms
-    det = occupancy[cfg.detect_stage]
-    if det is not None and pending[det] > 0:
-        pend = list(pending)
-        pend[det] -= 1
-        return SimState(
-            cycle=state.cycle + 1,
-            fsm=Fsm.NORMALIZE,
-            occupancy=occupancy,
-            stall_asserted=True,
-            next_issue=next_issue,
-            pending_norms=tuple(pend),
-            norm_remaining=cfg.norm_latency,
-        )
-
-    if state.fsm is Fsm.IDLE and not issued:
-        fsm = Fsm.IDLE
-    else:
+    # Advancing cycle: every stage shifts and the next op (if any) issues,
+    # so the op in the stage before detect moves into it.
+    entered = state.at(cfg.detect_stage - 1)
+    if entered is not None and norms[entered] > 0:
+        return SimState(cycle + 1, Fsm.NORMALIZE, ticks + 1, norms, stages, 1, cfg.norm_latency)
+    if fsm is not Fsm.IDLE or ticks < len(norms):
         fsm = Fsm.EXECUTE
-    return SimState(
-        cycle=state.cycle + 1,
-        fsm=fsm,
-        occupancy=occupancy,
-        stall_asserted=False,
-        next_issue=next_issue,
-        pending_norms=pending,
-    )
+    return SimState(cycle + 1, fsm, ticks + 1, norms, stages)
 
 
 @dataclass(frozen=True)
@@ -214,7 +185,6 @@ class MetricsSummary:
     achieved_ii: float
     stall_cycles: int
     norm_events: int
-    latencies: tuple = field(default=(), repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -281,15 +251,16 @@ def simulate(program, cfg: PipelineConfig, hcfg: HybridConfig, ms: ModulusSet) -
     if not names:
         return SimResult((), (), metrics_report(()))
 
+    detect, last = cfg.detect_stage, cfg.total_stages - 1
     state = initial_state(norms, cfg)
-    retired = 0
-    while retired < len(names) or state.fsm is Fsm.NORMALIZE:
+    # The last op reaches the last stage after len(names) + last ticks and
+    # leaves the pipe on the next one.
+    while state.ticks <= len(names) + last:
         nxt = scheduler_step(state, cfg)
         cycle = state.cycle
 
         if state.fsm is Fsm.NORMALIZE:
-            det = state.occupancy[cfg.detect_stage]
-            op = names[det] if det is not None else None
+            op = names[state.at(detect)]
             if state.norm_remaining == cfg.norm_latency:
                 events.append(TraceEvent(cycle, "norm", "norm-begin", op))
             events.append(TraceEvent(cycle, "scheduler", "stall"))
@@ -299,18 +270,16 @@ def simulate(program, cfg: PipelineConfig, hcfg: HybridConfig, ms: ModulusSet) -
             continue
 
         events.append(TraceEvent(cycle, "scheduler", "advance"))
-        if nxt.next_issue > state.next_issue:
-            events.append(TraceEvent(cycle, "scheduler", "issue", names[state.next_issue]))
-        entered = nxt.occupancy[cfg.detect_stage]
-        if entered is not None and state.occupancy[cfg.detect_stage] != entered:
+        issued, entered, leaving = nxt.at(0), nxt.at(detect), state.at(last)
+        if issued is not None:
+            events.append(TraceEvent(cycle, "scheduler", "issue", names[issued]))
+        if entered is not None:
             for lane in range(len(ms.moduli)):
                 events.append(TraceEvent(cycle, f"lane{lane}", "retire", names[entered]))
             events.append(TraceEvent(cycle, "exponent", "retire", names[entered]))
-        leaving = state.occupancy[-1]
         if leaving is not None:
             value_hex = "".join(rns.format_residues(results[leaving].mantissa.residues, ms))
             events.append(TraceEvent(cycle, "scheduler", "retire", names[leaving], value_hex))
-            retired += 1
         state = nxt
 
     unit_rank = {"scheduler": 0, "norm": 1, "exponent": 2}
@@ -345,7 +314,7 @@ def metrics_report(trace) -> MetricsSummary:
     if not issues:
         return MetricsSummary(0.0, 0, 0.0, stalls, norm_begins)
 
-    latencies = tuple(sorted(retires[op] - issues[op] for op in issues))
+    latencies = [retires[op] - issues[op] for op in issues]
     span = max(issues.values()) - min(issues.values()) + 1
     return MetricsSummary(
         latency_p50=float(statistics.median(latencies)),
@@ -353,5 +322,4 @@ def metrics_report(trace) -> MetricsSummary:
         achieved_ii=span / len(issues),
         stall_cycles=stalls,
         norm_events=norm_begins,
-        latencies=latencies,
     )

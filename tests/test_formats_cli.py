@@ -191,6 +191,16 @@ class TestCli:
         _, doubled, _ = self.run("decode", total.strip())
         assert float(doubled) == 3.0
 
+    def test_mul_of_wrapping_records_fails_audit(self):
+        # The record's mantissa is 2047^2; its square exceeds M/2 and would
+        # wrap modulo M.
+        rec = "hrfna-hybrid v1 bfe 400 401 0"
+        code, out, err = self.run("mul", rec, rec)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: AuditFailure: ")
+        assert err.count("\n") == 1
+
     def test_simulate_thousand_mul_fixture(self, tmp_path):
         program = ["hrfna-program v1", "lit a 1.5"] + ["mul a a"] * 1000
         path = tmp_path / "muls.prog"

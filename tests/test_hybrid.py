@@ -18,6 +18,7 @@ from hrfna import (
     HybridConfig,
     exact_value,
     from_real,
+    hrfna_mul,
     hybrid_compare,
     make_hybrid,
     make_modulus_set,
@@ -25,6 +26,7 @@ from hrfna import (
     to_real,
     validate_config,
 )
+from hrfna.errors import InvariantViolation
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -56,6 +58,14 @@ class TestConfig:
         bad = HybridConfig(alpha=Fraction(1, 2), scale_shift_k=18, operand_bound_bits=18)
         with pytest.raises(ValueError, match="shift-bound"):
             validate_config(wide_ms, bad)
+
+    def test_zero_threshold_typed_error(self, small_ms):
+        # alpha*M = 105/8192 < 1, so tau = 0: there is no log2(tau) to take.
+        bad = HybridConfig(alpha=Fraction(1, 8192), scale_shift_k=2, operand_bound_bits=3)
+        x = make_hybrid(2, 0, small_ms)
+        with pytest.raises(InvariantViolation, match="^operand-bound: tau = floor") as exc:
+            hrfna_mul(x, x, small_ms, bad)
+        assert exc.value.name == "operand-bound"
 
     def test_alpha_range(self):
         with pytest.raises(ValueError):

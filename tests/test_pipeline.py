@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrfna import (
+    DEFAULT_PIPELINE,
     Fsm,
     IncompleteTrace,
     InvalidProgram,
@@ -171,6 +174,43 @@ class TestSchedulerFsm:
         for _ in range(60):
             state = scheduler_step(state, pcfg)
             assert state.stall_asserted == (state.fsm is Fsm.NORMALIZE)
+
+
+class TestClosedForm:
+    """In advancing-tick time the pipe is a shift register.
+
+    With S = norm_latency, L = total_stages and P(t) the summed
+    normalization counts of ops i with i + detect_stage < t, op j issues
+    at cycle j + S*P(j) and retires at cycle j + L + S*P(j + L).
+    """
+
+    CONFIGS = (
+        DEFAULT_PIPELINE,
+        PipelineConfig(residue_stages=6, exponent_stages=3, post_stages=2),
+        PipelineConfig(norm_engine_stages=1, cycles_per_norm_stage=1),
+    )
+
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=40), st.sampled_from(CONFIGS))
+    @settings(max_examples=300, deadline=None)
+    def test_scheduler_matches_closed_form(self, norms, cfg):
+        S, L, D = cfg.norm_latency, cfg.total_stages, cfg.detect_stage
+
+        def P(t):
+            return sum(c for i, c in enumerate(norms) if i + D < t)
+
+        issue, retire = {}, {}
+        state = initial_state(norms, cfg)
+        # The last op retires at cycle n - 1 + L + S*sum(norms), the last one run.
+        for _ in range(len(norms) + L + S * sum(norms)):
+            nxt = scheduler_step(state, cfg)
+            if state.fsm is not Fsm.NORMALIZE:
+                if nxt.next_issue > state.next_issue:
+                    issue[state.next_issue] = state.cycle
+                if state.occupancy[-1] is not None:
+                    retire[state.occupancy[-1]] = state.cycle
+            state = nxt
+        assert issue == {j: j + S * P(j) for j in range(len(norms))}
+        assert retire == {j: j + L + S * P(j + L) for j in range(len(norms))}
 
 
 class TestRetirementAlignment:
