@@ -101,6 +101,8 @@ def hrfna_add(
     addition is channel-wise commutative. The magnitude estimate and sign
     are recomputed exactly from the sum (a log-sum estimate cannot survive
     cancellation), and the result is normalized if it reaches threshold.
+    With debug=True the sum is audited against the exact aligned integer
+    sum: a wrap modulo M or a missed threshold crossing raises AuditFailure.
     """
     if x.is_zero or y.is_zero:
         h = y if x.is_zero else x
@@ -112,6 +114,19 @@ def hrfna_add(
     n = signed_value(mant, ms)
     mag = math.log2(abs(n)) if n else -math.inf
     out = HybridNum(mant, exponent, mag, (n > 0) - (n < 0), strategy)
-    if debug and abs(n) >= cfg.thresholds(ms)[0] and not needs_normalization(out, ms, cfg):
-        raise AuditFailure("magnitude estimator missed a threshold crossing")
+    if debug:
+        n_hi, n_lo = signed_value(hi.mantissa, ms), signed_value(lo.mantissa, ms)
+        delta = hi.exponent - lo.exponent
+        if strategy == ALIGN_SHIFT_DOWN:
+            total = n_hi + shift_round_half_even(n_lo, delta)
+        else:
+            total = (n_hi << delta) + n_lo
+        if 2 * abs(total) >= ms.composite:
+            raise AuditFailure(
+                f"sum {total} wrapped modulo M={ms.composite}; operands too large for M"
+            )
+        if n != total:
+            raise AuditFailure("residue sum disagrees with reconstruction")
+        if abs(n) >= cfg.thresholds(ms)[0] and not needs_normalization(out, ms, cfg):
+            raise AuditFailure("magnitude estimator missed a threshold crossing")
     return _drain(out, ms, cfg)

@@ -211,8 +211,8 @@ def program_text(ops) -> str:
 
 def trace_csv(trace) -> str:
     lines = [f"# {TRACE_FORMAT}", "cycle,unit,action,op_id,value_hex"]
-    for ev in trace:
-        lines.append(f"{ev.cycle},{ev.unit},{ev.action},{ev.op or ''},{ev.value or ''}")
+    for cycle, unit, action, op, value in trace:
+        lines.append(f"{cycle},{unit},{action},{op or ''},{value or ''}")
     return "\n".join(lines) + "\n"
 
 

@@ -99,8 +99,7 @@ class Op:
     value: float | None = None
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """Cycle-stamped record of unit activity; the waveform analogue."""
 
     cycle: int
@@ -245,45 +244,62 @@ def simulate(program, cfg: PipelineConfig, hcfg: HybridConfig, ms: ModulusSet) -
 
     Returns the per-op results (bit-identical to direct evaluation), the
     full trace from first issue to last retire, and the metrics summary.
+    Events are emitted in trace order, so the trace is never sorted: by
+    cycle, then scheduler, norm, exponent and the lanes (by name), and
+    within a unit by action.
     """
     names, results, norms = evaluate_program(program, ms, hcfg)
-    events: list[TraceEvent] = []
     if not names:
         return SimResult((), (), metrics_report(()))
 
+    n, latency = len(names), cfg.norm_latency
     detect, last = cfg.detect_stage, cfg.total_stages - 1
+    lanes = sorted(f"lane{lane}" for lane in range(len(ms.moduli)))
+    events: list[TraceEvent] = []
+    emit = events.append
+    # A window's norm-end is stamped for the cycle after its last stall and
+    # is held back until that cycle's scheduler and norm-begin events are out.
+    norm_end = None
     state = initial_state(norms, cfg)
-    # The last op reaches the last stage after len(names) + last ticks and
-    # leaves the pipe on the next one.
-    while state.ticks <= len(names) + last:
+    # The pipe holds op ticks - 1 - s in stage s. The last op reaches the
+    # last stage after n + last ticks and leaves the pipe on the next one.
+    while state.ticks <= n + last:
         nxt = scheduler_step(state, cfg)
-        cycle = state.cycle
+        cycle, ticks = state.cycle, state.ticks
 
         if state.fsm is Fsm.NORMALIZE:
-            op = names[state.at(detect)]
-            if state.norm_remaining == cfg.norm_latency:
-                events.append(TraceEvent(cycle, "norm", "norm-begin", op))
-            events.append(TraceEvent(cycle, "scheduler", "stall"))
-            if nxt.fsm is not Fsm.NORMALIZE or nxt.norm_remaining == cfg.norm_latency:
-                events.append(TraceEvent(cycle + 1, "norm", "norm-end", op))
+            op = names[ticks - 1 - detect]
+            emit(TraceEvent(cycle, "scheduler", "stall"))
+            if state.norm_remaining == latency:
+                emit(TraceEvent(cycle, "norm", "norm-begin", op))
+            if norm_end:
+                emit(norm_end)
+                norm_end = None
+            if nxt.fsm is not Fsm.NORMALIZE or nxt.norm_remaining == latency:
+                norm_end = TraceEvent(cycle + 1, "norm", "norm-end", op)
             state = nxt
             continue
 
-        events.append(TraceEvent(cycle, "scheduler", "advance"))
-        issued, entered, leaving = nxt.at(0), nxt.at(detect), state.at(last)
-        if issued is not None:
-            events.append(TraceEvent(cycle, "scheduler", "issue", names[issued]))
-        if entered is not None:
-            for lane in range(len(ms.moduli)):
-                events.append(TraceEvent(cycle, f"lane{lane}", "retire", names[entered]))
-            events.append(TraceEvent(cycle, "exponent", "retire", names[entered]))
-        if leaving is not None:
+        # Advancing cycle: op ticks issues, op ticks - detect enters the
+        # detect stage (its lanes and exponent retire), op ticks - 1 - last leaves.
+        emit(TraceEvent(cycle, "scheduler", "advance"))
+        if ticks < n:
+            emit(TraceEvent(cycle, "scheduler", "issue", names[ticks]))
+        leaving = ticks - 1 - last
+        if leaving >= 0:
             value_hex = "".join(rns.format_residues(results[leaving].mantissa.residues, ms))
-            events.append(TraceEvent(cycle, "scheduler", "retire", names[leaving], value_hex))
+            emit(TraceEvent(cycle, "scheduler", "retire", names[leaving], value_hex))
+        if norm_end:
+            emit(norm_end)
+            norm_end = None
+        entered = ticks - detect
+        if 0 <= entered < n:
+            op = names[entered]
+            emit(TraceEvent(cycle, "exponent", "retire", op))
+            for lane in lanes:
+                emit(TraceEvent(cycle, lane, "retire", op))
         state = nxt
 
-    unit_rank = {"scheduler": 0, "norm": 1, "exponent": 2}
-    events.sort(key=lambda e: (e.cycle, unit_rank.get(e.unit, 3), e.unit, e.action))
     trace = tuple(events)
     return SimResult(results, trace, metrics_report(trace), names)
 

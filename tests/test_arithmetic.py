@@ -198,6 +198,23 @@ class TestAdd:
             assert a == b
             assert to_real(a) == to_real(b)
 
+    def test_debug_audit_reports_wrapped_sum(self, default_ms, hcfg):
+        # floor(M/2) - 5 doubled is past M/2: the residue sum wraps to -11.
+        x = make_hybrid(default_ms.composite // 2 - 5, 0, default_ms)
+        with pytest.raises(AuditFailure, match="wrapped"):
+            hrfna_add(x, x, default_ms, hcfg, debug=True)
+        assert signed_value(hrfna_add(x, x, default_ms, hcfg).mantissa, default_ms) == -11
+
+    def test_debug_add_audit_passes_in_range_sums(self, default_ms, hcfg):
+        pairs = [(1.5, 0.75), (3.0, -2.9), (1.5, 1e-6), (-2.0, 3e-7), (0.1, 0.1)]
+        strategies = set()
+        for a, b in pairs:
+            x, y = from_real(a, default_ms, hcfg), from_real(b, default_ms, hcfg)
+            z = hrfna_add(x, y, default_ms, hcfg, debug=True)
+            assert z == hrfna_add(x, y, default_ms, hcfg)
+            strategies.add(z.align_strategy)
+        assert strategies == {ALIGN_SCALE_UP, ALIGN_SHIFT_DOWN}
+
     def test_sum_normalizes_at_threshold(self, default_ms, hcfg):
         tau = tau_int(default_ms, hcfg)
         x = make_hybrid(tau - 5, 0, default_ms)

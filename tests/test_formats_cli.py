@@ -201,6 +201,15 @@ class TestCli:
         assert err.startswith("error: AuditFailure: ")
         assert err.count("\n") == 1
 
+    def test_add_of_wrapping_records_fails_audit(self):
+        # The record is floor(M/2) - 5; doubled it would wrap to -11.
+        rec = "hrfna-hybrid v1 7f9 7fa 7f8 0"
+        code, out, err = self.run("add", rec, rec)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: AuditFailure: ")
+        assert err.count("\n") == 1
+
     def test_simulate_thousand_mul_fixture(self, tmp_path):
         program = ["hrfna-program v1", "lit a 1.5"] + ["mul a a"] * 1000
         path = tmp_path / "muls.prog"

@@ -1,23 +1,29 @@
 """Timing model: latency, initiation interval, stalls, value/timing separation."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrfna import (
+    DEFAULT_CONFIG,
+    DEFAULT_MODULI,
     DEFAULT_PIPELINE,
     Fsm,
+    HybridConfig,
     IncompleteTrace,
     InvalidProgram,
     Op,
     PipelineConfig,
     TraceEvent,
     initial_state,
+    make_modulus_set,
     metrics_report,
     scheduler_step,
     simulate,
+    validate_config,
 )
 from hrfna.pipeline import evaluate_program
 
@@ -316,3 +322,66 @@ class TestMetricsReport:
     def test_deterministic_over_trace(self, pcfg, hcfg, default_ms):
         sim = simulate(mul_stream(50), pcfg, hcfg, default_ms)
         assert metrics_report(sim.trace) == metrics_report(sim.trace) == sim.metrics
+
+
+def trace_order_key(event):
+    rank = {"scheduler": 0, "norm": 1, "exponent": 2}.get(event.unit, 3)
+    return (event.cycle, rank, event.unit, event.action)
+
+
+class TestTraceOrder:
+    """simulate emits its events already in trace order: by cycle, then
+    scheduler, norm, exponent and the lanes (by name), then action."""
+
+    TWO_CHANNEL_CFG = HybridConfig(alpha=Fraction(3, 8192), scale_shift_k=9, operand_bound_bits=10)
+    SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    CASES = (
+        (DEFAULT_MODULI, DEFAULT_CONFIG),
+        ((65535, 65534), TWO_CHANNEL_CFG),
+        (SMALL_PRIMES, DEFAULT_CONFIG),
+    )
+
+    @staticmethod
+    def program(seed, squares):
+        # The value/timing-separation shape, plus squares of temporaries:
+        # wide x wide products can need back-to-back normalization windows.
+        rng = random.Random(seed)
+        n_ops = rng.randrange(3, 30)
+        ops = TestValueTimingSeparation().random_program(rng, n_ops)
+        for i in range(squares):
+            t = f"t{rng.randrange(n_ops)}"
+            ops.append(Op("mul", args=(t, t), name=f"s{i}"))
+        return ops
+
+    @given(
+        st.integers(0, 2**32),
+        st.integers(0, 3),
+        st.sampled_from(CASES),
+        st.sampled_from(TestClosedForm.CONFIGS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_trace_is_emitted_sorted(self, seed, squares, case, pcfg):
+        moduli, hcfg = case
+        ms = make_modulus_set(moduli)
+        validate_config(ms, hcfg)
+        sim = simulate(self.program(seed, squares), pcfg, hcfg, ms)
+        assert list(sim.trace) == sorted(sim.trace, key=trace_order_key)
+
+    def test_lane_names_sort_as_strings(self, hcfg):
+        ms = make_modulus_set(self.SMALL_PRIMES)
+        validate_config(ms, hcfg)
+        sim = simulate(mul_stream(1), DEFAULT_PIPELINE, hcfg, ms)
+        units = [e.unit for e in sim.trace if e.action == "retire" and e.unit != "scheduler"]
+        assert units == ["exponent"] + sorted(f"lane{i}" for i in range(11))
+        assert units.index("lane10") < units.index("lane2")
+
+    def test_back_to_back_windows_share_a_cycle(self, hcfg, default_ms):
+        ops = [Op("lit", name="a", value=1.006), Op("mul", args=("a", "a")), Op("mul", args=("t0", "t0"))]
+        cfg = PipelineConfig(norm_engine_stages=1, cycles_per_norm_stage=1)
+        sim = simulate(ops, cfg, hcfg, default_ms)
+        begins = [e.cycle for e in sim.trace if e.action == "norm-begin"]
+        ends = [e.cycle for e in sim.trace if e.action == "norm-end"]
+        assert begins[1] == ends[0]
+        at = [(e.unit, e.action) for e in sim.trace if e.cycle == ends[0]]
+        assert at == [("scheduler", "stall"), ("norm", "norm-begin"), ("norm", "norm-end")]
+        assert list(sim.trace) == sorted(sim.trace, key=trace_order_key)

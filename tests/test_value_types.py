@@ -4,6 +4,7 @@ import pytest
 
 from hrfna import (
     ALIGN_IDENTITY,
+    TraceEvent,
     encode_residues,
     from_real,
     hrfna_add,
@@ -14,6 +15,7 @@ from hrfna import (
 RESIDUE_FIELDS = ("residues", "set_ref")
 HYBRID_FIELDS = ("mantissa", "exponent", "mag_log2", "sign", "align_strategy", "norm_events")
 EVENT_FIELDS = ("value_in", "value_out", "shift", "exponent_before", "exponent_after")
+TRACE_FIELDS = ("cycle", "unit", "action", "op", "value")
 
 
 def assert_read_only(value, fields):
@@ -32,6 +34,20 @@ class TestImmutable:
     def test_normalization_event(self, default_ms, hcfg):
         (event,) = normalize(make_hybrid(2**20, -4, default_ms), default_ms, hcfg).norm_events
         assert_read_only(event, EVENT_FIELDS)
+
+    def test_trace_event(self):
+        assert_read_only(TraceEvent(3, "lane0", "retire", "t1"), TRACE_FIELDS)
+
+
+class TestTraceEvent:
+    def test_field_order_and_defaults(self):
+        assert TraceEvent._fields == TRACE_FIELDS
+        assert TraceEvent._field_defaults == {"op": None, "value": None}
+
+    def test_positional_construction(self):
+        ev = TraceEvent(0, "scheduler", "issue", "t0")
+        assert (ev.cycle, ev.unit, ev.action, ev.op, ev.value) == (0, "scheduler", "issue", "t0", None)
+        assert ev == (0, "scheduler", "issue", "t0", None)
 
 
 class TestHybridEquality:
