@@ -33,14 +33,7 @@ class AuditFailure(HrfnaError):
     """A debug-mode audit caught a wrapped product, a residue mismatch or a missed crossing."""
 
 
-def _drain(h: HybridNum, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
-    """Apply normalize until the fast detector clears; h itself if it never fires.
-
-    Each pass appends its event to the ones before, so the result carries all.
-    """
-    while needs_normalization(h, ms, cfg):
-        h = normalize(h, ms, cfg)
-    return h
+_new = tuple.__new__  # a NamedTuple from all its fields, skipping its Python-level __new__
 
 
 def hrfna_mul(
@@ -50,11 +43,13 @@ def hrfna_mul(
 
     The magnitude estimate updates additively; if it reaches the threshold
     the result is normalized before returning (each pass adds k to the
-    exponent). With debug=True the product is audited by reconstruction:
-    a wrap modulo M or a missed threshold crossing raises AuditFailure.
+    exponent and appends its event to the ones before). With debug=True
+    the product is audited by reconstruction: a wrap modulo M or a missed
+    threshold crossing raises AuditFailure.
     """
     mant = rns.mod_mul(x.mantissa, y.mantissa, ms)
-    h = HybridNum(mant, x.exponent + y.exponent, x.mag_log2 + y.mag_log2, x.sign * y.sign)
+    exponent, mag, sign = x.exponent + y.exponent, x.mag_log2 + y.mag_log2, x.sign * y.sign
+    h = _new(HybridNum, (mant, exponent, mag, sign, None, ()))
     if debug:
         prod = signed_value(x.mantissa, ms) * signed_value(y.mantissa, ms)
         if 2 * abs(prod) >= ms.composite:
@@ -65,30 +60,9 @@ def hrfna_mul(
             raise AuditFailure("residue product disagrees with reconstruction")
         if abs(prod) >= cfg.thresholds(ms)[0] and not needs_normalization(h, ms, cfg):
             raise AuditFailure("magnitude estimator missed a threshold crossing")
-    return _drain(h, ms, cfg)
-
-
-def _aligned_sum(
-    hi: HybridNum, lo: HybridNum, ms: ModulusSet, cfg: HybridConfig
-) -> tuple[rns.ResidueVector, int, str]:
-    """Align hi (larger exponent) to lo and add mantissas.
-
-    Returns (mantissa, exponent, strategy). Scale-up is used when the
-    scaled magnitude estimate stays below tau/2, otherwise the
-    smaller-exponent operand is reconstructed, shifted down with round
-    half to even, and re-encoded at the larger exponent.
-    """
-    delta = hi.exponent - lo.exponent
-    if delta == 0:
-        return rns.mod_add(hi.mantissa, lo.mantissa, ms), hi.exponent, ALIGN_SCALE_UP
-
-    if hi.mag_log2 + delta < cfg.thresholds(ms)[1]:
-        scaled = rns.mod_mul(hi.mantissa, rns.encode_residues(1 << delta, ms), ms)
-        return rns.mod_add(scaled, lo.mantissa, ms), lo.exponent, ALIGN_SCALE_UP
-
-    n_lo = signed_value(lo.mantissa, ms)
-    shifted = rns.encode_signed(shift_round_half_even(n_lo, delta), ms)
-    return rns.mod_add(hi.mantissa, shifted, ms), hi.exponent, ALIGN_SHIFT_DOWN
+    while needs_normalization(h, ms, cfg):
+        h = normalize(h, ms, cfg)
+    return h
 
 
 def hrfna_add(
@@ -96,27 +70,40 @@ def hrfna_add(
 ) -> HybridNum:
     """Hybrid sum with exponent alignment.
 
-    Strategy selection depends only on which operand holds the larger
-    exponent, so it is symmetric in (x, y) and the aligned mantissa
-    addition is channel-wise commutative. The magnitude estimate and sign
-    are recomputed exactly from the sum (a log-sum estimate cannot survive
+    The operand hi with the larger exponent is aligned to the other, lo.
+    Scale-up multiplies hi's mantissa by 2^delta when the scaled magnitude
+    estimate stays below tau/2; otherwise lo is reconstructed, shifted down
+    with round half to even, and re-encoded at hi's exponent. Strategy
+    selection depends only on which operand holds the larger exponent, so
+    it is symmetric in (x, y) and the aligned mantissa addition is
+    channel-wise commutative. The magnitude estimate and sign are
+    recomputed exactly from the sum (a log-sum estimate cannot survive
     cancellation), and the result is normalized if it reaches threshold.
     With debug=True the sum is audited against the exact aligned integer
     sum: a wrap modulo M or a missed threshold crossing raises AuditFailure.
     """
-    if x.is_zero or y.is_zero:
-        h = y if x.is_zero else x
-        return HybridNum(h.mantissa, h.exponent, h.mag_log2, h.sign, ALIGN_IDENTITY)
+    if not x.sign or not y.sign:
+        h = x if x.sign else y
+        return _new(HybridNum, (h.mantissa, h.exponent, h.mag_log2, h.sign, ALIGN_IDENTITY, ()))
 
     hi, lo = (x, y) if x.exponent >= y.exponent else (y, x)
-    mant, exponent, strategy = _aligned_sum(hi, lo, ms, cfg)
+    delta = hi.exponent - lo.exponent
+    exponent, strategy = hi.exponent, ALIGN_SCALE_UP
+    if delta == 0:
+        mant = rns.mod_add(hi.mantissa, lo.mantissa, ms)
+    elif hi.mag_log2 + delta < cfg.thresholds(ms)[1]:
+        scaled = rns.mod_mul(hi.mantissa, rns.encode_residues(1 << delta, ms), ms)
+        mant, exponent = rns.mod_add(scaled, lo.mantissa, ms), lo.exponent
+    else:
+        n_lo = signed_value(lo.mantissa, ms)
+        shifted = rns.encode_signed(shift_round_half_even(n_lo, delta), ms)
+        mant, strategy = rns.mod_add(hi.mantissa, shifted, ms), ALIGN_SHIFT_DOWN
 
     n = signed_value(mant, ms)
     mag = math.log2(abs(n)) if n else -math.inf
-    out = HybridNum(mant, exponent, mag, (n > 0) - (n < 0), strategy)
+    out = _new(HybridNum, (mant, exponent, mag, (n > 0) - (n < 0), strategy, ()))
     if debug:
         n_hi, n_lo = signed_value(hi.mantissa, ms), signed_value(lo.mantissa, ms)
-        delta = hi.exponent - lo.exponent
         if strategy == ALIGN_SHIFT_DOWN:
             total = n_hi + shift_round_half_even(n_lo, delta)
         else:
@@ -129,4 +116,6 @@ def hrfna_add(
             raise AuditFailure("residue sum disagrees with reconstruction")
         if abs(n) >= cfg.thresholds(ms)[0] and not needs_normalization(out, ms, cfg):
             raise AuditFailure("magnitude estimator missed a threshold crossing")
-    return _drain(out, ms, cfg)
+    while needs_normalization(out, ms, cfg):
+        out = normalize(out, ms, cfg)
+    return out

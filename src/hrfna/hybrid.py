@@ -19,6 +19,8 @@ from hrfna.rns import ModulusSet, ResidueVector
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
+_new = tuple.__new__  # a NamedTuple from all its fields, skipping its Python-level __new__
+
 
 @dataclass(frozen=True)
 class HybridConfig:
@@ -147,8 +149,9 @@ def make_hybrid(
     align_strategy and norm_events record the producing operation's provenance.
     """
     mag = math.log2(abs(n)) if n else -math.inf
-    return HybridNum(
-        rns.encode_signed(n, ms), exponent, mag, (n > 0) - (n < 0), align_strategy, norm_events
+    return _new(
+        HybridNum,
+        (rns.encode_signed(n, ms), exponent, mag, (n > 0) - (n < 0), align_strategy, norm_events),
     )
 
 
@@ -162,7 +165,7 @@ def from_real(x: float, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
     if not math.isfinite(x):
         raise ValueError(f"cannot encode non-finite value {x!r}")
     if x == 0.0:
-        return HybridNum(rns.encode_residues(0, ms), 0, -math.inf, 0)
+        return _new(HybridNum, (rns.encode_residues(0, ms), 0, -math.inf, 0, None, ()))
 
     b = cfg.operand_bound_bits
     _, e = math.frexp(x)  # |x| = m * 2^e with 0.5 <= m < 1

@@ -30,6 +30,9 @@ class NormalizationEvent(NamedTuple):
     exponent_after: int
 
 
+_new = tuple.__new__  # a NamedTuple from all its fields, skipping its Python-level __new__
+
+
 def shift_round_half_even(n: int, s: int) -> int:
     """round(n / 2^s) with ties to even, exact for any sign of n."""
     if s == 0:
@@ -71,5 +74,5 @@ def normalize(h: HybridNum, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
     if n_out == 0 and n != 0:
         raise DegenerateResult(f"mantissa {n} vanished under shift {k}")
     exponent = h.exponent + k
-    event = NormalizationEvent(n, n_out, k, h.exponent, exponent)
+    event = _new(NormalizationEvent, (n, n_out, k, h.exponent, exponent))
     return make_hybrid(n_out, exponent, ms, h.align_strategy, h.norm_events + (event,))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import statistics
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from hrfna import arithmetic, hybrid, rns
@@ -72,25 +73,25 @@ class PipelineConfig:
         """Recomputed, never stored: the exponent path starts this many cycles late."""
         return self.residue_stages - self.exponent_stages
 
-    @property
+    @cached_property
     def norm_latency(self) -> int:
+        """Stall cycles per normalization; computed once per config."""
         return self.norm_engine_stages * self.cycles_per_norm_stage
 
     @property
     def total_stages(self) -> int:
         return self.input_stages + self.residue_stages + self.post_stages
 
-    @property
+    @cached_property
     def detect_stage(self) -> int:
-        """First post stage, where threshold detection fires."""
+        """First post stage, where threshold detection fires; computed once per config."""
         return self.input_stages + self.residue_stages
 
 
 DEFAULT_PIPELINE = PipelineConfig()
 
 
-@dataclass(frozen=True)
-class Op:
+class Op(NamedTuple):
     """One program statement: lit defines a named literal, mul/add consume two names."""
 
     kind: str  # "lit" | "mul" | "add"
@@ -177,8 +178,7 @@ def scheduler_step(state: SimState, cfg: PipelineConfig) -> SimState:
     return SimState(cycle + 1, fsm, ticks + 1, norms, stages)
 
 
-@dataclass(frozen=True)
-class MetricsSummary:
+class MetricsSummary(NamedTuple):
     latency_p50: float
     latency_max: int
     achieved_ii: float
@@ -195,8 +195,7 @@ class MetricsSummary:
         }
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(NamedTuple):
     results: tuple
     trace: tuple
     metrics: MetricsSummary

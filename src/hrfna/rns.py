@@ -76,6 +76,9 @@ class ResidueVector(NamedTuple):
         return len(self.residues)
 
 
+_new = tuple.__new__  # a NamedTuple from all its fields, skipping its Python-level __new__
+
+
 def make_modulus_set(moduli) -> ModulusSet:
     """Build a ModulusSet, validating range and pairwise coprimality."""
     moduli = tuple(int(m) for m in moduli)
@@ -113,7 +116,7 @@ def encode_residues(n: int, ms: ModulusSet) -> ResidueVector:
     """Encode a nonnegative integer n in [0, M) into its residue vector."""
     if n < 0 or n >= ms.composite:
         raise OutOfRange(f"{n} not in [0, {ms.composite})")
-    return ResidueVector(tuple(map(n.__mod__, ms.moduli)), ms)
+    return _new(ResidueVector, (tuple(map(n.__mod__, ms.moduli)), ms))
 
 
 def encode_signed(n: int, ms: ModulusSet) -> ResidueVector:
@@ -124,11 +127,12 @@ def encode_signed(n: int, ms: ModulusSet) -> ResidueVector:
     """
     if 2 * abs(n) >= ms.composite:
         raise OutOfRange(f"|{n}| not below M/2 = {ms.composite / 2}")
-    return ResidueVector(tuple(map(n.__mod__, ms.moduli)), ms)
+    return _new(ResidueVector, (tuple(map(n.__mod__, ms.moduli)), ms))
 
 
 def _check_set(rv: ResidueVector, ms: ModulusSet) -> None:
-    if rv.set_ref is not ms and rv.set_ref.moduli != ms.moduli:
+    """Refuse rv unless its set has ms's moduli; callers skip it when rv.set_ref is ms."""
+    if rv.set_ref.moduli != ms.moduli:
         raise MismatchedSet(f"vector built under {rv.set_ref.moduli}, operating under {ms.moduli}")
 
 
@@ -138,14 +142,17 @@ def crt_reconstruct(rv: ResidueVector, ms: ModulusSet) -> int:
     The accumulator sum(r_i * (M_i * y_i mod M)) stays below k * max(m_i) * M;
     Python integers absorb that without truncation.
     """
-    _check_set(rv, ms)
+    if rv.set_ref is not ms:
+        _check_set(rv, ms)
     return sum(map(mul, rv.residues, ms.crt_coeffs)) % ms.composite
 
 
 def _channelwise(op, a: ResidueVector, b: ResidueVector, ms: ModulusSet) -> ResidueVector:
-    _check_set(a, ms)
-    _check_set(b, ms)
-    return ResidueVector(tuple(map(mod, map(op, a.residues, b.residues), ms.moduli)), ms)
+    if a.set_ref is not ms:
+        _check_set(a, ms)
+    if b.set_ref is not ms:
+        _check_set(b, ms)
+    return _new(ResidueVector, (tuple(map(mod, map(op, a.residues, b.residues), ms.moduli)), ms))
 
 
 def mod_mul(a: ResidueVector, b: ResidueVector, ms: ModulusSet) -> ResidueVector:

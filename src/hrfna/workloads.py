@@ -9,8 +9,8 @@ the oracle is the rounding introduced by normalization and lossy alignment.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from hrfna import arithmetic, hybrid
 from hrfna.errors import HrfnaError
@@ -33,8 +33,8 @@ class DriftBoundExceeded(HrfnaError):
 # Fraction over long chains because no gcd runs per operation.
 
 
-def _pair_of(h: HybridNum) -> tuple[int, int]:
-    return signed_value(h.mantissa, h.set_ref), h.exponent
+def _pair_of(h: HybridNum, ms: ModulusSet) -> tuple[int, int]:
+    return signed_value(h.mantissa, ms), h.exponent
 
 
 def _pair_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -46,23 +46,45 @@ def _pair_add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return (a[0] << (a[1] - s)) + (b[0] << (b[1] - s)), s
 
 
-def _pair_fraction(p: tuple[int, int]) -> Fraction:
-    n, s = p
-    return Fraction(n * (1 << s)) if s >= 0 else Fraction(n, 1 << -s)
+def _compose(f, g):
+    """The affine map x -> m*x + a of g applied after f, as a (m, a) pair of pairs."""
+    (m_f, a_f), (m_g, a_g) = f, g
+    return _pair_mul(m_f, m_g), _pair_add(_pair_mul(a_f, m_g), a_g)
+
+
+def _chain_exact(start: tuple[int, int], steps: list) -> tuple[int, int]:
+    """start folded through x -> m*x + a for each (m, a) pair of pairs in steps.
+
+    The maps are composed pairwise in a balanced tree (binary splitting, a
+    product tree), so the big products meet operands of like size instead
+    of one growing value meeting one small factor per step. Every shift is
+    the minimum over the same terms as in the step-by-step fold, so the
+    result is that fold's exact (numerator, shift) pair.
+    """
+    maps = steps
+    while len(maps) > 1:
+        maps = list(map(_compose, maps[::2], maps[1::2])) + (maps[-1:] if len(maps) % 2 else [])
+    if not maps:
+        return start
+    ((m, a),) = maps
+    return _pair_add(_pair_mul(start, m), a)
 
 
 def relative_error(approx: tuple[int, int], exact: tuple[int, int]) -> Fraction:
-    """|approx - exact| / |exact| as an exact Fraction (0 when both are zero)."""
-    diff = _pair_add(approx, (-exact[0], exact[1]))
-    if exact[0] == 0:
-        if diff[0] == 0:
+    """|approx - exact| / |exact| as an exact Fraction (0 when both are zero).
+
+    Both sides are scaled to the smaller shift, so one gcd reduces the result.
+    """
+    d, s = _pair_add(approx, (-exact[0], exact[1]))
+    e, t = exact
+    if e == 0:
+        if d == 0:
             return Fraction(0)
         raise ZeroDivisionError("exact value is zero but the hybrid result is not")
-    return abs(_pair_fraction(diff)) / abs(_pair_fraction(exact))
+    return Fraction(abs(d) << max(s - t, 0), abs(e) << max(t - s, 0))
 
 
-@dataclass(frozen=True)
-class DriftReport:
+class DriftReport(NamedTuple):
     """Outcome of one workload run against its exact oracle."""
 
     workload: str
@@ -99,10 +121,15 @@ def _config_record(ms: ModulusSet, cfg: HybridConfig) -> dict:
 
 
 def mac_sequences(seed: int, n_steps: int) -> tuple[list[float], list[float]]:
-    """Deterministic multiplier/addend streams: [0.5, 2) and [-1, 1)."""
-    rng = random.Random(seed)
-    mults = [rng.uniform(0.5, 2.0) for _ in range(n_steps)]
-    addends = [rng.uniform(-1.0, 1.0) for _ in range(n_steps)]
+    """Deterministic multiplier/addend streams: [0.5, 2) and [-1, 1).
+
+    Each draw is a + (b - a) * random(), exactly as Random.uniform(a, b)
+    computes it, so the streams equal rng.uniform(0.5, 2.0) and
+    rng.uniform(-1.0, 1.0) draws.
+    """
+    draw = random.Random(seed).random
+    mults = [0.5 + 1.5 * draw() for _ in range(n_steps)]
+    addends = [-1.0 + 2.0 * draw() for _ in range(n_steps)]
     return mults, addends
 
 
@@ -112,15 +139,18 @@ def run_mac_chain(
     """Fold acc <- acc * m + a through the hybrid ops, tracking the exact value.
 
     The oracle folds the encoded operand values exactly, so the measured
-    relative error isolates normalization and alignment rounding. The
-    per-event rounding model gives the bound norm_events * 2^(k-1) / tau;
-    a chain that exceeds it raises DriftBoundExceeded.
+    relative error isolates normalization and alignment rounding; it keeps
+    each step's exact (multiplier, addend) pair and composes the steps in a
+    balanced tree after the chain. The per-event rounding model gives the
+    bound norm_events * 2^(k-1) / tau; a chain that exceeds it raises
+    DriftBoundExceeded.
     """
     if len(mults) != len(addends):
         raise LengthMismatch(f"{len(mults)} multipliers vs {len(addends)} addends")
 
     acc = hybrid.from_real(1.0, ms, cfg)
-    exact = _pair_of(acc)
+    start = _pair_of(acc, ms)
+    steps = []
     norm_events = 0
     strategies: dict[str, int] = {}
     for m, a in zip(mults, addends):
@@ -128,13 +158,12 @@ def run_mac_chain(
         ha = hybrid.from_real(a, ms, cfg)
         acc = arithmetic.hrfna_mul(acc, hm, ms, cfg)
         norm_events += len(acc.norm_events)
-        exact = _pair_mul(exact, _pair_of(hm))
         acc = arithmetic.hrfna_add(acc, ha, ms, cfg)
         norm_events += len(acc.norm_events)
         strategies[acc.align_strategy] = strategies.get(acc.align_strategy, 0) + 1
-        exact = _pair_add(exact, _pair_of(ha))
+        steps.append((_pair_of(hm, ms), _pair_of(ha, ms)))
 
-    rel = relative_error(_pair_of(acc), exact)
+    rel = relative_error(_pair_of(acc, ms), _chain_exact(start, steps))
     bound = Fraction(norm_events * 2 ** (cfg.scale_shift_k - 1), tau_int(ms, cfg))
     if rel > bound:
         raise DriftBoundExceeded(f"drift {float(rel)} exceeds bound {float(bound)}")
@@ -197,7 +226,7 @@ def dot_product(
         hy = hybrid.from_real(y, ms, cfg)
         prod = arithmetic.hrfna_mul(hx, hy, ms, cfg)
         norm_events += len(prod.norm_events)
-        exact = _pair_add(exact, _pair_mul(_pair_of(hx), _pair_of(hy)))
+        exact = _pair_add(exact, _pair_mul(_pair_of(hx, ms), _pair_of(hy, ms)))
         if acc is None:
             acc = prod
         else:
@@ -205,7 +234,7 @@ def dot_product(
             norm_events += len(acc.norm_events)
             strategies[acc.align_strategy] = strategies.get(acc.align_strategy, 0) + 1
 
-    rel = relative_error(_pair_of(acc), exact)
+    rel = relative_error(_pair_of(acc, ms), exact)
     bound = Fraction(len(xs), 2 ** (cfg.operand_bound_bits - 3))
     report = DriftReport(
         workload="dot_product",

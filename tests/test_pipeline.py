@@ -64,6 +64,17 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="latency-budget"):
             PipelineConfig(input_stages=3)
 
+    def test_derived_depths_kept_once_per_config(self):
+        depths = dict(norm_engine_stages=2, cycles_per_norm_stage=3, input_stages=3, post_stages=2)
+        cfg = PipelineConfig(**depths)
+        assert (cfg.detect_stage, cfg.norm_latency) == (8, 6)
+        assert {"detect_stage", "norm_latency"} <= set(vars(cfg))
+        # The kept values are not fields: equality, hashing and repr ignore them.
+        twin = PipelineConfig(**depths)
+        assert twin == cfg and hash(twin) == hash(cfg) and repr(twin) == repr(cfg)
+        with pytest.raises(AttributeError):
+            cfg.detect_stage = 1
+
 
 class TestLatency:
     def test_single_mul_retires_at_cycle_10(self, pcfg, hcfg, default_ms):

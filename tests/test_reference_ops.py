@@ -1,0 +1,203 @@
+"""hrfna_mul / hrfna_add pinned to a composition of the public residue ops.
+
+The reference below rebuilds every field of a result (residues, exponent,
+magnitude estimate, sign, alignment strategy and normalization events) from
+mod_mul, mod_add, encode_signed, shift_round_half_even and crt_reconstruct
+alone, with tau and the detector limit derived from the config's alpha.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from hrfna import (
+    ALIGN_IDENTITY,
+    ALIGN_SCALE_UP,
+    ALIGN_SHIFT_DOWN,
+    DEFAULT_CONFIG,
+    DEFAULT_MODULI,
+    HybridConfig,
+    MismatchedSet,
+    NormalizationEvent,
+    crt_reconstruct,
+    encode_signed,
+    hrfna_add,
+    hrfna_mul,
+    make_hybrid,
+    make_modulus_set,
+    mod_add,
+    mod_mul,
+    normalize,
+    shift_round_half_even,
+    signed_value,
+    validate_config,
+)
+
+SETS = {
+    "two": (
+        (65535, 65534),
+        HybridConfig(alpha=Fraction(3, 8192), scale_shift_k=9, operand_bound_bits=10),
+    ),
+    "default": (DEFAULT_MODULI, DEFAULT_CONFIG),
+    "eleven": ((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37), DEFAULT_CONFIG),
+}
+BUILT = {}
+
+
+def built(name):
+    if name not in BUILT:
+        moduli, cfg = SETS[name]
+        ms = make_modulus_set(moduli)
+        validate_config(ms, cfg)
+        BUILT[name] = ms, cfg
+    return BUILT[name]
+
+
+def tau_and_limit(ms, cfg):
+    tau = cfg.alpha.numerator * ms.composite // cfg.alpha.denominator
+    return tau, math.log2(tau) - 1.0
+
+
+def ref_signed(rv, ms):
+    n = crt_reconstruct(rv, ms)
+    return n - ms.composite if 2 * n >= ms.composite else n
+
+
+def ref_fields(mant, exponent, mag, sign, strategy, ms, cfg):
+    """Drain through the fast detector; every field of the final value."""
+    k = cfg.scale_shift_k
+    limit = tau_and_limit(ms, cfg)[1]
+    events = ()
+    while mag >= limit:
+        n = ref_signed(mant, ms)
+        out = shift_round_half_even(n, k)
+        events += ((n, out, k, exponent, exponent + k),)
+        mant, exponent = encode_signed(out, ms), exponent + k
+        mag, sign = (math.log2(abs(out)) if out else -math.inf), (out > 0) - (out < 0)
+    return mant.residues, exponent, mag, sign, strategy, events
+
+
+def ref_mul(x, y, ms, cfg):
+    mant = mod_mul(x.mantissa, y.mantissa, ms)
+    return ref_fields(
+        mant, x.exponent + y.exponent, x.mag_log2 + y.mag_log2, x.sign * y.sign, None, ms, cfg
+    )
+
+
+def ref_add(x, y, ms, cfg):
+    if x.sign == 0 or y.sign == 0:
+        h = y if x.sign == 0 else x
+        return h.mantissa.residues, h.exponent, h.mag_log2, h.sign, ALIGN_IDENTITY, ()
+    hi, lo = (x, y) if x.exponent >= y.exponent else (y, x)
+    delta = hi.exponent - lo.exponent
+    exponent, strategy = hi.exponent, ALIGN_SCALE_UP
+    if delta == 0:
+        mant = mod_add(hi.mantissa, lo.mantissa, ms)
+    elif hi.mag_log2 + delta < tau_and_limit(ms, cfg)[1]:
+        scaled = mod_mul(hi.mantissa, encode_signed(1 << delta, ms), ms)
+        mant, exponent = mod_add(scaled, lo.mantissa, ms), lo.exponent
+    else:
+        shifted = encode_signed(shift_round_half_even(ref_signed(lo.mantissa, ms), delta), ms)
+        mant, strategy = mod_add(hi.mantissa, shifted, ms), ALIGN_SHIFT_DOWN
+    n = ref_signed(mant, ms)
+    mag = math.log2(abs(n)) if n else -math.inf
+    return ref_fields(mant, exponent, mag, (n > 0) - (n < 0), strategy, ms, cfg)
+
+
+def fields(z):
+    return z.mantissa.residues, z.exponent, z.mag_log2, z.sign, z.align_strategy, z.norm_events
+
+
+@st.composite
+def operands(draw, wide_both):
+    """A post-drain-sized operand and a fresh one (or two post-drain ones), under one set.
+
+    Half the operands carry provenance of their own, which no result inherits.
+    """
+    name = draw(st.sampled_from(sorted(SETS)))
+    ms, cfg = built(name)
+    tau = tau_and_limit(ms, cfg)[0]
+    fresh = (1 << (cfg.operand_bound_bits - 1)) - 1
+    wide = st.integers(-(tau // 2), tau // 2)
+    n_x = draw(wide)
+    n_y = draw(wide if wide_both else st.integers(-fresh, fresh))
+    assume(2 * abs(n_x * n_y) < ms.composite or wide_both)
+    provenance = (ALIGN_SHIFT_DOWN, (NormalizationEvent(9, 1, 3, 0, 3),))
+    values = []
+    for n in (n_x, n_y):
+        extra = provenance if draw(st.booleans()) else ()
+        values.append(make_hybrid(n, draw(st.integers(-40, 40)), ms, *extra))
+    if draw(st.booleans()):
+        values.reverse()
+    return (*values, ms, cfg)
+
+
+class TestAgainstChannelOps:
+    @given(operands(wide_both=False))
+    @settings(max_examples=400, deadline=None)
+    def test_mul(self, case):
+        x, y, ms, cfg = case
+        assert fields(hrfna_mul(x, y, ms, cfg)) == ref_mul(x, y, ms, cfg)
+
+    @given(st.one_of(operands(wide_both=False), operands(wide_both=True)))
+    @settings(max_examples=400, deadline=None)
+    def test_add(self, case):
+        x, y, ms, cfg = case
+        assert fields(hrfna_add(x, y, ms, cfg)) == ref_add(x, y, ms, cfg)
+
+    def test_every_path_is_reached(self):
+        ms, cfg = built("default")
+        tau = tau_and_limit(ms, cfg)[0]
+        wide, fresh = make_hybrid(tau // 2 - 9, 0, ms), make_hybrid(2047, -11, ms)
+        cases = [
+            (hrfna_mul, wide, fresh, None, 1),
+            (hrfna_mul, fresh, fresh, None, 0),
+            (hrfna_add, wide, make_hybrid(0, 5, ms), ALIGN_IDENTITY, 0),
+            (hrfna_add, fresh, make_hybrid(-3, -11, ms), ALIGN_SCALE_UP, 0),
+            (hrfna_add, make_hybrid(5, 3, ms), fresh, ALIGN_SCALE_UP, 0),
+            (hrfna_add, wide, fresh, ALIGN_SHIFT_DOWN, 0),
+            (hrfna_add, wide, make_hybrid(tau // 2 - 1, 0, ms), ALIGN_SCALE_UP, 1),
+        ]
+        for op, x, y, strategy, events in cases:
+            z = op(x, y, ms, cfg)
+            assert (z.align_strategy, len(z.norm_events)) == (strategy, events)
+            reference = ref_mul if op is hrfna_mul else ref_add
+            assert fields(z) == reference(x, y, ms, cfg)
+
+
+class TestForeignOperands:
+    """An operand built under another modulus set is refused; an equal set built apart is not."""
+
+    def test_other_set_raises(self, default_ms, small_ms, hcfg):
+        here = make_hybrid(1500, 0, default_ms)
+        for exponent in (0, 3, 40):  # same exponent, scale-up, shift-down
+            there = make_hybrid(5, exponent, small_ms)
+            for x, y in ((here, there), (there, here)):
+                with pytest.raises(MismatchedSet):
+                    hrfna_mul(x, y, default_ms, hcfg)
+                with pytest.raises(MismatchedSet):
+                    hrfna_add(x, y, default_ms, hcfg)
+        with pytest.raises(MismatchedSet):
+            signed_value(make_hybrid(5, 0, small_ms).mantissa, default_ms)
+        with pytest.raises(MismatchedSet):
+            normalize(make_hybrid(50, 0, small_ms), default_ms, hcfg)
+
+    def test_equal_set_built_apart_is_accepted(self, default_ms, hcfg):
+        twin = make_modulus_set(DEFAULT_MODULI)
+        assert twin is not default_ms and twin == default_ms
+        tau = tau_and_limit(default_ms, hcfg)[0]
+        for n, f in ((tau // 2 - 1, 0), (-1500, 7), (3, -30)):
+            apart, here = make_hybrid(n, f, twin), make_hybrid(n, f, default_ms)
+            y = make_hybrid(2047, -11, default_ms)
+            for op in (hrfna_mul, hrfna_add):
+                for pair, same in (((apart, y), (here, y)), ((y, apart), (y, here))):
+                    got, expected = op(*pair, default_ms, hcfg), op(*same, default_ms, hcfg)
+                    assert fields(got) == fields(expected)
+            assert signed_value(apart.mantissa, default_ms) == n
+        big = make_hybrid(2**30, 0, twin)
+        assert fields(normalize(big, default_ms, hcfg)) == fields(
+            normalize(make_hybrid(2**30, 0, default_ms), default_ms, hcfg)
+        )

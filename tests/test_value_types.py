@@ -4,18 +4,38 @@ import pytest
 
 from hrfna import (
     ALIGN_IDENTITY,
+    MetricsSummary,
+    Op,
+    SimResult,
     TraceEvent,
+    chained_mac,
     encode_residues,
     from_real,
     hrfna_add,
     make_hybrid,
     normalize,
+    simulate,
 )
+from hrfna.workloads import DriftReport
 
 RESIDUE_FIELDS = ("residues", "set_ref")
 HYBRID_FIELDS = ("mantissa", "exponent", "mag_log2", "sign", "align_strategy", "norm_events")
 EVENT_FIELDS = ("value_in", "value_out", "shift", "exponent_before", "exponent_after")
 TRACE_FIELDS = ("cycle", "unit", "action", "op", "value")
+OP_FIELDS = ("kind", "args", "name", "value")
+METRICS_FIELDS = ("latency_p50", "latency_max", "achieved_ii", "stall_cycles", "norm_events")
+SIM_FIELDS = ("results", "trace", "metrics", "names")
+REPORT_FIELDS = (
+    "workload",
+    "seed",
+    "steps",
+    "generator",
+    "config",
+    "norm_events",
+    "strategy_counts",
+    "rel_error",
+    "bound",
+)
 
 
 def assert_read_only(value, fields):
@@ -71,3 +91,53 @@ class TestHybridEquality:
         assert h != make_hybrid(3, 1, default_ms)
         assert h != make_hybrid(-3, 0, default_ms)
         assert h != (h.mantissa, h.exponent)
+
+
+def mac_program():
+    return [
+        Op("lit", name="a", value=1.9),
+        Op("mul", args=("a", "a")),
+        Op("add", args=("t0", "a")),
+    ]
+
+
+class TestRecords:
+    """Op, MetricsSummary, SimResult and DriftReport: read-only; fields, order, defaults kept."""
+
+    def test_read_only(self, default_ms, hcfg, pcfg):
+        sim = simulate(mac_program(), pcfg, hcfg, default_ms)
+        assert_read_only(Op("mul", args=("a", "b")), OP_FIELDS)
+        assert_read_only(sim.metrics, METRICS_FIELDS)
+        assert_read_only(sim, SIM_FIELDS)
+        assert_read_only(chained_mac(1, 20, default_ms, hcfg), REPORT_FIELDS)
+
+    def test_field_order_and_defaults(self):
+        assert Op._fields == OP_FIELDS
+        assert Op._field_defaults == {"args": (), "name": "", "value": None}
+        assert MetricsSummary._fields == METRICS_FIELDS
+        assert MetricsSummary._field_defaults == {}
+        assert SimResult._fields == SIM_FIELDS
+        assert SimResult._field_defaults == {"names": ()}
+        assert DriftReport._fields == REPORT_FIELDS
+        assert DriftReport._field_defaults == {}
+
+    def test_op_construction(self):
+        lit = Op("lit", name="x", value=0.5)
+        assert (lit.kind, lit.args, lit.name, lit.value) == ("lit", (), "x", 0.5)
+        assert Op("mul", ("a", "b")) == Op(kind="mul", args=("a", "b"), name="", value=None)
+
+    def test_as_dict(self, default_ms, hcfg, pcfg):
+        metrics = simulate(mac_program(), pcfg, hcfg, default_ms).metrics
+        assert metrics.as_dict() == dict(zip(METRICS_FIELDS, metrics))
+        report = chained_mac(1, 20, default_ms, hcfg)
+        as_dict = report.as_dict()
+        assert list(as_dict) == list(REPORT_FIELDS)
+        assert as_dict["rel_error"] == float(report.rel_error)
+        assert as_dict["bound"] == float(report.bound)
+        assert as_dict["strategy_counts"] == dict(sorted(report.strategy_counts.items()))
+
+    def test_sim_result_positional(self, default_ms, hcfg, pcfg):
+        sim = simulate(mac_program(), pcfg, hcfg, default_ms)
+        results, trace, metrics, names = sim
+        assert SimResult(results, trace, metrics) == (results, trace, metrics, ())
+        assert names == ("t0", "t1")

@@ -1,8 +1,11 @@
 """Drift workloads: oracle agreement, analytic bounds, pipeline equivalence."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrfna import (
     DriftBoundExceeded,
@@ -11,14 +14,24 @@ from hrfna import (
     LengthMismatch,
     chained_mac,
     dot_product,
+    exact_value,
+    from_real,
+    hrfna_add,
+    hrfna_mul,
     run_mac_chain,
     simulate,
     to_real,
     validate_config,
 )
-from hrfna.hybrid import exact_value
 from hrfna.pipeline import evaluate_program
-from hrfna.workloads import chained_mac_program, mac_sequences
+from hrfna.workloads import (
+    _chain_exact,
+    _pair_add,
+    _pair_mul,
+    chained_mac_program,
+    mac_sequences,
+    relative_error,
+)
 
 
 class TestChainedMac:
@@ -126,3 +139,77 @@ class TestPipelineEquivalence:
         assert final == acc
         assert exact_value(final) == exact_value(acc)
         assert to_real(final) == to_real(acc)
+
+
+class TestMacSequences:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+    @pytest.mark.parametrize("length", [0, 1, 2000, 10_000])
+    def test_same_streams_as_uniform(self, seed, length):
+        rng = random.Random(seed)
+        mults = [rng.uniform(0.5, 2.0) for _ in range(length)]
+        addends = [rng.uniform(-1.0, 1.0) for _ in range(length)]
+        assert mac_sequences(seed, length) == (mults, addends)
+
+
+def sequential_chain(start, steps):
+    """The step-by-step fold x -> m*x + a over (numerator, shift) pairs."""
+    x = start
+    for m, a in steps:
+        x = _pair_add(_pair_mul(x, m), a)
+    return x
+
+
+pairs = st.tuples(st.integers(-(2**40), 2**40) | st.just(0), st.integers(-70, 70))
+
+
+class TestExactOracle:
+    @given(pairs, st.lists(st.tuples(pairs, pairs), max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_tree_equals_sequential_fold(self, start, steps):
+        assert _chain_exact(start, steps) == sequential_chain(start, steps)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_chain_rel_error_against_fraction_fold(self, default_ms, hcfg, seed):
+        # The hybrid chain and its exact value rebuilt with Fractions, one step at a time.
+        mults, addends = mac_sequences(seed, 400)
+        acc = from_real(1.0, default_ms, hcfg)
+        exact = exact_value(acc)
+        for m, a in zip(mults, addends):
+            hm, ha = from_real(m, default_ms, hcfg), from_real(a, default_ms, hcfg)
+            acc = hrfna_add(hrfna_mul(acc, hm, default_ms, hcfg), ha, default_ms, hcfg)
+            exact = exact * exact_value(hm) + exact_value(ha)
+        report = run_mac_chain(mults, addends, default_ms, hcfg)
+        assert report.rel_error == abs(exact_value(acc) - exact) / abs(exact)
+        assert report.rel_error > 0
+
+    def test_empty_chain(self, default_ms, hcfg):
+        assert run_mac_chain([], [], default_ms, hcfg).rel_error == 0
+
+
+def pair_value(p):
+    return Fraction(p[0]) * Fraction(2) ** p[1]
+
+
+class TestRelativeError:
+    @given(pairs, pairs)
+    @settings(max_examples=500, deadline=None)
+    def test_same_fraction_as_quotient_of_fractions(self, approx, exact):
+        if exact[0] == 0:
+            if pair_value(approx) == 0:
+                assert relative_error(approx, exact) == Fraction(0)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    relative_error(approx, exact)
+            return
+        expected = abs(pair_value(approx) - pair_value(exact)) / abs(pair_value(exact))
+        got = relative_error(approx, exact)
+        assert isinstance(got, Fraction)
+        assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+    def test_edge_cases(self):
+        assert relative_error((0, 5), (0, -3)) == Fraction(0)
+        assert relative_error((6, -1), (3, 0)) == Fraction(0)
+        assert relative_error((5, 0), (4, 0)) == Fraction(1, 4)
+        assert relative_error((-3, 2), (3, 2)) == Fraction(2)
+        with pytest.raises(ZeroDivisionError):
+            relative_error((1, -9), (0, 4))
