@@ -83,6 +83,9 @@ def hrfna_add(
     sum: a wrap modulo M or a missed threshold crossing raises AuditFailure.
     """
     if not x.sign or not y.sign:
+        for v in (x.mantissa, y.mantissa):
+            if v.set_ref is not ms:
+                rns._check_set(v, ms)
         h = x if x.sign else y
         return _new(HybridNum, (h.mantissa, h.exponent, h.mag_log2, h.sign, ALIGN_IDENTITY, ()))
 

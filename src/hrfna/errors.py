@@ -5,8 +5,8 @@ class HrfnaError(Exception):
     """Base class for every error raised by this package."""
 
 
-class InvariantViolation(HrfnaError):
-    """A configuration violates a named invariant."""
+class InvariantViolation(HrfnaError, ValueError):
+    """A configuration violates a named invariant; also a ValueError, as a bad value."""
 
     def __init__(self, name: str, detail: str = ""):
         self.name = name

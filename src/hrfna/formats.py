@@ -12,10 +12,11 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 from hrfna import hybrid, pipeline, rns
-from hrfna.errors import HrfnaError, InvariantViolation
+from hrfna.errors import HrfnaError, InvariantViolation  # noqa: F401 (re-exported)
 from hrfna.hybrid import DEFAULT_CONFIG, HybridConfig, HybridNum
 from hrfna.pipeline import DEFAULT_PIPELINE, Op, PipelineConfig
 from hrfna.rns import DEFAULT_MODULI, ModulusSet, format_residues
@@ -63,65 +64,39 @@ def config_to_dict(ms: ModulusSet, hcfg: HybridConfig, pcfg: PipelineConfig) -> 
         "alpha_den": hcfg.alpha.denominator,
         "k": hcfg.scale_shift_k,
         "b": hcfg.operand_bound_bits,
-        "residue_stages": pcfg.residue_stages,
-        "exponent_stages": pcfg.exponent_stages,
-        "norm_engine_stages": pcfg.norm_engine_stages,
-        "cycles_per_norm_stage": pcfg.cycles_per_norm_stage,
-        "input_stages": pcfg.input_stages,
-        "post_stages": pcfg.post_stages,
-        "end_to_end_latency": pcfg.end_to_end_latency,
+        **asdict(pcfg),
     }
 
 
 def config_from_dict(data: dict) -> tuple[ModulusSet, HybridConfig, PipelineConfig]:
+    """The configs a record describes; ParseError for a malformed field.
+
+    A missing, boolean, non-integral (never truncated) or zero-divisor field
+    is malformed, as is moduli other than a list; a broken invariant raises
+    its constructor's InvariantViolation.
+    """
     if not isinstance(data, dict):
         raise ParseError("config root must be a JSON object")
     if data.get("format", CONFIG_FORMAT) != CONFIG_FORMAT:
         raise ParseError(f"unsupported config format {data.get('format')!r}")
+    stages = [f.name for f in fields(PipelineConfig) if f.name in data]
     try:
-        moduli = [int(m) for m in data["moduli"]]
-        alpha = Fraction(int(data["alpha_num"]), int(data["alpha_den"]))
-        k = int(data["k"])
-        b = int(data["b"])
-    except (KeyError, TypeError, ValueError) as exc:
+        moduli = data["moduli"]
+        scalars = [data[name] for name in ("alpha_num", "alpha_den", "k", "b", *stages)]
+        if not isinstance(moduli, list):
+            raise ParseError(f"bad config field: moduli {moduli!r} is not a list")
+        for value in moduli + scalars:
+            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+                raise ParseError(f"bad config field: {value!r} is not an integer")
+        moduli = [int(m) for m in moduli]
+        alpha_num, alpha_den, k, b, *depths = map(int, scalars)
+        alpha = Fraction(alpha_num, alpha_den)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad config field: {exc}") from None
-
-    try:
-        ms = rns.make_modulus_set(moduli)
-    except rns.NotCoprime as exc:
-        raise InvariantViolation("pairwise-coprime", str(exc)) from None
-    except rns.ModulusTooSmall as exc:
-        raise InvariantViolation("modulus-minimum", str(exc)) from None
-    except rns.ModulusTooLarge as exc:
-        raise InvariantViolation("modulus-width", str(exc)) from None
-
-    try:
-        hcfg = HybridConfig(alpha=alpha, scale_shift_k=k, operand_bound_bits=b)
-    except ValueError as exc:
-        raise InvariantViolation("hybrid-config", str(exc)) from None
-    try:
-        hybrid.validate_config(ms, hcfg)
-    except ValueError as exc:
-        raise InvariantViolation(str(exc)) from None
-
-    pipe_fields = {
-        name: int(data[name])
-        for name in (
-            "residue_stages",
-            "exponent_stages",
-            "norm_engine_stages",
-            "cycles_per_norm_stage",
-            "input_stages",
-            "post_stages",
-            "end_to_end_latency",
-        )
-        if name in data
-    }
-    try:
-        pcfg = PipelineConfig(**pipe_fields)
-    except ValueError as exc:
-        raise InvariantViolation(str(exc)) from None
-    return ms, hcfg, pcfg
+    ms = rns.make_modulus_set(moduli)
+    hcfg = HybridConfig(alpha=alpha, scale_shift_k=k, operand_bound_bits=b)
+    hybrid.validate_config(ms, hcfg)
+    return ms, hcfg, PipelineConfig(**dict(zip(stages, depths)))
 
 
 def load_config(path: str | None = None) -> tuple[ModulusSet, HybridConfig, PipelineConfig]:

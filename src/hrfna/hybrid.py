@@ -43,11 +43,11 @@ class HybridConfig:
 
     def __post_init__(self):
         if not (0 < self.alpha < 1):
-            raise ValueError(f"alpha {self.alpha} not in (0, 1)")
+            raise InvariantViolation("hybrid-config", f"alpha {self.alpha} not in (0, 1)")
         if self.scale_shift_k < 1:
-            raise ValueError("scale_shift_k must be >= 1")
+            raise InvariantViolation("hybrid-config", "scale_shift_k must be >= 1")
         if self.operand_bound_bits < 3:
-            raise ValueError("operand_bound_bits must be >= 3")
+            raise InvariantViolation("hybrid-config", "operand_bound_bits must be >= 3")
 
     def thresholds(self, ms: ModulusSet) -> tuple[int, float]:
         """(tau, log2(tau) - 1.0) under ms: the threshold and the fast detector's limit.
@@ -80,15 +80,15 @@ def tau_int(ms: ModulusSet, cfg: HybridConfig) -> int:
 def validate_config(ms: ModulusSet, cfg: HybridConfig) -> None:
     """Check the cross invariants between a modulus set and a hybrid config.
 
-    Raises ValueError naming the failed invariant:
+    Raises InvariantViolation naming the failed invariant:
       operand-bound: 2^(2b) < alpha*M so in-bound operands multiply without wrap
       shift-bound:   k < b so normalization keeps a nonzero mantissa above threshold
     """
-    b = cfg.operand_bound_bits
-    if 2 ** (2 * b) >= cfg.alpha * ms.composite:
-        raise ValueError("operand-bound")
-    if cfg.scale_shift_k >= b:
-        raise ValueError("shift-bound")
+    b, k, limit = cfg.operand_bound_bits, cfg.scale_shift_k, cfg.alpha * ms.composite
+    if 2 ** (2 * b) >= limit:
+        raise InvariantViolation("operand-bound", f"2^{2 * b} >= alpha*M = {float(limit):g}")
+    if k >= b:
+        raise InvariantViolation("shift-bound", f"k = {k} >= b = {b}")
 
 
 class HybridNum(NamedTuple):
@@ -163,7 +163,7 @@ def from_real(x: float, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
     f = 0. The round-trip error is at most 2^(f-1).
     """
     if not math.isfinite(x):
-        raise ValueError(f"cannot encode non-finite value {x!r}")
+        raise rns.OutOfRange(f"cannot encode non-finite value {x!r}")
     if x == 0.0:
         return _new(HybridNum, (rns.encode_residues(0, ms), 0, -math.inf, 0, None, ()))
 

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import enum
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
 from hrfna import arithmetic, hybrid, rns
-from hrfna.errors import HrfnaError
+from hrfna.errors import HrfnaError, InvariantViolation
 from hrfna.hybrid import HybridConfig, HybridNum
 from hrfna.rns import ModulusSet
 
@@ -55,18 +55,14 @@ class PipelineConfig:
     end_to_end_latency: int = 10
 
     def __post_init__(self):
-        for name in (
-            "residue_stages",
-            "exponent_stages",
-            "norm_engine_stages",
-            "cycles_per_norm_stage",
-            "input_stages",
-            "post_stages",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError("stage-depths")
-        if self.input_stages + self.residue_stages + self.post_stages != self.end_to_end_latency:
-            raise ValueError("latency-budget")
+        for f in fields(self)[:-1]:  # every stage depth; the last field is the budget
+            if getattr(self, f.name) < 1:
+                raise InvariantViolation("stage-depths", f"{f.name} = {getattr(self, f.name)} < 1")
+        if self.total_stages != self.end_to_end_latency:
+            raise InvariantViolation(
+                "latency-budget",
+                f"input + residue + post stages = {self.total_stages} != {self.end_to_end_latency}",
+            )
 
     @property
     def align_offset_d(self) -> int:

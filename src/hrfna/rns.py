@@ -13,7 +13,7 @@ from math import gcd
 from operator import add, mod, mul, sub
 from typing import NamedTuple
 
-from hrfna.errors import HrfnaError
+from hrfna.errors import HrfnaError, InvariantViolation
 
 # Moduli must fit in 16 bits; wider channels are out of scope.
 MAX_MODULUS_BITS = 16
@@ -21,24 +21,26 @@ MAX_MODULUS_BITS = 16
 DEFAULT_MODULI = (4093, 4095, 4091)
 
 
-class ModulusTooSmall(HrfnaError):
-    """A modulus below 2 cannot carry a residue channel."""
+class ModulusTooSmall(InvariantViolation):
+    """A modulus below 2 cannot carry a residue channel ("modulus-minimum")."""
 
 
-class ModulusTooLarge(HrfnaError):
-    """A modulus beyond 16 bits is outside the supported channel width."""
+class ModulusTooLarge(InvariantViolation):
+    """A modulus beyond 16 bits is outside the supported channel width ("modulus-width")."""
 
 
-class NotCoprime(HrfnaError):
-    """Two moduli share a factor, so reconstruction would not be unique."""
+class NotCoprime(InvariantViolation):
+    """Two moduli share a factor, so reconstruction would not be unique ("pairwise-coprime")."""
 
     def __init__(self, i: int, j: int, mi: int, mj: int):
         self.index_a = i
         self.index_b = j
-        super().__init__(f"moduli[{i}]={mi} and moduli[{j}]={mj} share gcd {gcd(mi, mj)}")
+        super().__init__(
+            "pairwise-coprime", f"moduli[{i}]={mi} and moduli[{j}]={mj} share gcd {gcd(mi, mj)}"
+        )
 
 
-class OutOfRange(HrfnaError):
+class OutOfRange(HrfnaError, ValueError):
     """Integer outside the representable range of the modulus set."""
 
 
@@ -83,12 +85,12 @@ def make_modulus_set(moduli) -> ModulusSet:
     """Build a ModulusSet, validating range and pairwise coprimality."""
     moduli = tuple(int(m) for m in moduli)
     if not moduli:
-        raise ModulusTooSmall("modulus list is empty")
+        raise ModulusTooSmall("modulus-minimum", "modulus list is empty")
     for m in moduli:
         if m < 2:
-            raise ModulusTooSmall(f"modulus {m} < 2")
+            raise ModulusTooSmall("modulus-minimum", f"modulus {m} < 2")
         if m.bit_length() > MAX_MODULUS_BITS:
-            raise ModulusTooLarge(f"modulus {m} exceeds {MAX_MODULUS_BITS} bits")
+            raise ModulusTooLarge("modulus-width", f"modulus {m} exceeds {MAX_MODULUS_BITS} bits")
     for i in range(len(moduli)):
         for j in range(i + 1, len(moduli)):
             if gcd(moduli[i], moduli[j]) != 1:

@@ -21,8 +21,8 @@ from hrfna.rns import ModulusSet
 GENERATOR_ID = "python-random-mt19937"
 
 
-class LengthMismatch(HrfnaError):
-    """Dot-product inputs must have equal lengths."""
+class LengthMismatch(HrfnaError, ValueError):
+    """Inputs of unequal or unusable length: dot-product vectors, MAC chains."""
 
 
 class DriftBoundExceeded(HrfnaError):
@@ -74,13 +74,12 @@ def relative_error(approx: tuple[int, int], exact: tuple[int, int]) -> Fraction:
     """|approx - exact| / |exact| as an exact Fraction (0 when both are zero).
 
     Both sides are scaled to the smaller shift, so one gcd reduces the result.
+    A nonzero approx against an exact zero divides by zero: ZeroDivisionError.
     """
     d, s = _pair_add(approx, (-exact[0], exact[1]))
     e, t = exact
-    if e == 0:
-        if d == 0:
-            return Fraction(0)
-        raise ZeroDivisionError("exact value is zero but the hybrid result is not")
+    if e == 0 and d == 0:
+        return Fraction(0)
     return Fraction(abs(d) << max(s - t, 0), abs(e) << max(t - s, 0))
 
 
@@ -183,7 +182,7 @@ def run_mac_chain(
 def chained_mac(seed: int, n_steps: int, ms: ModulusSet, cfg: HybridConfig) -> DriftReport:
     """Seeded multiply-accumulate chain; see run_mac_chain for the fold."""
     if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+        raise LengthMismatch(f"n_steps = {n_steps}, must be >= 1")
     mults, addends = mac_sequences(seed, n_steps)
     return run_mac_chain(mults, addends, ms, cfg, seed=seed)
 

@@ -79,6 +79,54 @@ class TestConfigFormat:
             config_from_dict(data)
         assert exc.value.name == "latency-budget"
 
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [
+            ("moduli", [3, 1, 7], "modulus-minimum"),
+            ("moduli", [3, 1 << 16], "modulus-width"),
+            ("alpha_num", 8192, "hybrid-config"),
+            ("residue_stages", 0, "stage-depths"),
+        ],
+    )
+    def test_invariant_names(self, default_ms, hcfg, pcfg, field, value, name):
+        data = config_to_dict(default_ms, hcfg, pcfg)
+        data[field] = value
+        with pytest.raises(InvariantViolation) as exc:
+            config_from_dict(data)
+        assert isinstance(exc.value, ValueError)
+        assert exc.value.name == name
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("residue_stages", None),
+            ("alpha_den", 0),
+            ("residue_stages", "x"),
+            ("k", 1.5),
+            ("moduli", "5789"),
+            ("k", True),
+        ],
+    )
+    def test_malformed_field_is_parse_error(
+        self, tmp_path, capsys, default_ms, hcfg, pcfg, field, value
+    ):
+        data = config_to_dict(default_ms, hcfg, pcfg)
+        data[field] = value
+        with pytest.raises(ParseError):
+            config_from_dict(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["--config", str(path), "encode", "1.5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ParseError: ")
+        assert err.count("\n") == 1
+
+    def test_integral_numbers_still_load(self, default_ms, hcfg, pcfg):
+        data = config_to_dict(default_ms, hcfg, pcfg)
+        data.update(k=11.0, residue_stages="5", moduli=[4093.0, "4095", 4091])
+        assert config_from_dict(data) == (default_ms, hcfg, pcfg)
+
     def test_parse_error_on_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")

@@ -180,6 +180,16 @@ class TestForeignOperands:
                     hrfna_mul(x, y, default_ms, hcfg)
                 with pytest.raises(MismatchedSet):
                     hrfna_add(x, y, default_ms, hcfg)
+        # A zero operand takes the identity path of hrfna_add; the foreign
+        # operand is refused whichever side the zero is on.
+        for x, y in (
+            (make_hybrid(0, 0, default_ms), make_hybrid(5, 3, small_ms)),
+            (make_hybrid(0, 0, small_ms), here),
+        ):
+            for pair in ((x, y), (y, x)):
+                for op in (hrfna_mul, hrfna_add):
+                    with pytest.raises(MismatchedSet):
+                        op(*pair, default_ms, hcfg)
         with pytest.raises(MismatchedSet):
             signed_value(make_hybrid(5, 0, small_ms).mantissa, default_ms)
         with pytest.raises(MismatchedSet):
