@@ -9,7 +9,6 @@ partial file.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 from dataclasses import asdict, fields
@@ -72,13 +71,16 @@ def config_from_dict(data: dict) -> tuple[ModulusSet, HybridConfig, PipelineConf
     """The configs a record describes; ParseError for a malformed field.
 
     A missing, boolean, non-integral (never truncated) or zero-divisor field
-    is malformed, as is moduli other than a list; a broken invariant raises
-    its constructor's InvariantViolation.
+    is malformed, as is moduli other than a list or an unknown key; a broken
+    invariant raises its constructor's InvariantViolation.
     """
     if not isinstance(data, dict):
         raise ParseError("config root must be a JSON object")
     if data.get("format", CONFIG_FORMAT) != CONFIG_FORMAT:
         raise ParseError(f"unsupported config format {data.get('format')!r}")
+    unknown = set(data) - set(config_to_dict(*default_configs()))
+    if unknown:
+        raise ParseError(f"unknown config keys: {', '.join(sorted(map(repr, unknown)))}")
     stages = [f.name for f in fields(PipelineConfig) if f.name in data]
     try:
         moduli = data["moduli"]
@@ -140,10 +142,8 @@ def parse_hybrid_record(line: str, ms: ModulusSet) -> HybridNum:
     for r, m in zip(residues, ms.moduli):
         if not 0 <= r < m:
             raise ParseError(f"residue {r:#x} out of range for modulus {m}")
-    rv = rns.ResidueVector(residues, ms)
-    n = hybrid.signed_value(rv, ms)
-    mag = math.log2(abs(n)) if n else -math.inf
-    return HybridNum(rv, exponent, mag, (n > 0) - (n < 0))
+    n = hybrid.signed_value(rns.ResidueVector(residues, ms), ms)
+    return hybrid.make_hybrid(n, exponent, ms)
 
 
 # -- program files -----------------------------------------------------------

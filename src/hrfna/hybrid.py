@@ -85,7 +85,8 @@ def validate_config(ms: ModulusSet, cfg: HybridConfig) -> None:
       shift-bound:   k < b so normalization keeps a nonzero mantissa above threshold
     """
     b, k, limit = cfg.operand_bound_bits, cfg.scale_shift_k, cfg.alpha * ms.composite
-    if 2 ** (2 * b) >= limit:
+    # Past M's bit length 2^(2b) > M without being built (b may come from a file).
+    if 2 * b > ms.composite.bit_length() or 2 ** (2 * b) >= limit:
         raise InvariantViolation("operand-bound", f"2^{2 * b} >= alpha*M = {float(limit):g}")
     if k >= b:
         raise InvariantViolation("shift-bound", f"k = {k} >= b = {b}")
@@ -165,7 +166,7 @@ def from_real(x: float, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
     if not math.isfinite(x):
         raise rns.OutOfRange(f"cannot encode non-finite value {x!r}")
     if x == 0.0:
-        return _new(HybridNum, (rns.encode_residues(0, ms), 0, -math.inf, 0, None, ()))
+        return make_hybrid(0, 0, ms)
 
     b = cfg.operand_bound_bits
     _, e = math.frexp(x)  # |x| = m * 2^e with 0.5 <= m < 1

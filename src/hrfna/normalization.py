@@ -37,6 +37,8 @@ def shift_round_half_even(n: int, s: int) -> int:
     """round(n / 2^s) with ties to even, exact for any sign of n."""
     if s == 0:
         return n
+    if s > n.bit_length():  # |n| < 2^(s-1) rounds to 0; never build a 2^s-sized number
+        return 0
     q = n >> s
     r = n - (q << s)  # 0 <= r < 2^s for either sign of n
     half = 1 << (s - 1)

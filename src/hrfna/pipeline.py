@@ -112,9 +112,8 @@ class SimState(NamedTuple):
     The pipe only moves on advancing (non-Normalize) cycles, so after ticks
     of them the op in stage s is ticks - 1 - s; occupancy, next_issue and
     stall_asserted are derived from that, never stored. norms holds each
-    op's normalization count, timed how many of the detect-stage op's events
-    have been timed, and norm_remaining the stall cycles left in the open
-    window.
+    op's normalization count and norm_remaining the stall cycles left for
+    the op in the detect stage, counting down from norms[op] * norm_latency.
     """
 
     cycle: int
@@ -122,7 +121,6 @@ class SimState(NamedTuple):
     ticks: int
     norms: tuple
     stages: int
-    timed: int = 0
     norm_remaining: int = 0
 
     def at(self, stage: int) -> int | None:
@@ -151,24 +149,23 @@ def scheduler_step(state: SimState, cfg: PipelineConfig) -> SimState:
     """Advance the scheduler by one cycle (pure; returns the next state).
 
     Transitions: Idle->Execute on first issue; Execute->Normalize when the
-    op entering the detect stage has a pending normalization;
-    Normalize->Resume after norm_latency cycles (or straight into the next
-    window for back-to-back events); Resume->Execute the following cycle.
+    op entering the detect stage has pending normalizations;
+    Normalize->Resume after norm_latency cycles per event, back-to-back
+    windows being one Normalize run; Resume->Execute the following cycle.
     Nothing advances and nothing issues while the FSM is in Normalize.
     """
-    cycle, fsm, ticks, norms, stages, timed, remaining = state
+    cycle, fsm, ticks, norms, stages, remaining = state
     if fsm is Fsm.NORMALIZE:
         if remaining > 1:
-            return SimState(cycle + 1, fsm, ticks, norms, stages, timed, remaining - 1)
-        if timed < norms[state.at(cfg.detect_stage)]:
-            return SimState(cycle + 1, fsm, ticks, norms, stages, timed + 1, cfg.norm_latency)
-        return SimState(cycle + 1, Fsm.RESUME, ticks, norms, stages, timed)
+            return SimState(cycle + 1, fsm, ticks, norms, stages, remaining - 1)
+        return SimState(cycle + 1, Fsm.RESUME, ticks, norms, stages)
 
     # Advancing cycle: every stage shifts and the next op (if any) issues,
     # so the op in the stage before detect moves into it.
     entered = state.at(cfg.detect_stage - 1)
     if entered is not None and norms[entered] > 0:
-        return SimState(cycle + 1, Fsm.NORMALIZE, ticks + 1, norms, stages, 1, cfg.norm_latency)
+        stall = norms[entered] * cfg.norm_latency
+        return SimState(cycle + 1, Fsm.NORMALIZE, ticks + 1, norms, stages, stall)
     if fsm is not Fsm.IDLE or ticks < len(norms):
         fsm = Fsm.EXECUTE
     return SimState(cycle + 1, fsm, ticks + 1, norms, stages)
@@ -182,13 +179,7 @@ class MetricsSummary(NamedTuple):
     norm_events: int
 
     def as_dict(self) -> dict:
-        return {
-            "latency_p50": self.latency_p50,
-            "latency_max": self.latency_max,
-            "achieved_ii": self.achieved_ii,
-            "stall_cycles": self.stall_cycles,
-            "norm_events": self.norm_events,
-        }
+        return self._asdict()
 
 
 class SimResult(NamedTuple):
@@ -206,7 +197,6 @@ def evaluate_program(program, ms: ModulusSet, hcfg: HybridConfig):
     """
     env: dict[str, HybridNum] = {}
     names, results, norms = [], [], []
-    issue_idx = 0
     for op in program:
         if op.kind == "lit":
             if not op.name:
@@ -223,14 +213,13 @@ def evaluate_program(program, ms: ModulusSet, hcfg: HybridConfig):
             raise InvalidProgram(f"undefined operand {exc.args[0]!r}") from None
         fn = arithmetic.hrfna_mul if op.kind == "mul" else arithmetic.hrfna_add
         result = fn(a, b, ms, hcfg)
-        name = op.name or f"t{issue_idx}"
+        name = op.name or f"t{len(names)}"
         if name in env:
             raise InvalidProgram(f"name {name!r} defined twice")
         env[name] = result
         names.append(name)
         results.append(result)
         norms.append(len(result.norm_events))
-        issue_idx += 1
     return tuple(names), tuple(results), tuple(norms)
 
 
@@ -252,48 +241,43 @@ def simulate(program, cfg: PipelineConfig, hcfg: HybridConfig, ms: ModulusSet) -
     lanes = sorted(f"lane{lane}" for lane in range(len(ms.moduli)))
     events: list[TraceEvent] = []
     emit = events.append
-    # A window's norm-end is stamped for the cycle after its last stall and
-    # is held back until that cycle's scheduler and norm-begin events are out.
-    norm_end = None
+    # A window that closes on one cycle stamps its norm-end on the next,
+    # after that cycle's scheduler and norm-begin events.
+    ended = None
     state = initial_state(norms, cfg)
     # The pipe holds op ticks - 1 - s in stage s. The last op reaches the
     # last stage after n + last ticks and leaves the pipe on the next one.
     while state.ticks <= n + last:
-        nxt = scheduler_step(state, cfg)
-        cycle, ticks = state.cycle, state.ticks
+        cycle, ticks, remaining = state.cycle, state.ticks, state.norm_remaining
 
         if state.fsm is Fsm.NORMALIZE:
             op = names[ticks - 1 - detect]
             emit(TraceEvent(cycle, "scheduler", "stall"))
-            if state.norm_remaining == latency:
+            if remaining % latency == 0:
                 emit(TraceEvent(cycle, "norm", "norm-begin", op))
-            if norm_end:
-                emit(norm_end)
-                norm_end = None
-            if nxt.fsm is not Fsm.NORMALIZE or nxt.norm_remaining == latency:
-                norm_end = TraceEvent(cycle + 1, "norm", "norm-end", op)
-            state = nxt
-            continue
-
-        # Advancing cycle: op ticks issues, op ticks - detect enters the
-        # detect stage (its lanes and exponent retire), op ticks - 1 - last leaves.
-        emit(TraceEvent(cycle, "scheduler", "advance"))
-        if ticks < n:
-            emit(TraceEvent(cycle, "scheduler", "issue", names[ticks]))
-        leaving = ticks - 1 - last
-        if leaving >= 0:
-            value_hex = "".join(rns.format_residues(results[leaving].mantissa.residues, ms))
-            emit(TraceEvent(cycle, "scheduler", "retire", names[leaving], value_hex))
-        if norm_end:
-            emit(norm_end)
-            norm_end = None
-        entered = ticks - detect
-        if 0 <= entered < n:
-            op = names[entered]
-            emit(TraceEvent(cycle, "exponent", "retire", op))
-            for lane in lanes:
-                emit(TraceEvent(cycle, lane, "retire", op))
-        state = nxt
+            if ended is not None:
+                emit(TraceEvent(cycle, "norm", "norm-end", ended))
+            ended = op if (remaining - 1) % latency == 0 else None
+        else:
+            # Advancing cycle: op ticks issues, op ticks - detect enters the
+            # detect stage (its lanes and exponent retire), op ticks - 1 - last leaves.
+            emit(TraceEvent(cycle, "scheduler", "advance"))
+            if ticks < n:
+                emit(TraceEvent(cycle, "scheduler", "issue", names[ticks]))
+            leaving = ticks - 1 - last
+            if leaving >= 0:
+                value_hex = "".join(rns.format_residues(results[leaving].mantissa.residues, ms))
+                emit(TraceEvent(cycle, "scheduler", "retire", names[leaving], value_hex))
+            if ended is not None:
+                emit(TraceEvent(cycle, "norm", "norm-end", ended))
+                ended = None
+            entered = ticks - detect
+            if 0 <= entered < n:
+                op = names[entered]
+                emit(TraceEvent(cycle, "exponent", "retire", op))
+                for lane in lanes:
+                    emit(TraceEvent(cycle, lane, "retire", op))
+        state = scheduler_step(state, cfg)
 
     trace = tuple(events)
     return SimResult(results, trace, metrics_report(trace), names)

@@ -98,12 +98,7 @@ class DriftReport(NamedTuple):
 
     def as_dict(self) -> dict:
         return {
-            "workload": self.workload,
-            "seed": self.seed,
-            "steps": self.steps,
-            "generator": self.generator,
-            "config": self.config,
-            "norm_events": self.norm_events,
+            **self._asdict(),
             "strategy_counts": dict(sorted(self.strategy_counts.items())),
             "rel_error": float(self.rel_error),
             "bound": float(self.bound),

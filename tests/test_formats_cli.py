@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrfna import formats
 from hrfna.cli import main
@@ -23,7 +25,18 @@ from hrfna.formats import (
     save_config,
     vectors_text,
 )
-from hrfna.hybrid import HybridConfig, from_real, to_real
+from hrfna.hybrid import HybridConfig, from_real, make_hybrid, to_real
+from hrfna.pipeline import DEFAULT_PIPELINE
+from hrfna.rns import DEFAULT_MODULI, OutOfRange, make_modulus_set
+
+TWO_CHANNEL_CFG = HybridConfig(alpha=Fraction(3, 8192), scale_shift_k=9, operand_bound_bits=10)
+RECORD_SETS = tuple(
+    make_modulus_set(moduli)
+    for moduli in (DEFAULT_MODULI, (65535, 65534), (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+)
+# On the even M = 65535 * 65534 the residues of M/2 reconstruct to -M/2,
+# which is its own negation modulo M and so has no signed encoding.
+HALF_M_RECORD = "hrfna-hybrid v1 0000 7fff 0"
 
 
 class TestConfigFormat:
@@ -122,6 +135,30 @@ class TestConfigFormat:
         assert err.startswith("error: ParseError: ")
         assert err.count("\n") == 1
 
+    def test_huge_operand_bound_rejected_at_once(self, default_ms, hcfg, pcfg):
+        # 2^(2b) would be a 2*10^12-bit integer; M's bit length settles it first.
+        data = config_to_dict(default_ms, hcfg, pcfg)
+        data["b"] = 10**12
+        with pytest.raises(InvariantViolation) as exc:
+            config_from_dict(data)
+        assert exc.value.name == "operand-bound"
+
+    @pytest.mark.parametrize(
+        "extra", [{"residue_stage": 6}, {"alpha": 0.5}, {"residue_stage": 6, "alpha": 0.5}]
+    )
+    def test_unknown_key_is_parse_error(self, tmp_path, capsys, default_ms, hcfg, pcfg, extra):
+        data = {**config_to_dict(default_ms, hcfg, pcfg), **extra}
+        with pytest.raises(ParseError) as exc:
+            config_from_dict(data)
+        assert all(repr(key) in str(exc.value) for key in extra)
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(data))
+        assert main(["--config", str(path), "encode", "1.5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ParseError: ")
+        assert err.count("\n") == 1
+
     def test_integral_numbers_still_load(self, default_ms, hcfg, pcfg):
         data = config_to_dict(default_ms, hcfg, pcfg)
         data.update(k=11.0, residue_stages="5", moduli=[4093.0, "4095", 4091])
@@ -156,6 +193,28 @@ class TestHybridRecords:
         for line in ("", "garbage", "hrfna-hybrid v1 zzz 000 000 0", "hrfna-hybrid v1 fff fff fff 0"):
             with pytest.raises(ParseError):
                 parse_hybrid_record(line, default_ms)
+
+    @given(st.sampled_from(RECORD_SETS), st.data(), st.integers(-(2**40), 2**40))
+    @settings(max_examples=300, deadline=None)
+    def test_parsed_record_matches_its_constructor(self, ms, data, f):
+        # HybridNum equality ignores mag_log2 and sign, so compare them directly.
+        half = (ms.composite - 1) // 2
+        h = make_hybrid(data.draw(st.integers(-half, half)), f, ms)
+        parsed = parse_hybrid_record(hybrid_record(h), ms)
+        assert parsed.mantissa.residues == h.mantissa.residues
+        assert (parsed.exponent, parsed.mag_log2, parsed.sign) == (h.exponent, h.mag_log2, h.sign)
+
+    def test_half_modulus_record_out_of_range(self, tmp_path, capsys):
+        ms = RECORD_SETS[1]
+        with pytest.raises(OutOfRange):
+            parse_hybrid_record(HALF_M_RECORD, ms)
+        path = tmp_path / "even.json"
+        save_config(str(path), ms, TWO_CHANNEL_CFG, DEFAULT_PIPELINE)
+        assert main(["--config", str(path), "decode", HALF_M_RECORD]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: OutOfRange: ")
+        assert err.count("\n") == 1
 
 
 class TestProgramFormat:
@@ -257,6 +316,11 @@ class TestCli:
         assert out == ""
         assert err.startswith("error: AuditFailure: ")
         assert err.count("\n") == 1
+
+    def test_add_across_huge_exponent_gap(self):
+        # The smaller operand shifts down by about 10^12 bits and rounds to 0.
+        big = "hrfna-hybrid v1 600 600 600 1000000000000"
+        assert self.run("add", "hrfna-hybrid v1 9fd 9ff 9fb -10", big) == (0, big + "\n", "")
 
     def test_simulate_thousand_mul_fixture(self, tmp_path):
         program = ["hrfna-program v1", "lit a 1.5"] + ["mul a a"] * 1000

@@ -36,6 +36,11 @@ class TestShiftRoundHalfEven:
         assert shift_round_half_even(3, 1) == 2  # 1.5 -> 2
         assert shift_round_half_even(-5, 1) == -2  # -2.5 -> -2
 
+    @pytest.mark.parametrize("n", [-5, 0, 5, 2**40 + 1])
+    def test_huge_shift_rounds_to_zero_at_once(self, n):
+        # 2^(s-1) alone would be a 10^12-bit integer.
+        assert shift_round_half_even(n, 10**12) == 0
+
 
 class TestNormalize:
     def test_exact_power_of_two(self, default_ms, hcfg):
