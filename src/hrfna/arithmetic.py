@@ -36,6 +36,16 @@ class AuditFailure(HrfnaError):
 _new = tuple.__new__  # a NamedTuple from all its fields, skipping its Python-level __new__
 
 
+def _audit(kind: str, exact: int, out: HybridNum, ms: ModulusSet, cfg: HybridConfig, cause: str):
+    """Audit unnormalized out against its exact mantissa: wrap, residues, missed crossing."""
+    if 2 * abs(exact) >= ms.composite:
+        raise AuditFailure(f"{kind} {exact} wrapped modulo M={ms.composite}; {cause}")
+    if signed_value(out.mantissa, ms) != exact:
+        raise AuditFailure(f"residue {kind} disagrees with reconstruction")
+    if abs(exact) >= cfg.thresholds(ms)[0] and not needs_normalization(out, ms, cfg):
+        raise AuditFailure("magnitude estimator missed a threshold crossing")
+
+
 def hrfna_mul(
     x: HybridNum, y: HybridNum, ms: ModulusSet, cfg: HybridConfig, debug: bool = False
 ) -> HybridNum:
@@ -52,14 +62,7 @@ def hrfna_mul(
     h = _new(HybridNum, (mant, exponent, mag, sign, None, ()))
     if debug:
         prod = signed_value(x.mantissa, ms) * signed_value(y.mantissa, ms)
-        if 2 * abs(prod) >= ms.composite:
-            raise AuditFailure(
-                f"product {prod} wrapped modulo M={ms.composite}; operand bounds misconfigured"
-            )
-        if signed_value(mant, ms) != prod:
-            raise AuditFailure("residue product disagrees with reconstruction")
-        if abs(prod) >= cfg.thresholds(ms)[0] and not needs_normalization(h, ms, cfg):
-            raise AuditFailure("magnitude estimator missed a threshold crossing")
+        _audit("product", prod, h, ms, cfg, "operand bounds misconfigured")
     while needs_normalization(h, ms, cfg):
         h = normalize(h, ms, cfg)
     return h
@@ -83,11 +86,9 @@ def hrfna_add(
     sum: a wrap modulo M or a missed threshold crossing raises AuditFailure.
     """
     if not x.sign or not y.sign:
-        for v in (x.mantissa, y.mantissa):
-            if v.set_ref is not ms:
-                rns._check_set(v, ms)
-        h = x if x.sign else y
-        return _new(HybridNum, (h.mantissa, h.exponent, h.mag_log2, h.sign, ALIGN_IDENTITY, ()))
+        # A zero's residues are all 0, so the channel sum is the other mantissa.
+        mant, h = rns.mod_add(x.mantissa, y.mantissa, ms), x if x.sign else y
+        return _new(HybridNum, (mant, h.exponent, h.mag_log2, h.sign, ALIGN_IDENTITY, ()))
 
     hi, lo = (x, y) if x.exponent >= y.exponent else (y, x)
     delta = hi.exponent - lo.exponent
@@ -111,14 +112,7 @@ def hrfna_add(
             total = n_hi + shift_round_half_even(n_lo, delta)
         else:
             total = (n_hi << delta) + n_lo
-        if 2 * abs(total) >= ms.composite:
-            raise AuditFailure(
-                f"sum {total} wrapped modulo M={ms.composite}; operands too large for M"
-            )
-        if n != total:
-            raise AuditFailure("residue sum disagrees with reconstruction")
-        if abs(n) >= cfg.thresholds(ms)[0] and not needs_normalization(out, ms, cfg):
-            raise AuditFailure("magnitude estimator missed a threshold crossing")
+        _audit("sum", total, out, ms, cfg, "operands too large for M")
     while needs_normalization(out, ms, cfg):
         out = normalize(out, ms, cfg)
     return out

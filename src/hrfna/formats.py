@@ -124,10 +124,14 @@ def save_config(path: str, ms: ModulusSet, hcfg: HybridConfig, pcfg: PipelineCon
 # -- hybrid records ----------------------------------------------------------
 
 
+def _group(h: HybridNum) -> str:
+    """A value's per-channel hex residues followed by its exponent."""
+    return " ".join(format_residues(h.mantissa.residues, h.set_ref)) + f" {h.exponent}"
+
+
 def hybrid_record(h: HybridNum) -> str:
     """One-line textual record: version, per-channel hex residues, exponent."""
-    fields = format_residues(h.mantissa.residues, h.set_ref)
-    return f"{RECORD_FORMAT} " + " ".join(fields) + f" {h.exponent}"
+    return f"{RECORD_FORMAT} {_group(h)}"
 
 
 def parse_hybrid_record(line: str, ms: ModulusSet) -> HybridNum:
@@ -214,23 +218,9 @@ def vectors_text(program, ms: ModulusSet, hcfg: HybridConfig) -> str:
       op-id kind ax ay az fx bx by bz fy | expect zx zy zz fz norm-flag
     lit lines carry only the expected encoding of the literal.
     """
-    env: dict[str, HybridNum] = {}
-    names, results, _ = pipeline.evaluate_program(program, ms, hcfg)
-    issued = iter(zip(names, results))
     lines = [f"# {VECTORS_FORMAT}"]
-
-    def group(h: HybridNum) -> str:
-        return " ".join(format_residues(h.mantissa.residues, ms)) + f" {h.exponent}"
-
-    for op in program:
-        if op.kind == "lit":
-            value = hybrid.from_real(op.value, ms, hcfg)
-            env[op.name] = value
-            lines.append(f"{op.name} lit | expect {group(value)} 0")
-            continue
-        name, result = next(issued)
-        a, b = (env[arg] for arg in op.args)
-        env[name] = result
-        flag = 1 if result.norm_events else 0
-        lines.append(f"{name} {op.kind} {group(a)} {group(b)} | expect {group(result)} {flag}")
+    for name, kind, operands, value in pipeline.run_program(program, ms, hcfg):
+        flag = 1 if value.norm_events else 0
+        expect = f"| expect {_group(value)} {flag}"
+        lines.append(" ".join([name, kind, *map(_group, operands), expect]))
     return "\n".join(lines) + "\n"

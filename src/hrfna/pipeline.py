@@ -42,6 +42,9 @@ class Fsm(enum.Enum):
     RESUME = "Resume"
 
 
+MAX_STAGE_DEPTH = 32  # policy bound: the trace grows linearly with every depth
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Stage depths of the datapath; the defaults sum to the 10-cycle budget."""
@@ -56,8 +59,13 @@ class PipelineConfig:
 
     def __post_init__(self):
         for f in fields(self)[:-1]:  # every stage depth; the last field is the budget
-            if getattr(self, f.name) < 1:
-                raise InvariantViolation("stage-depths", f"{f.name} = {getattr(self, f.name)} < 1")
+            depth = getattr(self, f.name)
+            if not 1 <= depth <= MAX_STAGE_DEPTH:
+                raise InvariantViolation(
+                    "stage-depths", f"{f.name} = {depth} not in 1..{MAX_STAGE_DEPTH}"
+                )
+        if self.align_offset_d < 0:  # the exponent path would retire after the lanes
+            raise InvariantViolation("align-offset", f"align_offset_d = {self.align_offset_d} < 0")
         if self.total_stages != self.end_to_end_latency:
             raise InvariantViolation(
                 "latency-budget",
@@ -189,37 +197,47 @@ class SimResult(NamedTuple):
     names: tuple = ()
 
 
-def evaluate_program(program, ms: ModulusSet, hcfg: HybridConfig):
-    """Fold the program through the hybrid arithmetic in order.
+def run_program(program, ms: ModulusSet, hcfg: HybridConfig):
+    """Walk the program in order, yielding (name, kind, operands, value) per op.
 
-    Returns (names, results, norm_counts) for the issued (mul/add) ops.
-    Raises InvalidProgram for undefined references or duplicate names.
+    A literal's operands are (), a mul/add's its two operand values. Raises
+    InvalidProgram for undefined references or duplicate names.
     """
     env: dict[str, HybridNum] = {}
-    names, results, norms = [], [], []
+    issued = 0
     for op in program:
         if op.kind == "lit":
             if not op.name:
                 raise InvalidProgram("literal without a name")
             if op.name in env:
                 raise InvalidProgram(f"name {op.name!r} defined twice")
-            env[op.name] = hybrid.from_real(op.value, ms, hcfg)
+            env[op.name] = value = hybrid.from_real(op.value, ms, hcfg)
+            yield op.name, "lit", (), value
             continue
         if op.kind not in ("mul", "add"):
             raise InvalidProgram(f"unknown op kind {op.kind!r}")
         try:
-            a, b = (env[arg] for arg in op.args)
+            a, b = operands = tuple(map(env.__getitem__, op.args))
         except KeyError as exc:
             raise InvalidProgram(f"undefined operand {exc.args[0]!r}") from None
         fn = arithmetic.hrfna_mul if op.kind == "mul" else arithmetic.hrfna_add
-        result = fn(a, b, ms, hcfg)
-        name = op.name or f"t{len(names)}"
+        value = fn(a, b, ms, hcfg)
+        name = op.name or f"t{issued}"
         if name in env:
             raise InvalidProgram(f"name {name!r} defined twice")
-        env[name] = result
-        names.append(name)
-        results.append(result)
-        norms.append(len(result.norm_events))
+        env[name] = value
+        issued += 1
+        yield name, op.kind, operands, value
+
+
+def evaluate_program(program, ms: ModulusSet, hcfg: HybridConfig):
+    """(names, results, norm_counts) of the issued (mul/add) ops, from run_program."""
+    names, results, norms = [], [], []
+    for name, kind, _, value in run_program(program, ms, hcfg):
+        if kind != "lit":
+            names.append(name)
+            results.append(value)
+            norms.append(len(value.norm_events))
     return tuple(names), tuple(results), tuple(norms)
 
 

@@ -64,18 +64,12 @@ class ModulusSet:
     crt_coeffs: tuple[int, ...]
     hex_formats: tuple[str, ...]
 
-    def __len__(self) -> int:
-        return len(self.moduli)
-
 
 class ResidueVector(NamedTuple):
     """Per-channel residues of one integer under a specific modulus set."""
 
     residues: tuple[int, ...]
     set_ref: ModulusSet
-
-    def __len__(self) -> int:  # the channel count, not the tuple's two fields
-        return len(self.residues)
 
 
 _new = tuple.__new__  # a NamedTuple from all its fields, skipping its Python-level __new__

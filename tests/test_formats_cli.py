@@ -26,7 +26,7 @@ from hrfna.formats import (
     vectors_text,
 )
 from hrfna.hybrid import HybridConfig, from_real, make_hybrid, to_real
-from hrfna.pipeline import DEFAULT_PIPELINE
+from hrfna.pipeline import DEFAULT_PIPELINE, MAX_STAGE_DEPTH, PipelineConfig
 from hrfna.rns import DEFAULT_MODULI, OutOfRange, make_modulus_set
 
 TWO_CHANNEL_CFG = HybridConfig(alpha=Fraction(3, 8192), scale_shift_k=9, operand_bound_bits=10)
@@ -37,6 +37,25 @@ RECORD_SETS = tuple(
 # On the even M = 65535 * 65534 the residues of M/2 reconstruct to -M/2,
 # which is its own negation modulo M and so has no signed encoding.
 HALF_M_RECORD = "hrfna-hybrid v1 0000 7fff 0"
+DEPTH_FIELDS = (
+    "residue_stages",
+    "exponent_stages",
+    "norm_engine_stages",
+    "cycles_per_norm_stage",
+    "input_stages",
+    "post_stages",
+)
+
+
+def assert_cli_rejects(tmp_path, capsys, data, prefix):
+    """`hrfna --config` of data exits 1 with one diagnostic line starting with prefix."""
+    path = tmp_path / "rejected.json"
+    path.write_text(json.dumps(data))
+    assert main(["--config", str(path), "encode", "1.5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1
 
 
 class TestConfigFormat:
@@ -99,6 +118,8 @@ class TestConfigFormat:
             ("moduli", [3, 1 << 16], "modulus-width"),
             ("alpha_num", 8192, "hybrid-config"),
             ("residue_stages", 0, "stage-depths"),
+            ("k", 0, "hybrid-config"),
+            ("b", 2, "hybrid-config"),
         ],
     )
     def test_invariant_names(self, default_ms, hcfg, pcfg, field, value, name):
@@ -118,6 +139,7 @@ class TestConfigFormat:
             ("k", 1.5),
             ("moduli", "5789"),
             ("k", True),
+            ("format", "hrfna-config v2"),
         ],
     )
     def test_malformed_field_is_parse_error(
@@ -158,6 +180,42 @@ class TestConfigFormat:
         assert out == ""
         assert err.startswith("error: ParseError: ")
         assert err.count("\n") == 1
+
+    def test_non_object_root_is_parse_error(self, tmp_path, capsys, default_ms, hcfg, pcfg):
+        data = [config_to_dict(default_ms, hcfg, pcfg)]
+        with pytest.raises(ParseError, match="JSON object"):
+            config_from_dict(data)
+        assert_cli_rejects(tmp_path, capsys, data, "error: ParseError: ")
+
+    @pytest.mark.parametrize("field", DEPTH_FIELDS)
+    def test_stage_depth_bound(self, tmp_path, capsys, default_ms, hcfg, pcfg, field):
+        with pytest.raises(InvariantViolation) as exc:
+            PipelineConfig(**{field: 33})
+        assert exc.value.name == "stage-depths"
+        data = {**config_to_dict(default_ms, hcfg, pcfg), field: 33}
+        with pytest.raises(InvariantViolation) as exc:
+            config_from_dict(data)
+        assert exc.value.name == "stage-depths"
+        assert_cli_rejects(tmp_path, capsys, data, "error: InvariantViolation: stage-depths")
+
+    def test_deepest_stages_load(self, default_ms, hcfg):
+        assert MAX_STAGE_DEPTH == 32
+        pcfg = PipelineConfig(**dict.fromkeys(DEPTH_FIELDS, 32), end_to_end_latency=96)
+        assert pcfg.align_offset_d == 0
+        assert config_from_dict(config_to_dict(default_ms, hcfg, pcfg))[2] == pcfg
+
+    def test_exponent_path_longer_than_residue_path(self, tmp_path, capsys, default_ms, hcfg):
+        with pytest.raises(InvariantViolation) as exc:
+            PipelineConfig(exponent_stages=9)
+        assert exc.value.name == "align-offset"
+        data = {**config_to_dict(default_ms, hcfg, DEFAULT_PIPELINE), "exponent_stages": 6}
+        with pytest.raises(InvariantViolation) as exc:
+            config_from_dict(data)
+        assert exc.value.name == "align-offset"
+        assert_cli_rejects(tmp_path, capsys, data, "error: InvariantViolation: align-offset")
+        # Equal path lengths (offset 0) stay legal.
+        data["exponent_stages"] = data["residue_stages"]
+        assert config_from_dict(data)[2].align_offset_d == 0
 
     def test_integral_numbers_still_load(self, default_ms, hcfg, pcfg):
         data = config_to_dict(default_ms, hcfg, pcfg)

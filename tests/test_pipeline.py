@@ -305,6 +305,16 @@ class TestProgramValidation:
         with pytest.raises(InvalidProgram):
             simulate([Op("div", args=("a", "a"))], pcfg, hcfg, default_ms)
 
+    def test_unnamed_literal(self, hcfg, default_ms):
+        with pytest.raises(InvalidProgram, match="literal without a name"):
+            evaluate_program([Op("lit", value=1.0)], default_ms, hcfg)
+
+    def test_issued_op_redefines_a_name(self, hcfg, default_ms):
+        for kind in ("mul", "add"):
+            ops = [Op("lit", name="a", value=1.0), Op(kind, args=("a", "a"), name="a")]
+            with pytest.raises(InvalidProgram, match="'a' defined twice"):
+                evaluate_program(ops, default_ms, hcfg)
+
 
 class TestMetricsReport:
     def test_metrics_formula_with_one_normalization(self, pcfg, hcfg, default_ms):

@@ -4,8 +4,10 @@ import pytest
 
 from hrfna import (
     ALIGN_IDENTITY,
+    DEFAULT_MODULI,
     MetricsSummary,
     Op,
+    ResidueVector,
     SimResult,
     TraceEvent,
     chained_mac,
@@ -13,6 +15,7 @@ from hrfna import (
     from_real,
     hrfna_add,
     make_hybrid,
+    make_modulus_set,
     normalize,
     simulate,
 )
@@ -141,3 +144,14 @@ class TestRecords:
         results, trace, metrics, names = sim
         assert SimResult(results, trace, metrics) == (results, trace, metrics, ())
         assert names == ("t0", "t1")
+
+    @pytest.mark.parametrize(
+        "moduli", [DEFAULT_MODULI, (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)], ids=len
+    )
+    def test_residue_vector_replace_and_make(self, moduli):
+        # A ResidueVector is a two-field tuple whatever its channel count.
+        ms = make_modulus_set(moduli)
+        five, seven = encode_residues(5, ms), encode_residues(7, ms)
+        assert five._replace(residues=seven.residues) == seven
+        assert ResidueVector._make([five.residues, ms]) == five
+        assert len(five) == 2
