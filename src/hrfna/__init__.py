@@ -73,6 +73,7 @@ from hrfna.rns import (
 )
 from hrfna.workloads import (
     DriftBoundExceeded,
+    ExactZero,
     LengthMismatch,
     chained_mac,
     dot_product,

@@ -32,8 +32,8 @@ class HybridConfig:
     operand_bound_bits: b; freshly encoded operands satisfy |N| < 2^b so a
                 product of two of them stays below tau and never wraps mod M.
 
-    The interplay with a concrete modulus set (2^(2b) < alpha*M) is checked
-    by validate_config, since it needs M.
+    The interplay with a concrete modulus set (2^(2b) < alpha*M) needs M, so
+    validate_config checks it on the config's first use with each set.
     """
 
     alpha: Fraction
@@ -52,18 +52,13 @@ class HybridConfig:
     def thresholds(self, ms: ModulusSet) -> tuple[int, float]:
         """(tau, log2(tau) - 1.0) under ms: the threshold and the fast detector's limit.
 
-        Computed once per modulus set composite and kept on the config.
-        Raises InvariantViolation("operand-bound") when tau is 0: then
-        alpha*M < 1 <= 2^(2b), which validate_config would have rejected.
+        validate_config computes the pair on the first call per modulus set
+        composite, so no op computes under a pair it refuses; later calls
+        read it from the config.
         """
         pair = self._thresholds.get(ms.composite)
         if pair is None:
-            tau = tau_int(ms, self)
-            if tau < 1:
-                raise InvariantViolation(
-                    "operand-bound", f"tau = floor(alpha * M) = {tau} under moduli {ms.moduli}"
-                )
-            pair = self._thresholds[ms.composite] = (tau, math.log2(tau) - 1.0)
+            pair = self._thresholds[ms.composite] = validate_config(ms, self)
         return pair
 
 
@@ -77,9 +72,10 @@ def tau_int(ms: ModulusSet, cfg: HybridConfig) -> int:
     return (cfg.alpha.numerator * ms.composite) // cfg.alpha.denominator
 
 
-def validate_config(ms: ModulusSet, cfg: HybridConfig) -> None:
+def validate_config(ms: ModulusSet, cfg: HybridConfig) -> tuple[int, float]:
     """Check the cross invariants between a modulus set and a hybrid config.
 
+    Returns (tau, log2(tau) - 1.0) for HybridConfig.thresholds to keep.
     Raises InvariantViolation naming the failed invariant:
       operand-bound: 2^(2b) < alpha*M so in-bound operands multiply without wrap
       shift-bound:   k < b so normalization keeps a nonzero mantissa above threshold
@@ -90,6 +86,8 @@ def validate_config(ms: ModulusSet, cfg: HybridConfig) -> None:
         raise InvariantViolation("operand-bound", f"2^{2 * b} >= alpha*M = {float(limit):g}")
     if k >= b:
         raise InvariantViolation("shift-bound", f"k = {k} >= b = {b}")
+    tau = tau_int(ms, cfg)
+    return tau, math.log2(tau) - 1.0
 
 
 class HybridNum(NamedTuple):
@@ -110,10 +108,6 @@ class HybridNum(NamedTuple):
     @property
     def set_ref(self) -> ModulusSet:
         return self.mantissa.set_ref
-
-    @property
-    def is_zero(self) -> bool:
-        return self.sign == 0
 
     def _key(self):
         return (self.mantissa.residues, self.mantissa.set_ref.moduli, self.exponent)

@@ -259,23 +259,21 @@ def simulate(program, cfg: PipelineConfig, hcfg: HybridConfig, ms: ModulusSet) -
     lanes = sorted(f"lane{lane}" for lane in range(len(ms.moduli)))
     events: list[TraceEvent] = []
     emit = events.append
-    # A window that closes on one cycle stamps its norm-end on the next,
-    # after that cycle's scheduler and norm-begin events.
-    ended = None
     state = initial_state(norms, cfg)
     # The pipe holds op ticks - 1 - s in stage s. The last op reaches the
     # last stage after n + last ticks and leaves the pipe on the next one.
+    # A window's norm-end lands on the cycle after its last stall: the
+    # first cycle of the op's next window, or the Resume cycle.
     while state.ticks <= n + last:
         cycle, ticks, remaining = state.cycle, state.ticks, state.norm_remaining
 
         if state.fsm is Fsm.NORMALIZE:
-            op = names[ticks - 1 - detect]
+            stalled = ticks - 1 - detect
             emit(TraceEvent(cycle, "scheduler", "stall"))
             if remaining % latency == 0:
-                emit(TraceEvent(cycle, "norm", "norm-begin", op))
-            if ended is not None:
-                emit(TraceEvent(cycle, "norm", "norm-end", ended))
-            ended = op if (remaining - 1) % latency == 0 else None
+                emit(TraceEvent(cycle, "norm", "norm-begin", names[stalled]))
+                if remaining < norms[stalled] * latency:
+                    emit(TraceEvent(cycle, "norm", "norm-end", names[stalled]))
         else:
             # Advancing cycle: op ticks issues, op ticks - detect enters the
             # detect stage (its lanes and exponent retire), op ticks - 1 - last leaves.
@@ -286,9 +284,8 @@ def simulate(program, cfg: PipelineConfig, hcfg: HybridConfig, ms: ModulusSet) -
             if leaving >= 0:
                 value_hex = "".join(rns.format_residues(results[leaving].mantissa.residues, ms))
                 emit(TraceEvent(cycle, "scheduler", "retire", names[leaving], value_hex))
-            if ended is not None:
-                emit(TraceEvent(cycle, "norm", "norm-end", ended))
-                ended = None
+            if state.fsm is Fsm.RESUME:
+                emit(TraceEvent(cycle, "norm", "norm-end", names[ticks - 1 - detect]))
             entered = ticks - detect
             if 0 <= entered < n:
                 op = names[entered]

@@ -29,6 +29,10 @@ class DriftBoundExceeded(HrfnaError):
     """A chain's exact relative error exceeds its per-event rounding bound."""
 
 
+class ExactZero(HrfnaError, ZeroDivisionError):
+    """A nonzero approximation of an exact zero has no relative error."""
+
+
 # Exact values as (numerator, shift) pairs denoting n * 2^s; cheaper than
 # Fraction over long chains because no gcd runs per operation.
 
@@ -74,11 +78,14 @@ def relative_error(approx: tuple[int, int], exact: tuple[int, int]) -> Fraction:
     """|approx - exact| / |exact| as an exact Fraction (0 when both are zero).
 
     Both sides are scaled to the smaller shift, so one gcd reduces the result.
-    A nonzero approx against an exact zero divides by zero: ZeroDivisionError.
+    A nonzero approx against an exact zero raises ExactZero, naming the
+    absolute error.
     """
     d, s = _pair_add(approx, (-exact[0], exact[1]))
     e, t = exact
-    if e == 0 and d == 0:
+    if e == 0:
+        if d:
+            raise ExactZero(f"exact value is 0; absolute error {abs(d)} * 2^{s}")
         return Fraction(0)
     return Fraction(abs(d) << max(s - t, 0), abs(e) << max(t - s, 0))
 
@@ -127,9 +134,7 @@ def mac_sequences(seed: int, n_steps: int) -> tuple[list[float], list[float]]:
     return mults, addends
 
 
-def run_mac_chain(
-    mults, addends, ms: ModulusSet, cfg: HybridConfig, seed: int | None = None
-) -> DriftReport:
+def run_mac_chain(mults, addends, ms: ModulusSet, cfg: HybridConfig) -> DriftReport:
     """Fold acc <- acc * m + a through the hybrid ops, tracking the exact value.
 
     The oracle folds the encoded operand values exactly, so the measured
@@ -163,9 +168,9 @@ def run_mac_chain(
         raise DriftBoundExceeded(f"drift {float(rel)} exceeds bound {float(bound)}")
     return DriftReport(
         workload="chained_mac",
-        seed=seed,
+        seed=None,
         steps=len(mults),
-        generator=GENERATOR_ID,
+        generator="caller-supplied",
         config=_config_record(ms, cfg),
         norm_events=norm_events,
         strategy_counts=strategies,
@@ -178,8 +183,8 @@ def chained_mac(seed: int, n_steps: int, ms: ModulusSet, cfg: HybridConfig) -> D
     """Seeded multiply-accumulate chain; see run_mac_chain for the fold."""
     if n_steps < 1:
         raise LengthMismatch(f"n_steps = {n_steps}, must be >= 1")
-    mults, addends = mac_sequences(seed, n_steps)
-    return run_mac_chain(mults, addends, ms, cfg, seed=seed)
+    report = run_mac_chain(*mac_sequences(seed, n_steps), ms, cfg)
+    return report._replace(seed=seed, generator=GENERATOR_ID)
 
 
 def chained_mac_program(seed: int, n_steps: int) -> list[Op]:

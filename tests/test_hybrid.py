@@ -18,10 +18,12 @@ from hrfna import (
     HybridConfig,
     exact_value,
     from_real,
+    hrfna_add,
     hrfna_mul,
     hybrid_compare,
     make_hybrid,
     make_modulus_set,
+    needs_normalization,
     signed_value,
     to_real,
     validate_config,
@@ -63,9 +65,27 @@ class TestConfig:
         # alpha*M = 105/8192 < 1, so tau = 0: there is no log2(tau) to take.
         bad = HybridConfig(alpha=Fraction(1, 8192), scale_shift_k=2, operand_bound_bits=3)
         x = make_hybrid(2, 0, small_ms)
-        with pytest.raises(InvariantViolation, match="^operand-bound: tau = floor") as exc:
+        with pytest.raises(InvariantViolation, match="^operand-bound: ") as exc:
             hrfna_mul(x, x, small_ms, bad)
         assert exc.value.name == "operand-bound"
+
+    @pytest.mark.parametrize(
+        "alpha, k, b, invariant",
+        [(Fraction(1, 2), 9, 18, "operand-bound"), (Fraction(3, 8192), 12, 12, "shift-bound")],
+    )
+    @pytest.mark.parametrize("use", ["mul", "add", "detect"])
+    def test_every_op_gates_its_config(self, default_ms, alpha, k, b, invariant, use):
+        # A config built in code passes validate_config on its first use, as a loaded one does.
+        bad = HybridConfig(alpha=alpha, scale_shift_k=k, operand_bound_bits=b)
+        x, y = make_hybrid(3, 0, default_ms), make_hybrid(5, 2, default_ms)
+        ops = {
+            "mul": lambda: hrfna_mul(x, y, default_ms, bad),
+            "add": lambda: hrfna_add(x, y, default_ms, bad),
+            "detect": lambda: needs_normalization(x, default_ms, bad),
+        }
+        with pytest.raises(InvariantViolation) as exc:
+            ops[use]()
+        assert exc.value.name == invariant
 
     def test_alpha_range(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from hrfna import (
     DegenerateResult,
     HybridConfig,
     make_hybrid,
+    make_modulus_set,
     needs_normalization,
     normalize,
     shift_round_half_even,
@@ -123,19 +124,20 @@ class TestDetection:
             if needs_normalization(h, default_ms, hcfg, exact=True):
                 assert needs_normalization(h, default_ms, hcfg)
 
-    def test_fast_mode_never_misses_exhaustive_small(self, small_ms):
+    def test_fast_mode_never_misses_exhaustive_small(self):
         # Small-scale exhaustive sweep: every representable signed mantissa,
-        # with tau = 26 inside the +-52 range so both modes can fire.
+        # with tau = 288 inside the +-577 range so both modes can fire.
+        ms = make_modulus_set([3, 5, 7, 11])
         cfg = HybridConfig(alpha=Fraction(1, 4), scale_shift_k=2, operand_bound_bits=3)
-        tau = tau_int(small_ms, cfg)
-        assert tau == 26
+        tau = tau_int(ms, cfg)
+        assert tau == 288
         fired_exact = 0
-        for n in range(-52, 53):
-            h = make_hybrid(n, 0, small_ms)
-            if needs_normalization(h, small_ms, cfg, exact=True):
+        for n in range(-577, 578):
+            h = make_hybrid(n, 0, ms)
+            if needs_normalization(h, ms, cfg, exact=True):
                 fired_exact += 1
-                assert needs_normalization(h, small_ms, cfg)
-        assert fired_exact == 2 * (52 - 26 + 1)
+                assert needs_normalization(h, ms, cfg)
+        assert fired_exact == 2 * (577 - 288 + 1) == 580
 
     def test_drift_chain_error_linear_in_events(self, default_ms, hcfg):
         # Multiply-then-normalize chain: accumulated drift stays within the

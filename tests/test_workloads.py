@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hrfna import (
     DriftBoundExceeded,
+    ExactZero,
     HrfnaError,
     HybridConfig,
     LengthMismatch,
@@ -56,6 +57,13 @@ class TestChainedMac:
         assert report.generator == "python-random-mt19937"
         assert report.config["moduli"] == [4093, 4095, 4091]
 
+    def test_chain_stamps_its_own_provenance(self, default_ms, hcfg):
+        direct = run_mac_chain(*mac_sequences(7, 50), default_ms, hcfg)
+        assert direct.seed is None
+        assert direct.generator == "caller-supplied"
+        seeded = chained_mac(7, 50, default_ms, hcfg)
+        assert seeded == direct._replace(seed=7, generator="python-random-mt19937")
+
     def test_deterministic_given_seed(self, default_ms, hcfg):
         a = chained_mac(42, 300, default_ms, hcfg)
         b = chained_mac(42, 300, default_ms, hcfg)
@@ -96,8 +104,15 @@ class TestDotProduct:
 
     def test_cancellation_is_exact(self, default_ms, hcfg):
         acc, report = dot_product([1.0, -1.0], [1.0, 1.0], default_ms, hcfg)
-        assert acc.is_zero
+        assert acc.sign == 0
         assert report.rel_error == 0
+
+    def test_exact_zero_sum_typed_error(self, default_ms, hcfg):
+        # The exact sum is 0 and the hybrid sum -2^-40: there is no relative error.
+        with pytest.raises(ZeroDivisionError, match="absolute error") as exc:
+            dot_product([1.0, 2**-40, -1.0, -2**-40], [1.0] * 4, default_ms, hcfg)
+        assert isinstance(exc.value, ExactZero)
+        assert isinstance(exc.value, HrfnaError)
 
     def test_random_vectors_respect_bound(self, default_ms, hcfg):
         import random
