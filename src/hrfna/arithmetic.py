@@ -11,17 +11,25 @@ Operational envelope: a product is exact only while it stays inside the
 signed range (|N_x * N_y| < M/2). Keeping at least one freshly encoded
 operand (|N| < 2^b) per multiplication guarantees that; debug mode audits
 it by reconstruction.
+
+Each op reads the (tau, limit) pair once and does its channel work in its
+own frame; the shift-down add reconstructs through signed_value and
+rounds through shift_round_half_even. An operand under another set
+object is first checked by rns, so a set with other moduli raises
+MismatchedSet there and an equal set built apart gives the same result bit
+for bit.
 """
 
 from __future__ import annotations
 
-import math
+from math import inf, log2
+from operator import add, mod, mul
 
 from hrfna import rns
 from hrfna.errors import HrfnaError
 from hrfna.hybrid import HybridConfig, HybridNum, signed_value
 from hrfna.normalization import needs_normalization, normalize, shift_round_half_even
-from hrfna.rns import ModulusSet
+from hrfna.rns import ModulusSet, ResidueVector
 
 # align_strategy values recorded on addition results
 ALIGN_SCALE_UP = "scale-up"  # exact: larger-exponent mantissa scaled by 2^delta
@@ -57,13 +65,20 @@ def hrfna_mul(
     the product is audited by reconstruction: a wrap modulo M or a missed
     threshold crossing raises AuditFailure.
     """
-    mant = rns.mod_mul(x.mantissa, y.mantissa, ms)
+    xm, ym = x.mantissa, y.mantissa
+    if xm.set_ref is not ms:
+        rns._check_set(xm, ms)
+    if ym.set_ref is not ms:
+        rns._check_set(ym, ms)
+    residues = tuple(map(mod, map(mul, xm.residues, ym.residues), ms.moduli))
+    mant = _new(ResidueVector, (residues, ms))
     exponent, mag, sign = x.exponent + y.exponent, x.mag_log2 + y.mag_log2, x.sign * y.sign
     h = _new(HybridNum, (mant, exponent, mag, sign, None, ()))
     if debug:
-        prod = signed_value(x.mantissa, ms) * signed_value(y.mantissa, ms)
+        prod = signed_value(xm, ms) * signed_value(ym, ms)
         _audit("product", prod, h, ms, cfg, "operand bounds misconfigured")
-    while needs_normalization(h, ms, cfg):
+    limit = cfg.thresholds(ms)[1]
+    while h.mag_log2 >= limit:  # needs_normalization's fast mode
         h = normalize(h, ms, cfg)
     return h
 
@@ -92,27 +107,40 @@ def hrfna_add(
 
     hi, lo = (x, y) if x.exponent >= y.exponent else (y, x)
     delta = hi.exponent - lo.exponent
+    hm, lm, moduli = hi.mantissa, lo.mantissa, ms.moduli
+    if hm.set_ref is not ms:
+        rns._check_set(hm, ms)
+    if lm.set_ref is not ms:
+        rns._check_set(lm, ms)
+    limit = cfg.thresholds(ms)[1]
     exponent, strategy = hi.exponent, ALIGN_SCALE_UP
     if delta == 0:
-        mant = rns.mod_add(hi.mantissa, lo.mantissa, ms)
-    elif hi.mag_log2 + delta < cfg.thresholds(ms)[1]:
-        scaled = rns.mod_mul(hi.mantissa, rns.encode_residues(1 << delta, ms), ms)
-        mant, exponent = rns.mod_add(scaled, lo.mantissa, ms), lo.exponent
+        residues = tuple(map(mod, map(add, hm.residues, lm.residues), moduli))
+    elif hi.mag_log2 + delta < limit:
+        # (r_hi * 2^delta + r_lo) mod m_i: the residues of 2^delta would give the same.
+        scaled = map((1 << delta).__mul__, hm.residues)
+        residues = tuple(map(mod, map(add, scaled, lm.residues), moduli))
+        exponent = lo.exponent
     else:
-        n_lo = signed_value(lo.mantissa, ms)
-        shifted = rns.encode_signed(shift_round_half_even(n_lo, delta), ms)
-        mant, strategy = rns.mod_add(hi.mantissa, shifted, ms), ALIGN_SHIFT_DOWN
+        # delta >= 1 at least halves |n_lo| <= M/2, so the re-encode needs no range check.
+        shifted = shift_round_half_even(signed_value(lm, ms), delta)
+        residues = tuple(map(mod, map(shifted.__add__, hm.residues), moduli))
+        strategy = ALIGN_SHIFT_DOWN
 
-    n = signed_value(mant, ms)
-    mag = math.log2(abs(n)) if n else -math.inf
+    # signed_value's CRT sum on the bare residues, without a frame of its own.
+    n = sum(map(mul, residues, ms.crt_coeffs)) % ms.composite
+    if 2 * n >= ms.composite:
+        n -= ms.composite
+    mag = log2(abs(n)) if n else -inf
+    mant = _new(ResidueVector, (residues, ms))
     out = _new(HybridNum, (mant, exponent, mag, (n > 0) - (n < 0), strategy, ()))
     if debug:
-        n_hi, n_lo = signed_value(hi.mantissa, ms), signed_value(lo.mantissa, ms)
+        n_hi, n_lo = signed_value(hm, ms), signed_value(lm, ms)
         if strategy == ALIGN_SHIFT_DOWN:
             total = n_hi + shift_round_half_even(n_lo, delta)
         else:
             total = (n_hi << delta) + n_lo
         _audit("sum", total, out, ms, cfg, "operands too large for M")
-    while needs_normalization(out, ms, cfg):
+    while out.mag_log2 >= limit:  # needs_normalization's fast mode
         out = normalize(out, ms, cfg)
     return out

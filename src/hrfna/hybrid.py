@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import frexp, isfinite, ldexp, log2
+from operator import mul
 from typing import NamedTuple
 
 from hrfna import rns
@@ -127,8 +129,15 @@ class HybridNum(NamedTuple):
 
 
 def signed_value(rv: ResidueVector, ms: ModulusSet) -> int:
-    """Symmetric signed reconstruction: n if n < M/2 else n - M."""
-    n = rns.crt_reconstruct(rv, ms)
+    """Symmetric signed reconstruction: n if n < M/2 else n - M.
+
+    The CRT sum is taken in this frame, as rns.crt_reconstruct takes it. A
+    vector under any other set object is first checked by rns, which refuses
+    a set with other moduli (MismatchedSet).
+    """
+    if rv.set_ref is not ms:
+        rns._check_set(rv, ms)
+    n = sum(map(mul, rv.residues, ms.crt_coeffs)) % ms.composite
     return n - ms.composite if 2 * n >= ms.composite else n
 
 
@@ -155,22 +164,26 @@ def from_real(x: float, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
 
     The exponent f is chosen so N = round(x * 2^-f), rounded half to even,
     lands in [2^(b-2), 2^(b-1)); zero encodes as an all-zero mantissa with
-    f = 0. The round-trip error is at most 2^(f-1).
+    f = 0. The round-trip error is at most 2^(f-1). A nonzero N is checked
+    against M/2 and encoded here, in this frame, as make_hybrid would do it:
+    the same residues, fields and OutOfRange message.
     """
-    if not math.isfinite(x):
+    if not isfinite(x):
         raise rns.OutOfRange(f"cannot encode non-finite value {x!r}")
     if x == 0.0:
         return make_hybrid(0, 0, ms)
 
     b = cfg.operand_bound_bits
-    _, e = math.frexp(x)  # |x| = m * 2^e with 0.5 <= m < 1
-    f = e - b + 1
-    n = round(math.ldexp(x, -f))  # exact scaling, then round half to even
+    f = frexp(x)[1] - b + 1  # |x| = m * 2^e with 0.5 <= m < 1
+    n = round(ldexp(x, -f))  # exact scaling, then round half to even
     if abs(n) == 1 << (b - 1):
         # Rounding bumped the mantissa out of the half-open window.
         f += 1
-        n = round(math.ldexp(x, -f))
-    return make_hybrid(n, f, ms)
+        n = round(ldexp(x, -f))
+    if 2 * abs(n) >= ms.composite:
+        raise rns.OutOfRange(f"|{n}| not below M/2 = {ms.composite / 2}")
+    mant = _new(ResidueVector, (tuple(map(n.__mod__, ms.moduli)), ms))
+    return _new(HybridNum, (mant, f, log2(abs(n)), 1 if n > 0 else -1, None, ()))
 
 
 def to_real(h: HybridNum) -> float:

@@ -4,16 +4,20 @@ normalize reconstructs the signed mantissa, divides it by 2^k with round
 half to even, re-encodes, and raises the exponent by k, so the value moves
 by at most 2^(f+k-1). Detection has a fast mode driven by the magnitude
 estimator and an exact mode driven by reconstruction; fast mode is
-one-sided safe (it never misses a true crossing).
+one-sided safe (it never misses a true crossing). normalize reconstructs
+through signed_value, which refuses a mantissa under a set with other
+moduli (MismatchedSet), and re-encodes in its own frame under the set it
+is given.
 """
 
 from __future__ import annotations
 
+from math import inf, log2
 from typing import NamedTuple
 
 from hrfna.errors import HrfnaError
-from hrfna.hybrid import HybridConfig, HybridNum, make_hybrid, signed_value
-from hrfna.rns import ModulusSet
+from hrfna.hybrid import HybridConfig, HybridNum, signed_value
+from hrfna.rns import ModulusSet, ResidueVector
 
 
 class DegenerateResult(HrfnaError):
@@ -64,11 +68,13 @@ def needs_normalization(
 def normalize(h: HybridNum, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
     """Scale the mantissa down by 2^k and bump the exponent by k.
 
-    Callable below threshold as well; callers normally gate through
-    needs_normalization. The result keeps h's align_strategy, carries h's
-    norm_events followed by its own NormalizationEvent (so repeated passes
-    over one operation's result accumulate), and has a mag_log2 recomputed
-    exactly from the scaled mantissa.
+    Callable below threshold as well; hrfna_mul and hrfna_add call it while
+    mag_log2 >= cfg.thresholds(ms)[1], the fast detector. The result keeps
+    h's align_strategy, carries h's norm_events followed by its own
+    NormalizationEvent (so repeated passes over one operation's result
+    accumulate), and has a mag_log2 recomputed exactly from the scaled
+    mantissa. The result is under ms even when h's mantissa is under an
+    equal set built apart.
     """
     k = cfg.scale_shift_k
     n = signed_value(h.mantissa, ms)
@@ -77,4 +83,7 @@ def normalize(h: HybridNum, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
         raise DegenerateResult(f"mantissa {n} vanished under shift {k}")
     exponent = h.exponent + k
     event = _new(NormalizationEvent, (n, n_out, k, h.exponent, exponent))
-    return make_hybrid(n_out, exponent, ms, h.align_strategy, h.norm_events + (event,))
+    # |n_out| <= |n|/2 + 1/2 < M/2, so the re-encode needs no range check.
+    mant = _new(ResidueVector, (tuple(map(n_out.__mod__, ms.moduli)), ms))
+    mag, sign = (log2(abs(n_out)) if n_out else -inf), (n_out > 0) - (n_out < 0)
+    return _new(HybridNum, (mant, exponent, mag, sign, h.align_strategy, h.norm_events + (event,)))

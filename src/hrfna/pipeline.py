@@ -114,6 +114,9 @@ class TraceEvent(NamedTuple):
     value: str | None = None
 
 
+_new = tuple.__new__  # a NamedTuple from all its fields, skipping its Python-level __new__
+
+
 class SimState(NamedTuple):
     """Scheduler snapshot at the start of a cycle.
 
@@ -269,29 +272,29 @@ def simulate(program, cfg: PipelineConfig, hcfg: HybridConfig, ms: ModulusSet) -
 
         if state.fsm is Fsm.NORMALIZE:
             stalled = ticks - 1 - detect
-            emit(TraceEvent(cycle, "scheduler", "stall"))
+            emit(_new(TraceEvent, (cycle, "scheduler", "stall", None, None)))
             if remaining % latency == 0:
-                emit(TraceEvent(cycle, "norm", "norm-begin", names[stalled]))
+                emit(_new(TraceEvent, (cycle, "norm", "norm-begin", names[stalled], None)))
                 if remaining < norms[stalled] * latency:
-                    emit(TraceEvent(cycle, "norm", "norm-end", names[stalled]))
+                    emit(_new(TraceEvent, (cycle, "norm", "norm-end", names[stalled], None)))
         else:
             # Advancing cycle: op ticks issues, op ticks - detect enters the
             # detect stage (its lanes and exponent retire), op ticks - 1 - last leaves.
-            emit(TraceEvent(cycle, "scheduler", "advance"))
+            emit(_new(TraceEvent, (cycle, "scheduler", "advance", None, None)))
             if ticks < n:
-                emit(TraceEvent(cycle, "scheduler", "issue", names[ticks]))
+                emit(_new(TraceEvent, (cycle, "scheduler", "issue", names[ticks], None)))
             leaving = ticks - 1 - last
             if leaving >= 0:
                 value_hex = "".join(rns.format_residues(results[leaving].mantissa.residues, ms))
-                emit(TraceEvent(cycle, "scheduler", "retire", names[leaving], value_hex))
+                emit(_new(TraceEvent, (cycle, "scheduler", "retire", names[leaving], value_hex)))
             if state.fsm is Fsm.RESUME:
-                emit(TraceEvent(cycle, "norm", "norm-end", names[ticks - 1 - detect]))
+                emit(_new(TraceEvent, (cycle, "norm", "norm-end", names[ticks - 1 - detect], None)))
             entered = ticks - detect
             if 0 <= entered < n:
                 op = names[entered]
-                emit(TraceEvent(cycle, "exponent", "retire", op))
+                emit(_new(TraceEvent, (cycle, "exponent", "retire", op, None)))
                 for lane in lanes:
-                    emit(TraceEvent(cycle, lane, "retire", op))
+                    emit(_new(TraceEvent, (cycle, lane, "retire", op, None)))
         state = scheduler_step(state, cfg)
 
     trace = tuple(events)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from hrfna import arithmetic, hybrid
 from hrfna.errors import HrfnaError
-from hrfna.hybrid import HybridConfig, HybridNum, signed_value, tau_int
+from hrfna.hybrid import HybridConfig, HybridNum, tau_int
 from hrfna.pipeline import Op
 from hrfna.rns import ModulusSet
 
@@ -35,10 +35,6 @@ class ExactZero(HrfnaError, ZeroDivisionError):
 
 # Exact values as (numerator, shift) pairs denoting n * 2^s; cheaper than
 # Fraction over long chains because no gcd runs per operation.
-
-
-def _pair_of(h: HybridNum, ms: ModulusSet) -> tuple[int, int]:
-    return signed_value(h.mantissa, ms), h.exponent
 
 
 def _pair_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -148,7 +144,7 @@ def run_mac_chain(mults, addends, ms: ModulusSet, cfg: HybridConfig) -> DriftRep
         raise LengthMismatch(f"{len(mults)} multipliers vs {len(addends)} addends")
 
     acc = hybrid.from_real(1.0, ms, cfg)
-    start = _pair_of(acc, ms)
+    start = hybrid.signed_value(acc.mantissa, ms), acc.exponent
     steps = []
     norm_events = 0
     strategies: dict[str, int] = {}
@@ -160,9 +156,13 @@ def run_mac_chain(mults, addends, ms: ModulusSet, cfg: HybridConfig) -> DriftRep
         acc = arithmetic.hrfna_add(acc, ha, ms, cfg)
         norm_events += len(acc.norm_events)
         strategies[acc.align_strategy] = strategies.get(acc.align_strategy, 0) + 1
-        steps.append((_pair_of(hm, ms), _pair_of(ha, ms)))
+        steps.append((
+            (hybrid.signed_value(hm.mantissa, ms), hm.exponent),
+            (hybrid.signed_value(ha.mantissa, ms), ha.exponent),
+        ))
 
-    rel = relative_error(_pair_of(acc, ms), _chain_exact(start, steps))
+    approx = hybrid.signed_value(acc.mantissa, ms), acc.exponent
+    rel = relative_error(approx, _chain_exact(start, steps))
     bound = Fraction(norm_events * 2 ** (cfg.scale_shift_k - 1), tau_int(ms, cfg))
     if rel > bound:
         raise DriftBoundExceeded(f"drift {float(rel)} exceeds bound {float(bound)}")
@@ -225,7 +225,11 @@ def dot_product(
         hy = hybrid.from_real(y, ms, cfg)
         prod = arithmetic.hrfna_mul(hx, hy, ms, cfg)
         norm_events += len(prod.norm_events)
-        exact = _pair_add(exact, _pair_mul(_pair_of(hx, ms), _pair_of(hy, ms)))
+        term = (
+            hybrid.signed_value(hx.mantissa, ms) * hybrid.signed_value(hy.mantissa, ms),
+            hx.exponent + hy.exponent,
+        )
+        exact = _pair_add(exact, term)
         if acc is None:
             acc = prod
         else:
@@ -233,7 +237,7 @@ def dot_product(
             norm_events += len(acc.norm_events)
             strategies[acc.align_strategy] = strategies.get(acc.align_strategy, 0) + 1
 
-    rel = relative_error(_pair_of(acc, ms), exact)
+    rel = relative_error((hybrid.signed_value(acc.mantissa, ms), acc.exponent), exact)
     bound = Fraction(len(xs), 2 ** (cfg.operand_bound_bits - 3))
     report = DriftReport(
         workload="dot_product",

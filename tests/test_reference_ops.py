@@ -1,16 +1,23 @@
-"""hrfna_mul / hrfna_add pinned to a composition of the public residue ops.
+"""from_real, normalize, hrfna_mul and hrfna_add pinned to compositions of public helpers.
 
 The reference below rebuilds every field of a result (residues, exponent,
 magnitude estimate, sign, alignment strategy and normalization events) from
 mod_mul, mod_add, encode_signed, shift_round_half_even and crt_reconstruct
-alone, with tau and the detector limit derived from the config's alpha.
+alone, with tau and the detector limit derived from the config's alpha;
+from_real is pinned to make_hybrid of an exact Fraction rounding. Each op
+does its channel work in its own frame after rns has checked any operand
+under another set object, so every pin is also run with operands rebuilt
+under an equal set made apart: the check must let them through unchanged.
+
+The hypothesis pins run PIN_EXAMPLES examples each: 400, or more when the
+active profile asks for more (tests/conftest.py registers CI's "ci").
 """
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hrfna import (
@@ -19,11 +26,15 @@ from hrfna import (
     ALIGN_SHIFT_DOWN,
     DEFAULT_CONFIG,
     DEFAULT_MODULI,
+    DegenerateResult,
     HybridConfig,
     MismatchedSet,
     NormalizationEvent,
+    OutOfRange,
+    ResidueVector,
     crt_reconstruct,
     encode_signed,
+    from_real,
     hrfna_add,
     hrfna_mul,
     make_hybrid,
@@ -31,10 +42,12 @@ from hrfna import (
     mod_add,
     mod_mul,
     normalize,
+    run_mac_chain,
     shift_round_half_even,
     signed_value,
     validate_config,
 )
+from hrfna.workloads import mac_sequences
 
 SETS = {
     "two": (
@@ -45,6 +58,8 @@ SETS = {
     "eleven": ((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37), DEFAULT_CONFIG),
 }
 BUILT = {}
+TWINS = {}
+PIN_EXAMPLES = max(400, settings.default.max_examples)
 
 
 def built(name):
@@ -66,18 +81,50 @@ def ref_signed(rv, ms):
     return n - ms.composite if 2 * n >= ms.composite else n
 
 
+def ref_pass(mant, exponent, ms, cfg):
+    """One normalization: (mantissa, exponent, mag, sign, event) after it."""
+    k = cfg.scale_shift_k
+    n = ref_signed(mant, ms)
+    out = shift_round_half_even(n, k)
+    if out == 0 and n != 0:
+        raise DegenerateResult(f"mantissa {n} vanished under shift {k}")
+    mag, sign = (math.log2(abs(out)) if out else -math.inf), (out > 0) - (out < 0)
+    return encode_signed(out, ms), exponent + k, mag, sign, (n, out, k, exponent, exponent + k)
+
+
 def ref_fields(mant, exponent, mag, sign, strategy, ms, cfg):
     """Drain through the fast detector; every field of the final value."""
-    k = cfg.scale_shift_k
     limit = tau_and_limit(ms, cfg)[1]
     events = ()
     while mag >= limit:
-        n = ref_signed(mant, ms)
-        out = shift_round_half_even(n, k)
-        events += ((n, out, k, exponent, exponent + k),)
-        mant, exponent = encode_signed(out, ms), exponent + k
-        mag, sign = (math.log2(abs(out)) if out else -math.inf), (out > 0) - (out < 0)
+        mant, exponent, mag, sign, event = ref_pass(mant, exponent, ms, cfg)
+        events += (event,)
     return mant.residues, exponent, mag, sign, strategy, events
+
+
+def ref_normalize(h, ms, cfg):
+    mant, exponent, mag, sign, event = ref_pass(h.mantissa, h.exponent, ms, cfg)
+    return mant.residues, exponent, mag, sign, h.align_strategy, h.norm_events + (event,)
+
+
+def ref_rounding(x, b):
+    """(n, f) with n = round(x / 2^f), half to even, in the b-bit window; exact, as Fractions."""
+    q = Fraction(x)
+    e = abs(q).numerator.bit_length() - abs(q).denominator.bit_length()
+    if abs(q) < Fraction(2) ** e:
+        e -= 1  # now 2^e <= |x| < 2^(e+1)
+    f = e - b + 2
+    n = round(q / Fraction(2) ** f)
+    if abs(n) == 1 << (b - 1):
+        f += 1
+        n = round(q / Fraction(2) ** f)
+    return n, f
+
+
+def ref_from_real(x, ms, cfg):
+    if x == 0:
+        return make_hybrid(0, 0, ms)
+    return make_hybrid(*ref_rounding(x, cfg.operand_bound_bits), ms)
 
 
 def ref_mul(x, y, ms, cfg):
@@ -111,6 +158,22 @@ def fields(z):
     return z.mantissa.residues, z.exponent, z.mag_log2, z.sign, z.align_strategy, z.norm_events
 
 
+def apart(h):
+    """h with its mantissa under an equal modulus set made apart from its own."""
+    moduli = h.mantissa.set_ref.moduli
+    if moduli not in TWINS:
+        TWINS[moduli] = make_modulus_set(moduli)
+    return h._replace(mantissa=h.mantissa._replace(set_ref=TWINS[moduli]))
+
+
+def assert_apart_agrees(op, x, y, ms, cfg):
+    """op on either or both operands made apart gives the same-set result, field by field."""
+    assert apart(x).mantissa.set_ref is not ms
+    expected = fields(op(x, y, ms, cfg))
+    for pair in ((apart(x), y), (x, apart(y)), (apart(x), apart(y))):
+        assert fields(op(*pair, ms, cfg)) == expected
+
+
 @st.composite
 def operands(draw, wide_both):
     """A post-drain-sized operand and a fresh one (or two post-drain ones), under one set.
@@ -135,18 +198,115 @@ def operands(draw, wide_both):
     return (*values, ms, cfg)
 
 
+@st.composite
+def wide_operand(draw):
+    """Any signed mantissa of a set (small ones too, down to zero), with or without provenance."""
+    name = draw(st.sampled_from(sorted(SETS)))
+    ms, cfg = built(name)
+    half = (ms.composite - 1) // 2
+    small = 1 << cfg.scale_shift_k
+    n = draw(st.integers(-half, half) | st.integers(-small, small))
+    provenance = (ALIGN_SCALE_UP, (NormalizationEvent(9, 1, 3, 0, 3),)) if draw(st.booleans()) else ()
+    return make_hybrid(n, draw(st.integers(-40, 40)), ms, *provenance), ms, cfg
+
+
 class TestAgainstChannelOps:
     @given(operands(wide_both=False))
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=PIN_EXAMPLES, deadline=None)
     def test_mul(self, case):
         x, y, ms, cfg = case
         assert fields(hrfna_mul(x, y, ms, cfg)) == ref_mul(x, y, ms, cfg)
+        assert_apart_agrees(hrfna_mul, x, y, ms, cfg)
 
     @given(st.one_of(operands(wide_both=False), operands(wide_both=True)))
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=PIN_EXAMPLES, deadline=None)
     def test_add(self, case):
         x, y, ms, cfg = case
         assert fields(hrfna_add(x, y, ms, cfg)) == ref_add(x, y, ms, cfg)
+        assert_apart_agrees(hrfna_add, x, y, ms, cfg)
+
+    @given(wide_operand())
+    @settings(max_examples=PIN_EXAMPLES, deadline=None)
+    def test_normalize(self, case):
+        h, ms, cfg = case
+        try:
+            expected = ref_normalize(h, ms, cfg)
+        except DegenerateResult as exc:
+            for operand in (h, apart(h)):
+                with pytest.raises(DegenerateResult) as got:
+                    normalize(operand, ms, cfg)
+                assert str(got.value) == str(exc)
+            return
+        assert fields(normalize(h, ms, cfg)) == expected
+        assert fields(normalize(apart(h), ms, cfg)) == expected
+
+    @given(st.sampled_from(sorted(SETS)), st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=PIN_EXAMPLES, deadline=None)
+    @example("default", 2.0**-1074)
+    @example("default", -1.7976931348623157e308)
+    @example("two", 0.99951171875)  # rounds up to 2^(b-1) = 512 and moves to the next exponent
+    @example("eleven", -0.0)
+    def test_from_real(self, name, x):
+        ms, cfg = built(name)
+        assert fields(from_real(x, ms, cfg)) == fields(ref_from_real(x, ms, cfg))
+
+    def test_from_real_out_of_range(self):
+        for name in sorted(SETS):
+            ms, cfg = built(name)
+            for x in (math.inf, -math.inf, math.nan):
+                with pytest.raises(OutOfRange, match="^cannot encode non-finite value"):
+                    from_real(x, ms, cfg)
+        # Unvalidated: b = 8 puts |N| in [64, 128), and 2 * 64 >= M = 105.
+        ms, cfg = make_modulus_set((3, 5, 7)), HybridConfig(Fraction(3, 8192), 5, 8)
+        for x in (1.0, -1.5, 0.75, 3e-300):
+            with pytest.raises(OutOfRange) as got:
+                from_real(x, ms, cfg)
+            with pytest.raises(OutOfRange) as want:
+                make_hybrid(*ref_rounding(x, cfg.operand_bound_bits), ms)
+            assert str(got.value) == str(want.value)
+        assert fields(from_real(0.0, ms, cfg)) == fields(make_hybrid(0, 0, ms))
+        # An even M: N = M/2 = 105 lies in the window and has no signed encoding.
+        even = make_modulus_set((2, 3, 5, 7))
+        for x in (105.0, -105.0):
+            with pytest.raises(OutOfRange) as got:
+                from_real(x, even, cfg)
+            with pytest.raises(OutOfRange) as want:
+                make_hybrid(*ref_rounding(x, cfg.operand_bound_bits), even)
+            assert str(got.value) == str(want.value)
+
+    def test_ties_round_half_even(self):
+        """Mantissas halfway between two results, where half-even and half-up differ."""
+        for name in sorted(SETS):
+            ms, cfg = built(name)
+            k, tau = cfg.scale_shift_k, tau_and_limit(ms, cfg)[0]
+            hi = make_hybrid(tau // 2 - 9, 0, ms)  # any delta >= 1 takes the shift-down path
+            for q in (1, 2, 5, 6):  # q = 0 would round a nonzero mantissa to 0
+                for sign in (1, -1):
+                    h = make_hybrid(sign * (2 * q + 1) << (k - 1), 3, ms)
+                    assert fields(normalize(h, ms, cfg)) == ref_normalize(h, ms, cfg)
+                    assert fields(normalize(apart(h), ms, cfg)) == ref_normalize(h, ms, cfg)
+                    for delta in (1, 3, 7):
+                        lo = make_hybrid(sign * (2 * q + 1) << (delta - 1), -delta, ms)
+                        assert hrfna_add(hi, lo, ms, cfg).align_strategy == ALIGN_SHIFT_DOWN
+                        assert fields(hrfna_add(hi, lo, ms, cfg)) == ref_add(hi, lo, ms, cfg)
+                        assert_apart_agrees(hrfna_add, hi, lo, ms, cfg)
+
+    def test_half_m_mantissa_reads_negative(self):
+        """Residues of M/2 on an even M (only a wrap leaves them) reconstruct as -M/2."""
+        ms, cfg = built("two")
+        half = ms.composite // 2
+        h = make_hybrid(1, 0, ms)._replace(
+            mantissa=ResidueVector(tuple(half % m for m in ms.moduli), ms)
+        )
+        assert ref_signed(h.mantissa, ms) == -half
+        assert fields(normalize(h, ms, cfg)) == ref_normalize(h, ms, cfg)
+        assert fields(normalize(apart(h), ms, cfg)) == ref_normalize(h, ms, cfg)
+
+    def test_chain_under_an_equal_set_made_apart(self):
+        ms, cfg = built("default")
+        twin = make_modulus_set(ms.moduli)
+        sequences = mac_sequences(3, 500)
+        assert run_mac_chain(*sequences, twin, cfg) == run_mac_chain(*sequences, ms, cfg)
 
     def test_every_path_is_reached(self):
         ms, cfg = built("default")
