@@ -5,7 +5,8 @@ exponent addition, with normalization applied only when the result's
 magnitude reaches the threshold. Addition aligns exponents either by
 scaling the larger-exponent operand's mantissa up (exact, preferred) or by
 reconstruct-shift-re-encode of the smaller-exponent operand (lossy
-fallback); the chosen strategy is recorded on the result.
+fallback), which absorbs the operand unreconstructed when the exponent
+gap is at least M.bit_length(); the strategy is recorded on the result.
 
 Operational envelope: a product is exact only while it stays inside the
 signed range (|N_x * N_y| < M/2). Keeping at least one freshly encoded
@@ -13,11 +14,11 @@ operand (|N| < 2^b) per multiplication guarantees that; debug mode audits
 it by reconstruction.
 
 Each op reads the (tau, limit) pair once and does its channel work in its
-own frame; the shift-down add reconstructs through signed_value and
-rounds through shift_round_half_even. An operand under another set
-object is first checked by rns, so a set with other moduli raises
-MismatchedSet there and an equal set built apart gives the same result bit
-for bit.
+own frame; a shift-down add that is not absorbed reconstructs through
+signed_value and rounds through shift_round_half_even. An operand under
+another set object is first checked by rns, so a set with other moduli
+raises MismatchedSet there and an equal set built apart gives the same
+result bit for bit.
 """
 
 from __future__ import annotations
@@ -90,12 +91,13 @@ def hrfna_add(
 
     The operand hi with the larger exponent is aligned to the other, lo.
     Scale-up multiplies hi's mantissa by 2^delta when the scaled magnitude
-    estimate stays below tau/2; otherwise lo is reconstructed, shifted down
-    with round half to even, and re-encoded at hi's exponent. Strategy
-    selection depends only on which operand holds the larger exponent, so
-    it is symmetric in (x, y) and the aligned mantissa addition is
-    channel-wise commutative. The magnitude estimate and sign are
-    recomputed exactly from the sum (a log-sum estimate cannot survive
+    estimate stays below tau/2; otherwise lo is shifted down to hi's
+    exponent: absorbed unreconstructed if delta >= M.bit_length() (it
+    rounds to 0), else reconstructed, rounded half to even and re-encoded.
+    Strategy selection depends only on which operand holds the larger
+    exponent, so it is symmetric in (x, y) and the aligned mantissa
+    addition is channel-wise commutative. The magnitude estimate and sign
+    are recomputed exactly from the sum (a log-sum estimate cannot survive
     cancellation), and the result is normalized if it reaches threshold.
     With debug=True the sum is audited against the exact aligned integer
     sum: a wrap modulo M or a missed threshold crossing raises AuditFailure.
@@ -121,6 +123,9 @@ def hrfna_add(
         scaled = map((1 << delta).__mul__, hm.residues)
         residues = tuple(map(mod, map(add, scaled, lm.residues), moduli))
         exponent = lo.exponent
+    elif delta >= ms.composite.bit_length():
+        # Absorbed: |n_lo| <= M/2 < 2^(delta-1) rounds to 0, so hi's residues stand.
+        residues, strategy = hm.residues, ALIGN_SHIFT_DOWN
     else:
         # delta >= 1 at least halves |n_lo| <= M/2, so the re-encode needs no range check.
         shifted = shift_round_half_even(signed_value(lm, ms), delta)

@@ -204,7 +204,8 @@ def run_program(program, ms: ModulusSet, hcfg: HybridConfig):
     """Walk the program in order, yielding (name, kind, operands, value) per op.
 
     A literal's operands are (), a mul/add's its two operand values. Raises
-    InvalidProgram for undefined references or duplicate names.
+    InvalidProgram for undefined references, duplicate names or a mul/add
+    without exactly two operands.
     """
     env: dict[str, HybridNum] = {}
     issued = 0
@@ -223,6 +224,8 @@ def run_program(program, ms: ModulusSet, hcfg: HybridConfig):
             a, b = operands = tuple(map(env.__getitem__, op.args))
         except KeyError as exc:
             raise InvalidProgram(f"undefined operand {exc.args[0]!r}") from None
+        except ValueError:
+            raise InvalidProgram(f"{op.kind} takes 2 operands, got {len(op.args)}") from None
         fn = arithmetic.hrfna_mul if op.kind == "mul" else arithmetic.hrfna_add
         value = fn(a, b, ms, hcfg)
         name = op.name or f"t{issued}"
@@ -311,14 +314,14 @@ def metrics_report(trace) -> MetricsSummary:
     retires: dict[str, int] = {}
     stalls = 0
     norm_begins = 0
-    for ev in trace:
-        if ev.unit == "scheduler" and ev.action == "issue":
-            issues[ev.op] = ev.cycle
-        elif ev.unit == "scheduler" and ev.action == "retire":
-            retires[ev.op] = ev.cycle
-        elif ev.action == "stall":
+    for cycle, unit, action, op, _ in trace:
+        if unit == "scheduler" and action == "issue":
+            issues[op] = cycle
+        elif unit == "scheduler" and action == "retire":
+            retires[op] = cycle
+        elif action == "stall":
             stalls += 1
-        elif ev.action == "norm-begin":
+        elif action == "norm-begin":
             norm_begins += 1
 
     missing = set(issues) - set(retires)

@@ -26,7 +26,7 @@ from hrfna.formats import (
     vectors_text,
 )
 from hrfna.hybrid import HybridConfig, from_real, make_hybrid, to_real
-from hrfna.pipeline import DEFAULT_PIPELINE, MAX_STAGE_DEPTH, PipelineConfig
+from hrfna.pipeline import DEFAULT_PIPELINE, MAX_STAGE_DEPTH, InvalidProgram, Op, PipelineConfig
 from hrfna.rns import DEFAULT_MODULI, OutOfRange, make_modulus_set
 
 TWO_CHANNEL_CFG = HybridConfig(alpha=Fraction(3, 8192), scale_shift_k=9, operand_bound_bits=10)
@@ -322,6 +322,12 @@ class TestVectors:
         product = hrfna_mul(a, a, default_ms, hcfg)
         assert residues == product.mantissa.residues
         assert int(f_str) == product.exponent
+
+    def test_wrong_operand_count_is_invalid_program(self, default_ms, hcfg):
+        for args in (("a",), ("a", "a", "a")):
+            program = [Op("lit", name="a", value=1.5), Op("add", args=args)]
+            with pytest.raises(InvalidProgram, match=f"^add takes 2 operands, got {len(args)}$"):
+                vectors_text(program, default_ms, hcfg)
 
 
 class TestCli:

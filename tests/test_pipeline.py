@@ -315,6 +315,14 @@ class TestProgramValidation:
             with pytest.raises(InvalidProgram, match="'a' defined twice"):
                 evaluate_program(ops, default_ms, hcfg)
 
+    def test_wrong_operand_count(self, hcfg, default_ms):
+        for kind in ("mul", "add"):
+            for args in ((), ("a",), ("a", "a", "a")):
+                ops = [Op("lit", name="a", value=1.5), Op(kind, args=args)]
+                message = f"^{kind} takes 2 operands, got {len(args)}$"
+                with pytest.raises(InvalidProgram, match=message):
+                    evaluate_program(ops, default_ms, hcfg)
+
 
 class TestMetricsReport:
     def test_metrics_formula_with_one_normalization(self, pcfg, hcfg, default_ms):

@@ -32,6 +32,7 @@ from hrfna import (
     NormalizationEvent,
     OutOfRange,
     ResidueVector,
+    arithmetic,
     crt_reconstruct,
     encode_signed,
     from_real,
@@ -291,6 +292,36 @@ class TestAgainstChannelOps:
                         assert fields(hrfna_add(hi, lo, ms, cfg)) == ref_add(hi, lo, ms, cfg)
                         assert_apart_agrees(hrfna_add, hi, lo, ms, cfg)
 
+    def test_absorption_boundary(self, monkeypatch):
+        """Shift-down gaps around L = M.bit_length(): from L on, lo is absorbed unreconstructed.
+
+        |n_lo| <= M/2 < 2^(L-1) rounds to 0 under any shift >= L, so the sum is
+        hi's residues; below L, lo is reconstructed once and may still count.
+        """
+        reconstructed = []
+
+        def counting(rv, ms):
+            reconstructed.append(rv)
+            return signed_value(rv, ms)
+
+        monkeypatch.setattr(arithmetic, "signed_value", counting)
+        for name in sorted(SETS):
+            ms, cfg = built(name)
+            top, tau = ms.composite.bit_length(), tau_and_limit(ms, cfg)[0]
+            half, quarter = (ms.composite - 1) // 2, 1 << (top - 2)
+            for hi in (make_hybrid(tau // 2 - 9, 0, ms), make_hybrid(-2047, 5, ms)):
+                for delta in (top - 2, top - 1, top, top + 1):
+                    for n_lo in (half, -half, quarter, -quarter, 3, -3):
+                        lo = make_hybrid(n_lo, hi.exponent - delta, ms)
+                        for x, y in ((hi, lo), (lo, hi)):
+                            reconstructed.clear()
+                            z = hrfna_add(x, y, ms, cfg)
+                            assert len(reconstructed) == (delta < top)
+                            assert z.align_strategy == ALIGN_SHIFT_DOWN
+                            assert fields(z) == ref_add(x, y, ms, cfg)
+                            assert fields(hrfna_add(x, y, ms, cfg, debug=True)) == fields(z)
+                            assert_apart_agrees(hrfna_add, x, y, ms, cfg)
+
     def test_half_m_mantissa_reads_negative(self):
         """Residues of M/2 on an even M (only a wrap leaves them) reconstruct as -M/2."""
         ms, cfg = built("two")
@@ -319,6 +350,8 @@ class TestAgainstChannelOps:
             (hrfna_add, fresh, make_hybrid(-3, -11, ms), ALIGN_SCALE_UP, 0),
             (hrfna_add, make_hybrid(5, 3, ms), fresh, ALIGN_SCALE_UP, 0),
             (hrfna_add, wide, fresh, ALIGN_SHIFT_DOWN, 0),
+            # absorbed: the exponent gap M.bit_length() rounds lo to 0
+            (hrfna_add, make_hybrid(-5, 25, ms), fresh, ALIGN_SHIFT_DOWN, 0),
             (hrfna_add, wide, make_hybrid(tau // 2 - 1, 0, ms), ALIGN_SCALE_UP, 1),
         ]
         for op, x, y, strategy, events in cases:
@@ -332,8 +365,10 @@ class TestForeignOperands:
     """An operand built under another modulus set is refused; an equal set built apart is not."""
 
     def test_other_set_raises(self, default_ms, small_ms, hcfg):
-        here = make_hybrid(1500, 0, default_ms)
-        for exponent in (0, 3, 40):  # same exponent, scale-up, shift-down
+        here, top = make_hybrid(1500, 0, default_ms), default_ms.composite.bit_length()
+        # Same exponent, then the foreign operand as hi (scale-up, shift-down) and as a lo
+        # absorbed by gaps of M.bit_length() and more: never reconstructed, only set-checked.
+        for exponent in (0, 3, 40, -top, -top - 1):
             there = make_hybrid(5, exponent, small_ms)
             for x, y in ((here, there), (there, here)):
                 with pytest.raises(MismatchedSet):
