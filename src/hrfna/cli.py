@@ -76,9 +76,11 @@ def _run(args) -> int:
         print(formats.hybrid_record(fn(a, b, ms, hcfg, debug=True)))
         return 0
 
-    if args.command == "simulate":
+    if args.command in ("simulate", "vectors"):
         with open(args.program) as fh:
             program = formats.parse_program(fh.read())
+
+    if args.command == "simulate":
         sim = pipeline.simulate(program, pcfg, hcfg, ms)
         trace_path = args.trace or args.program + ".trace.csv"
         metrics_path = args.metrics or args.program + ".metrics.json"
@@ -87,33 +89,22 @@ def _run(args) -> int:
         print(f"{len(sim.results)} ops simulated; trace {trace_path}; metrics {metrics_path}")
         return 0
 
-    if args.command == "workload":
-        report = workloads.chained_mac(args.seed, args.steps, ms, hcfg)
-        text = formats.drift_report_json(report)
-        if args.out:
-            formats.atomic_write(args.out, text)
-        else:
-            sys.stdout.write(text)
-        return 0
-
-    if args.command == "vectors":
-        with open(args.program) as fh:
-            program = formats.parse_program(fh.read())
-        text = formats.vectors_text(program, ms, hcfg)
-        if args.out:
-            formats.atomic_write(args.out, text)
-        else:
-            sys.stdout.write(text)
-        return 0
-
     if args.command == "config":
         text = json.dumps(formats.config_to_dict(ms, hcfg, pcfg), indent=2) + "\n"
         if args.save:
-            formats.save_config(args.save, ms, hcfg, pcfg)
+            formats.atomic_write(args.save, text)
         sys.stdout.write(text)
         return 0
 
-    raise AssertionError(f"unhandled command {args.command}")
+    if args.command == "workload":
+        text = formats.drift_report_json(workloads.chained_mac(args.seed, args.steps, ms, hcfg))
+    else:
+        text = formats.vectors_text(program, ms, hcfg)
+    if args.out:
+        formats.atomic_write(args.out, text)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 def main(argv=None) -> int:

@@ -17,8 +17,8 @@ from fractions import Fraction
 from hrfna import hybrid, pipeline, rns
 from hrfna.errors import HrfnaError, InvariantViolation  # noqa: F401 (re-exported)
 from hrfna.hybrid import DEFAULT_CONFIG, HybridConfig, HybridNum
-from hrfna.pipeline import DEFAULT_PIPELINE, Op, PipelineConfig
-from hrfna.rns import DEFAULT_MODULI, ModulusSet, format_residues
+from hrfna.pipeline import DEFAULT_PIPELINE, Op, PipelineConfig, _new
+from hrfna.rns import DEFAULT_MODULI, ModulusSet
 
 CONFIG_FORMAT = "hrfna-config v1"
 RECORD_FORMAT = "hrfna-hybrid v1"
@@ -126,7 +126,7 @@ def save_config(path: str, ms: ModulusSet, hcfg: HybridConfig, pcfg: PipelineCon
 
 def _group(h: HybridNum) -> str:
     """A value's per-channel hex residues followed by its exponent."""
-    return " ".join(format_residues(h.mantissa.residues, h.set_ref)) + f" {h.exponent}"
+    return " ".join(map(format, h.mantissa.residues, h.set_ref.hex_formats)) + f" {h.exponent}"
 
 
 def hybrid_record(h: HybridNum) -> str:
@@ -155,23 +155,24 @@ def parse_hybrid_record(line: str, ms: ModulusSet) -> HybridNum:
 
 def parse_program(text: str) -> list[Op]:
     """Program file: header line, then `lit name value` / `mul a b` / `add a b`."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
     if not lines or lines[0] != PROGRAM_FORMAT:
         raise ParseError(f"program must start with {PROGRAM_FORMAT!r}")
     ops: list[Op] = []
     for ln in lines[1:]:
         parts = ln.split()
-        if parts[0] == "lit" and len(parts) == 3:
-            try:
-                value = float(parts[2])
-            except ValueError:
-                raise ParseError(f"bad literal value in {ln!r}") from None
-            ops.append(Op("lit", name=parts[1], value=value))
-        elif parts[0] in ("mul", "add") and len(parts) == 3:
-            ops.append(Op(parts[0], args=(parts[1], parts[2])))
-        else:
-            raise ParseError(f"unrecognized program line {ln!r}")
+        if len(parts) == 3:
+            kind, a, b = parts
+            if kind == "lit":
+                try:
+                    ops.append(_new(Op, ("lit", (), a, float(b))))
+                except ValueError:
+                    raise ParseError(f"bad literal value in {ln!r}") from None
+                continue
+            if kind in ("mul", "add"):
+                ops.append(_new(Op, (kind, (a, b), "", None)))
+                continue
+        raise ParseError(f"unrecognized program line {ln!r}")
     return ops
 
 
@@ -195,16 +196,16 @@ def trace_csv(trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _tagged_json(fmt: str, record) -> str:
+    return json.dumps({"format": fmt, **record.as_dict()}, sort_keys=True, indent=2) + "\n"
+
+
 def metrics_json(metrics: pipeline.MetricsSummary) -> str:
-    payload = {"format": METRICS_FORMAT}
-    payload.update(metrics.as_dict())
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _tagged_json(METRICS_FORMAT, metrics)
 
 
 def drift_report_json(report) -> str:
-    payload = {"format": "hrfna-drift v1"}
-    payload.update(report.as_dict())
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _tagged_json("hrfna-drift v1", report)
 
 
 # -- hardware test vectors ----------------------------------------------------

@@ -10,7 +10,10 @@ while the normalization engine runs; each normalization event costs
 norm_engine_stages * cycles_per_norm_stage stall cycles.
 
 Values are computed by the hybrid arithmetic functions before any timing
-is modeled, so the simulator can never alter results.
+is modeled, so the simulator can never alter results. simulate calls
+scheduler_step once per cycle and metrics_report once on the trace, since
+perfbench's tracer counts cycles and stalls from the one and events from
+the other; a closed form that skips cycles must first decouple the tracer.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
-from hrfna import arithmetic, hybrid, rns
+from hrfna import arithmetic, hybrid
 from hrfna.errors import HrfnaError, InvariantViolation
 from hrfna.hybrid import HybridConfig, HybridNum
 from hrfna.rns import ModulusSet
@@ -41,6 +44,9 @@ class Fsm(enum.Enum):
     NORMALIZE = "Normalize"
     RESUME = "Resume"
 
+
+# Fsm.X costs ten global loads (EnumType.__getattr__); the per-cycle code reads these.
+IDLE, EXECUTE, NORMALIZE, RESUME = Fsm
 
 MAX_STAGE_DEPTH = 32  # policy bound: the trace grows linearly with every depth
 
@@ -149,11 +155,11 @@ class SimState(NamedTuple):
 
     @property
     def stall_asserted(self) -> bool:
-        return self.fsm is Fsm.NORMALIZE
+        return self.fsm is NORMALIZE
 
 
 def initial_state(op_norms, cfg: PipelineConfig) -> SimState:
-    return SimState(0, Fsm.IDLE, 0, tuple(op_norms), cfg.total_stages)
+    return SimState(0, IDLE, 0, tuple(op_norms), cfg.total_stages)
 
 
 def scheduler_step(state: SimState, cfg: PipelineConfig) -> SimState:
@@ -166,20 +172,20 @@ def scheduler_step(state: SimState, cfg: PipelineConfig) -> SimState:
     Nothing advances and nothing issues while the FSM is in Normalize.
     """
     cycle, fsm, ticks, norms, stages, remaining = state
-    if fsm is Fsm.NORMALIZE:
+    if fsm is NORMALIZE:
         if remaining > 1:
-            return SimState(cycle + 1, fsm, ticks, norms, stages, remaining - 1)
-        return SimState(cycle + 1, Fsm.RESUME, ticks, norms, stages)
+            return _new(SimState, (cycle + 1, fsm, ticks, norms, stages, remaining - 1))
+        return _new(SimState, (cycle + 1, RESUME, ticks, norms, stages, 0))
 
     # Advancing cycle: every stage shifts and the next op (if any) issues,
     # so the op in the stage before detect moves into it.
-    entered = state.at(cfg.detect_stage - 1)
-    if entered is not None and norms[entered] > 0:
+    entered = ticks - cfg.detect_stage
+    if 0 <= entered < len(norms) and norms[entered] > 0:
         stall = norms[entered] * cfg.norm_latency
-        return SimState(cycle + 1, Fsm.NORMALIZE, ticks + 1, norms, stages, stall)
-    if fsm is not Fsm.IDLE or ticks < len(norms):
-        fsm = Fsm.EXECUTE
-    return SimState(cycle + 1, fsm, ticks + 1, norms, stages)
+        return _new(SimState, (cycle + 1, NORMALIZE, ticks + 1, norms, stages, stall))
+    if fsm is not IDLE or ticks < len(norms):
+        fsm = EXECUTE
+    return _new(SimState, (cycle + 1, fsm, ticks + 1, norms, stages, 0))
 
 
 class MetricsSummary(NamedTuple):
@@ -254,7 +260,9 @@ def simulate(program, cfg: PipelineConfig, hcfg: HybridConfig, ms: ModulusSet) -
     full trace from first issue to last retire, and the metrics summary.
     Events are emitted in trace order, so the trace is never sorted: by
     cycle, then scheduler, norm, exponent and the lanes (by name), and
-    within a unit by action.
+    within a unit by action. One scheduler_step call per cycle, stalls
+    included, and one metrics_report scan: perfbench's tracer counts both
+    (see the module docstring).
     """
     names, results, norms = evaluate_program(program, ms, hcfg)
     if not names:
@@ -262,43 +270,45 @@ def simulate(program, cfg: PipelineConfig, hcfg: HybridConfig, ms: ModulusSet) -
 
     n, latency = len(names), cfg.norm_latency
     detect, last = cfg.detect_stage, cfg.total_stages - 1
-    lanes = sorted(f"lane{lane}" for lane in range(len(ms.moduli)))
+    units = ("exponent", *sorted(f"lane{lane}" for lane in range(len(ms.moduli))))
+    hex_residues = "%" + "%".join(ms.hex_formats)  # each residue as zero-padded hex
     events: list[TraceEvent] = []
     emit = events.append
     state = initial_state(norms, cfg)
+    cycle, fsm, ticks, _, _, remaining = state
     # The pipe holds op ticks - 1 - s in stage s. The last op reaches the
     # last stage after n + last ticks and leaves the pipe on the next one.
-    # A window's norm-end lands on the cycle after its last stall: the
-    # first cycle of the op's next window, or the Resume cycle.
-    while state.ticks <= n + last:
-        cycle, ticks, remaining = state.cycle, state.ticks, state.norm_remaining
-
-        if state.fsm is Fsm.NORMALIZE:
-            stalled = ticks - 1 - detect
-            emit(_new(TraceEvent, (cycle, "scheduler", "stall", None, None)))
-            if remaining % latency == 0:
-                emit(_new(TraceEvent, (cycle, "norm", "norm-begin", names[stalled], None)))
-                if remaining < norms[stalled] * latency:
-                    emit(_new(TraceEvent, (cycle, "norm", "norm-end", names[stalled], None)))
-        else:
-            # Advancing cycle: op ticks issues, op ticks - detect enters the
-            # detect stage (its lanes and exponent retire), op ticks - 1 - last leaves.
-            emit(_new(TraceEvent, (cycle, "scheduler", "advance", None, None)))
-            if ticks < n:
-                emit(_new(TraceEvent, (cycle, "scheduler", "issue", names[ticks], None)))
-            leaving = ticks - 1 - last
-            if leaving >= 0:
-                value_hex = "".join(rns.format_residues(results[leaving].mantissa.residues, ms))
-                emit(_new(TraceEvent, (cycle, "scheduler", "retire", names[leaving], value_hex)))
-            if state.fsm is Fsm.RESUME:
-                emit(_new(TraceEvent, (cycle, "norm", "norm-end", names[ticks - 1 - detect], None)))
-            entered = ticks - detect
-            if 0 <= entered < n:
-                op = names[entered]
-                emit(_new(TraceEvent, (cycle, "exponent", "retire", op, None)))
-                for lane in lanes:
-                    emit(_new(TraceEvent, (cycle, lane, "retire", op, None)))
+    while ticks <= n + last:
+        if fsm is NORMALIZE:
+            # A Normalize run: a window begins every latency cycles of the
+            # countdown and ends on the cycle after its last stall.
+            op, total = names[ticks - 1 - detect], remaining
+            while fsm is NORMALIZE:
+                emit(_new(TraceEvent, (cycle, "scheduler", "stall", None, None)))
+                if remaining % latency == 0:
+                    emit(_new(TraceEvent, (cycle, "norm", "norm-begin", op, None)))
+                    if remaining < total:
+                        emit(_new(TraceEvent, (cycle, "norm", "norm-end", op, None)))
+                state = scheduler_step(state, cfg)
+                cycle, fsm, _, _, _, remaining = state
+        # Advancing cycle: op ticks issues, op ticks - detect enters the
+        # detect stage (its exponent and lanes retire), op ticks - 1 - last leaves.
+        emit(_new(TraceEvent, (cycle, "scheduler", "advance", None, None)))
+        if ticks < n:
+            emit(_new(TraceEvent, (cycle, "scheduler", "issue", names[ticks], None)))
+        leaving = ticks - 1 - last
+        if leaving >= 0:
+            value = hex_residues % results[leaving].mantissa.residues
+            emit(_new(TraceEvent, (cycle, "scheduler", "retire", names[leaving], value)))
+        if fsm is RESUME:
+            emit(_new(TraceEvent, (cycle, "norm", "norm-end", names[ticks - 1 - detect], None)))
+        entered = ticks - detect
+        if 0 <= entered < n:
+            op = names[entered]
+            for unit in units:
+                emit(_new(TraceEvent, (cycle, unit, "retire", op, None)))
         state = scheduler_step(state, cfg)
+        cycle, fsm, ticks, _, _, remaining = state
 
     trace = tuple(events)
     return SimResult(results, trace, metrics_report(trace), names)

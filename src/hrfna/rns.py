@@ -103,11 +103,6 @@ def make_modulus_set(moduli) -> ModulusSet:
     )
 
 
-def format_residues(residues, ms: ModulusSet) -> list[str]:
-    """Each residue as zero-padded lowercase hex, as wide as its modulus."""
-    return list(map(format, residues, ms.hex_formats))
-
-
 def encode_residues(n: int, ms: ModulusSet) -> ResidueVector:
     """Encode a nonnegative integer n in [0, M) into its residue vector."""
     if n < 0 or n >= ms.composite:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 from hrfna import arithmetic, hybrid
 from hrfna.errors import HrfnaError
 from hrfna.hybrid import HybridConfig, HybridNum, tau_int
-from hrfna.pipeline import Op
+from hrfna.pipeline import Op, _new
 from hrfna.rns import ModulusSet
 
 GENERATOR_ID = "python-random-mt19937"
@@ -189,17 +189,14 @@ def chained_mac(seed: int, n_steps: int, ms: ModulusSet, cfg: HybridConfig) -> D
 
 def chained_mac_program(seed: int, n_steps: int) -> list[Op]:
     """The same chain expressed as a pipeline program (for timing/value checks)."""
-    mults, addends = mac_sequences(seed, n_steps)
-    ops: list[Op] = [Op("lit", name="acc", value=1.0)]
-    for i, (m, a) in enumerate(zip(mults, addends)):
-        ops.append(Op("lit", name=f"m{i}", value=m))
-        ops.append(Op("lit", name=f"a{i}", value=a))
-    prev = "acc"
-    for i in range(n_steps):
-        ops.append(Op("mul", args=(prev, f"m{i}")))
-        ops.append(Op("add", args=(f"t{2 * i}", f"a{i}")))
+    ops, steps, prev = [_new(Op, ("lit", (), "acc", 1.0))], [], "acc"
+    for i, (m, a) in enumerate(zip(*mac_sequences(seed, n_steps))):
+        m_name, a_name = f"m{i}", f"a{i}"
+        ops += _new(Op, ("lit", (), m_name, m)), _new(Op, ("lit", (), a_name, a))
+        steps.append(_new(Op, ("mul", (prev, m_name), "", None)))
+        steps.append(_new(Op, ("add", (f"t{2 * i}", a_name), "", None)))
         prev = f"t{2 * i + 1}"
-    return ops
+    return ops + steps
 
 
 def dot_product(

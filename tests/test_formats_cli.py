@@ -291,6 +291,43 @@ class TestProgramFormat:
             with pytest.raises(ParseError):
                 parse_program(f"hrfna-program v1\n{line}\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("mul a b c", "unrecognized program line 'mul a b c'"),
+            ("lit a 1.0 x", "unrecognized program line 'lit a 1.0 x'"),
+            ("mul", "unrecognized program line 'mul'"),
+            ("div a b", "unrecognized program line 'div a b'"),
+            ("  add a  ", "unrecognized program line 'add a'"),
+            ("lit a nope", "bad literal value in 'lit a nope'"),
+        ],
+    )
+    def test_bad_line_messages(self, line, message):
+        with pytest.raises(ParseError) as exc:
+            parse_program(f"hrfna-program v1\nlit a 1.0\n{line}\nmul a a\n")
+        assert str(exc.value) == message
+
+    def test_header_message(self):
+        for text in ("", "# only a comment\n\n", "lit a 1.0\nhrfna-program v1\n"):
+            with pytest.raises(ParseError) as exc:
+                parse_program(text)
+            assert str(exc.value) == "program must start with 'hrfna-program v1'"
+
+    def test_comments_blank_and_indented_lines(self):
+        text = (
+            "# a program\n\n   hrfna-program v1  \n\tlit a 1.5\n  # an indented comment\n"
+            "\n  mul   a a\nadd t0 a   \n"
+        )
+        ops = parse_program(text)
+        want = [Op("lit", name="a", value=1.5), Op("mul", args=("a", "a")), Op("add", args=("t0", "a"))]
+        assert len(ops) == len(want)
+        for op, ref in zip(ops, want):
+            assert type(op) is Op and type(op.args) is tuple
+            assert (op.kind, op.args, op.name, op.value) == (ref.kind, ref.args, ref.name, ref.value)
+        assert ops[0].args == () and type(ops[0].value) is float
+        assert ops[1].name == ops[2].name == "" and ops[1].value is ops[2].value is None
+        assert parse_program(program_text(ops)) == ops
+
 
 class TestVectors:
     def test_vectors_deterministic_and_parseable(self, default_ms, hcfg):

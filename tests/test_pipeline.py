@@ -1,5 +1,6 @@
 """Timing model: latency, initiation interval, stalls, value/timing separation."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from hrfna import (
     InvalidProgram,
     Op,
     PipelineConfig,
+    SimState,
     TraceEvent,
     initial_state,
     make_modulus_set,
@@ -25,7 +27,9 @@ from hrfna import (
     simulate,
     validate_config,
 )
+from hrfna.formats import metrics_json, trace_csv
 from hrfna.pipeline import evaluate_program
+from hrfna.workloads import chained_mac_program
 
 
 def issue_cycles(trace):
@@ -414,3 +418,87 @@ class TestTraceOrder:
         at = [(e.unit, e.action) for e in sim.trace if e.cycle == ends[0]]
         assert at == [("scheduler", "stall"), ("norm", "norm-begin"), ("norm", "norm-end")]
         assert list(sim.trace) == sorted(sim.trace, key=trace_order_key)
+
+
+def reference_step(state, cfg):
+    """The scheduler transition written plainly: SimState(...) and state.at."""
+    cycle, fsm, ticks, norms, stages, remaining = state
+    if fsm is Fsm.NORMALIZE:
+        if remaining > 1:
+            return SimState(cycle + 1, fsm, ticks, norms, stages, remaining - 1)
+        return SimState(cycle + 1, Fsm.RESUME, ticks, norms, stages)
+    entered = state.at(cfg.detect_stage - 1)
+    if entered is not None and norms[entered] > 0:
+        stall = norms[entered] * cfg.norm_latency
+        return SimState(cycle + 1, Fsm.NORMALIZE, ticks + 1, norms, stages, stall)
+    if fsm is not Fsm.IDLE or ticks < len(norms):
+        fsm = Fsm.EXECUTE
+    return SimState(cycle + 1, fsm, ticks + 1, norms, stages)
+
+
+class TestSchedulerReference:
+    @given(st.lists(st.integers(0, 4), max_size=40), st.sampled_from(TestClosedForm.CONFIGS))
+    @settings(max_examples=300, deadline=None)
+    def test_step_matches_reference_state_for_state(self, norms, cfg):
+        state = initial_state(norms, cfg)
+        # simulate's loop bound: the last op leaves the pipe on this tick.
+        while state.ticks <= len(norms) + cfg.total_stages - 1:
+            got, want = scheduler_step(state, cfg), reference_step(state, cfg)
+            assert type(got) is SimState
+            assert tuple(got) == tuple(want)
+            assert got.fsm is want.fsm
+            assert (got.occupancy, got.next_issue, got.stall_asserted) == (
+                want.occupancy, want.next_issue, want.stall_asserted)
+            state = got
+
+
+class TestExportPins:
+    """sha256 of trace_csv and metrics_json for chained_mac_program(0, 300).
+
+    Pinned byte for byte: any change to the event order, the value_hex
+    format or the metrics breaks them.
+    """
+
+    ONE_CYCLE = PipelineConfig(norm_engine_stages=1, cycles_per_norm_stage=1)
+    SKEWED = PipelineConfig(residue_stages=6, exponent_stages=3, post_stages=2)
+    # In the envelope, with back-to-back windows of up to 4 normalizations per op.
+    NARROW = HybridConfig(alpha=Fraction(3, 8192), scale_shift_k=3, operand_bound_bits=12)
+    DEFAULT_JSON = "706abaeef05c6a3444209ecdb2053fd1f969f2648f01b0027850aca0611468d0"
+    CASES = {
+        "default": (
+            DEFAULT_MODULI, DEFAULT_CONFIG, DEFAULT_PIPELINE, 6514,
+            "f5251300df8252f213704228ba56408e48e3a9d16b69dc48ac845cea28361ca2", DEFAULT_JSON),
+        "one-cycle-engine": (
+            DEFAULT_MODULI, DEFAULT_CONFIG, ONE_CYCLE, 5074,
+            "a47a20a2f0951214d4637c2394a521b0f73cdc16a8d5de637d75fe8191fbcbb9",
+            "10fcac9532e48b1995a3e9cec1b706d8dbf173da3649cdcf48bea65d56279fef"),
+        "skewed": (
+            DEFAULT_MODULI, DEFAULT_CONFIG, SKEWED, 6514,
+            "46b2ff09c16985159fc89aba0b387805601157a9a6c22761172fe91ce39a2a2b", DEFAULT_JSON),
+        "small-primes": (
+            TestTraceOrder.SMALL_PRIMES, DEFAULT_CONFIG, DEFAULT_PIPELINE, 11314,
+            "47c10c1b32b5b5ab8e806feb7df84053ba85c988b3884e6de4c79411c2b93b75", DEFAULT_JSON),
+        "narrow": (
+            DEFAULT_MODULI, NARROW, DEFAULT_PIPELINE, 12626,
+            "b87774b3d6baf0006ae925380c9289a1339c4d1ed736f3d3a9007bfd87c3333a",
+            "7a9266160b4968944b27fc5faac7fe51b6fa20d77db67a21bb7789c33b88007f"),
+        "narrow-one-cycle-engine": (
+            DEFAULT_MODULI, NARROW, ONE_CYCLE, 7366,
+            "08110fb6b82ec3cb164efb3f543914206d82ff5510a3e29937d6b820f583abc2",
+            "adfbea21893e03d1a5f8366e939c8ecf83b27c4c539bd58e775462935ff065c3"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exports_match_pinned_bytes(self, case):
+        moduli, hcfg, pcfg, events, csv_sha, json_sha = self.CASES[case]
+        ms = make_modulus_set(moduli)
+        validate_config(ms, hcfg)
+        sim = simulate(chained_mac_program(0, 300), pcfg, hcfg, ms)
+        assert len(sim.trace) == events
+        assert hashlib.sha256(trace_csv(sim.trace).encode()).hexdigest() == csv_sha
+        assert hashlib.sha256(metrics_json(sim.metrics).encode()).hexdigest() == json_sha
+
+    def test_narrow_config_runs_back_to_back_windows(self):
+        ms = make_modulus_set(DEFAULT_MODULI)
+        _, _, norms = evaluate_program(chained_mac_program(0, 300), ms, self.NARROW)
+        assert max(norms) == 4

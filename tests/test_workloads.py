@@ -24,7 +24,7 @@ from hrfna import (
     to_real,
     validate_config,
 )
-from hrfna.pipeline import evaluate_program
+from hrfna.pipeline import Op, evaluate_program
 from hrfna.workloads import (
     _chain_exact,
     _pair_add,
@@ -154,6 +154,27 @@ class TestPipelineEquivalence:
         assert final == acc
         assert exact_value(final) == exact_value(acc)
         assert to_real(final) == to_real(acc)
+
+
+class TestChainedMacProgram:
+    def test_ops_equal_keyword_built_ops(self):
+        mults, addends = mac_sequences(4, 25)
+        want = [Op("lit", name="acc", value=1.0)]
+        for i, (m, a) in enumerate(zip(mults, addends)):
+            want += [Op("lit", name=f"m{i}", value=m), Op("lit", name=f"a{i}", value=a)]
+        prev = "acc"
+        for i in range(25):
+            want += [Op("mul", args=(prev, f"m{i}")), Op("add", args=(f"t{2 * i}", f"a{i}"))]
+            prev = f"t{2 * i + 1}"
+        got = chained_mac_program(4, 25)
+        assert got == want
+        for op, ref in zip(got, want):
+            assert type(op) is Op
+            assert (op.kind, op.args, op.name, op.value) == (ref.kind, ref.args, ref.name, ref.value)
+            assert type(op.args) is tuple
+
+    def test_empty_chain_is_the_start_literal(self):
+        assert chained_mac_program(0, 0) == [Op("lit", name="acc", value=1.0)]
 
 
 class TestMacSequences:
