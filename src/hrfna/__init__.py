@@ -49,7 +49,6 @@ from hrfna.pipeline import (
     SimResult,
     SimState,
     TraceEvent,
-    initial_state,
     metrics_report,
     scheduler_step,
     simulate,

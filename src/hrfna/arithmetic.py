@@ -13,18 +13,19 @@ signed range (|N_x * N_y| < M/2). Keeping at least one freshly encoded
 operand (|N| < 2^b) per multiplication guarantees that; debug mode audits
 it by reconstruction.
 
-Each op reads the (tau, limit) pair once and does its channel work in its
-own frame; a shift-down add that is not absorbed reconstructs through
+Each op reads the (tau, limit) pair once and does its channel work with
+the kernels of ms (rns.ModulusSet.kernels): the channel product, the
+scaled sum (r * 2^delta + s) mod m, the offset sum (n + r) mod m and the
+signed CRT. A shift-down add that is not absorbed reconstructs lo through
 signed_value and rounds through shift_round_half_even. An operand under
 another set object is first checked by rns, so a set with other moduli
-raises MismatchedSet there and an equal set built apart gives the same
-result bit for bit.
+raises MismatchedSet there, before any kernel runs, and an equal set
+built apart gives the same result bit for bit.
 """
 
 from __future__ import annotations
 
 from math import inf, log2
-from operator import add, mod, mul
 
 from hrfna import rns
 from hrfna.errors import HrfnaError
@@ -71,8 +72,7 @@ def hrfna_mul(
         rns._check_set(xm, ms)
     if ym.set_ref is not ms:
         rns._check_set(ym, ms)
-    residues = tuple(map(mod, map(mul, xm.residues, ym.residues), ms.moduli))
-    mant = _new(ResidueVector, (residues, ms))
+    mant = _new(ResidueVector, (ms.kernels.mul(xm.residues, ym.residues), ms))
     exponent, mag, sign = x.exponent + y.exponent, x.mag_log2 + y.mag_log2, x.sign * y.sign
     h = _new(HybridNum, (mant, exponent, mag, sign, None, ()))
     if debug:
@@ -109,33 +109,26 @@ def hrfna_add(
 
     hi, lo = (x, y) if x.exponent >= y.exponent else (y, x)
     delta = hi.exponent - lo.exponent
-    hm, lm, moduli = hi.mantissa, lo.mantissa, ms.moduli
+    hm, lm, kernels = hi.mantissa, lo.mantissa, ms.kernels
     if hm.set_ref is not ms:
         rns._check_set(hm, ms)
     if lm.set_ref is not ms:
         rns._check_set(lm, ms)
     limit = cfg.thresholds(ms)[1]
-    exponent, strategy = hi.exponent, ALIGN_SCALE_UP
-    if delta == 0:
-        residues = tuple(map(mod, map(add, hm.residues, lm.residues), moduli))
-    elif hi.mag_log2 + delta < limit:
+    exponent, strategy = hi.exponent, ALIGN_SHIFT_DOWN
+    if delta == 0 or hi.mag_log2 + delta < limit:
         # (r_hi * 2^delta + r_lo) mod m_i: the residues of 2^delta would give the same.
-        scaled = map((1 << delta).__mul__, hm.residues)
-        residues = tuple(map(mod, map(add, scaled, lm.residues), moduli))
-        exponent = lo.exponent
+        residues = kernels.scale_add(hm.residues, 1 << delta, lm.residues)
+        exponent, strategy = lo.exponent, ALIGN_SCALE_UP
     elif delta >= ms.composite.bit_length():
         # Absorbed: |n_lo| <= M/2 < 2^(delta-1) rounds to 0, so hi's residues stand.
-        residues, strategy = hm.residues, ALIGN_SHIFT_DOWN
+        residues = hm.residues
     else:
         # delta >= 1 at least halves |n_lo| <= M/2, so the re-encode needs no range check.
         shifted = shift_round_half_even(signed_value(lm, ms), delta)
-        residues = tuple(map(mod, map(shifted.__add__, hm.residues), moduli))
-        strategy = ALIGN_SHIFT_DOWN
+        residues = kernels.offset(shifted, hm.residues)
 
-    # signed_value's CRT sum on the bare residues, without a frame of its own.
-    n = sum(map(mul, residues, ms.crt_coeffs)) % ms.composite
-    if 2 * n >= ms.composite:
-        n -= ms.composite
+    n = kernels.signed(residues)
     mag = log2(abs(n)) if n else -inf
     mant = _new(ResidueVector, (residues, ms))
     out = _new(HybridNum, (mant, exponent, mag, (n > 0) - (n < 0), strategy, ()))

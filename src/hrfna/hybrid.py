@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import frexp, isfinite, ldexp, log2
-from operator import mul
 from typing import NamedTuple
 
 from hrfna import rns
@@ -131,14 +130,14 @@ class HybridNum(NamedTuple):
 def signed_value(rv: ResidueVector, ms: ModulusSet) -> int:
     """Symmetric signed reconstruction: n if n < M/2 else n - M.
 
-    The CRT sum is taken in this frame, as rns.crt_reconstruct takes it. A
-    vector under any other set object is first checked by rns, which refuses
-    a set with other moduli (MismatchedSet).
+    The CRT sum is ms's signed kernel, the sum rns.crt_reconstruct takes
+    with the fold to the symmetric range. A vector under any other set
+    object is first checked by rns, which refuses a set with other moduli
+    (MismatchedSet).
     """
     if rv.set_ref is not ms:
         rns._check_set(rv, ms)
-    n = sum(map(mul, rv.residues, ms.crt_coeffs)) % ms.composite
-    return n - ms.composite if 2 * n >= ms.composite else n
+    return ms.kernels.signed(rv.residues)
 
 
 def make_hybrid(
@@ -165,8 +164,8 @@ def from_real(x: float, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
     The exponent f is chosen so N = round(x * 2^-f), rounded half to even,
     lands in [2^(b-2), 2^(b-1)); zero encodes as an all-zero mantissa with
     f = 0. The round-trip error is at most 2^(f-1). A nonzero N is checked
-    against M/2 and encoded here, in this frame, as make_hybrid would do it:
-    the same residues, fields and OutOfRange message.
+    against M/2 and encoded by ms's encode kernel, as make_hybrid would do
+    it: the same residues, fields and OutOfRange message.
     """
     if not isfinite(x):
         raise rns.OutOfRange(f"cannot encode non-finite value {x!r}")
@@ -182,7 +181,7 @@ def from_real(x: float, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
         n = round(ldexp(x, -f))
     if 2 * abs(n) >= ms.composite:
         raise rns.OutOfRange(f"|{n}| not below M/2 = {ms.composite / 2}")
-    mant = _new(ResidueVector, (tuple(map(n.__mod__, ms.moduli)), ms))
+    mant = _new(ResidueVector, (ms.kernels.encode(n), ms))
     return _new(HybridNum, (mant, f, log2(abs(n)), 1 if n > 0 else -1, None, ()))
 
 

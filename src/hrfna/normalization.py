@@ -4,10 +4,10 @@ normalize reconstructs the signed mantissa, divides it by 2^k with round
 half to even, re-encodes, and raises the exponent by k, so the value moves
 by at most 2^(f+k-1). Detection has a fast mode driven by the magnitude
 estimator and an exact mode driven by reconstruction; fast mode is
-one-sided safe (it never misses a true crossing). normalize reconstructs
-through signed_value, which refuses a mantissa under a set with other
-moduli (MismatchedSet), and re-encodes in its own frame under the set it
-is given.
+one-sided safe (it never misses a true crossing). normalize refuses a
+mantissa under a set with other moduli (MismatchedSet, raised by rns),
+then reconstructs and re-encodes with the signed and encode kernels of
+the set it is given.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 from math import inf, log2
 from typing import NamedTuple
 
+from hrfna import rns
 from hrfna.errors import HrfnaError
 from hrfna.hybrid import HybridConfig, HybridNum, signed_value
 from hrfna.rns import ModulusSet, ResidueVector
@@ -56,8 +57,12 @@ def needs_normalization(
 ) -> bool:
     """Whether the mantissa magnitude has reached the threshold tau.
 
-    Fast mode fires when mag_log2 >= log2(tau) - 1.0, conservative by the
-    estimator error bound; exact mode reconstructs and tests |N| >= tau.
+    Fast mode fires when mag_log2 >= log2(tau) - 1.0; exact mode
+    reconstructs and tests |N| >= tau. The - 1.0 is not a margin for the
+    estimator's error: fast mode fires from about tau/2, so the mantissa an
+    op returns after draining stays below about tau/2. That is half of the
+    operational envelope. A survivor times a fresh operand stays inside
+    M/2 because of it, and a wider limit lets such products wrap.
     """
     tau, limit = cfg.thresholds(ms)
     if exact:
@@ -76,14 +81,16 @@ def normalize(h: HybridNum, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
     mantissa. The result is under ms even when h's mantissa is under an
     equal set built apart.
     """
-    k = cfg.scale_shift_k
-    n = signed_value(h.mantissa, ms)
+    k, hm, kernels = cfg.scale_shift_k, h.mantissa, ms.kernels
+    if hm.set_ref is not ms:
+        rns._check_set(hm, ms)
+    n = kernels.signed(hm.residues)
     n_out = shift_round_half_even(n, k)
     if n_out == 0 and n != 0:
         raise DegenerateResult(f"mantissa {n} vanished under shift {k}")
     exponent = h.exponent + k
     event = _new(NormalizationEvent, (n, n_out, k, h.exponent, exponent))
     # |n_out| <= |n|/2 + 1/2 < M/2, so the re-encode needs no range check.
-    mant = _new(ResidueVector, (tuple(map(n_out.__mod__, ms.moduli)), ms))
+    mant = _new(ResidueVector, (kernels.encode(n_out), ms))
     mag, sign = (log2(abs(n_out)) if n_out else -inf), (n_out > 0) - (n_out < 0)
     return _new(HybridNum, (mant, exponent, mag, sign, h.align_strategy, h.norm_events + (event,)))

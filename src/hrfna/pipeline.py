@@ -127,10 +127,10 @@ class SimState(NamedTuple):
     """Scheduler snapshot at the start of a cycle.
 
     The pipe only moves on advancing (non-Normalize) cycles, so after ticks
-    of them the op in stage s is ticks - 1 - s; occupancy, next_issue and
-    stall_asserted are derived from that, never stored. norms holds each
-    op's normalization count and norm_remaining the stall cycles left for
-    the op in the detect stage, counting down from norms[op] * norm_latency.
+    of them the op in stage s is ticks - 1 - s; occupancy and the issue
+    pointer follow from that and are not stored. norms holds each op's
+    normalization count and norm_remaining the stall cycles left for the
+    op in the detect stage, counting down from norms[op] * norm_latency.
     """
 
     cycle: int
@@ -139,27 +139,6 @@ class SimState(NamedTuple):
     norms: tuple
     stages: int
     norm_remaining: int = 0
-
-    def at(self, stage: int) -> int | None:
-        """Index of the issued op sitting in stage, or None for a bubble."""
-        op = self.ticks - 1 - stage
-        return op if 0 <= op < len(self.norms) else None
-
-    @property
-    def occupancy(self) -> tuple:
-        return tuple(self.at(s) for s in range(self.stages))
-
-    @property
-    def next_issue(self) -> int:
-        return min(self.ticks, len(self.norms))
-
-    @property
-    def stall_asserted(self) -> bool:
-        return self.fsm is NORMALIZE
-
-
-def initial_state(op_norms, cfg: PipelineConfig) -> SimState:
-    return SimState(0, IDLE, 0, tuple(op_norms), cfg.total_stages)
 
 
 def scheduler_step(state: SimState, cfg: PipelineConfig) -> SimState:
@@ -274,7 +253,7 @@ def simulate(program, cfg: PipelineConfig, hcfg: HybridConfig, ms: ModulusSet) -
     hex_residues = "%" + "%".join(ms.hex_formats)  # each residue as zero-padded hex
     events: list[TraceEvent] = []
     emit = events.append
-    state = initial_state(norms, cfg)
+    state = SimState(0, IDLE, 0, norms, cfg.total_stages)
     cycle, fsm, ticks, _, _, remaining = state
     # The pipe holds op ticks - 1 - s in stage s. The last op reaches the
     # last stage after n + last ticks and leaves the pipe on the next one.

@@ -4,13 +4,21 @@ Every value is a plain Python integer, so channel products and the
 reconstruction accumulator never overflow regardless of the modulus set.
 Channels never interact: each operation is applied per modulus with no
 carries between lanes.
+
+The public channel functions map one operator over the channels of any
+set and are the reference. The fused hybrid ops call ModulusSet.kernels
+instead: straight-line code generated once per set, with its moduli, CRT
+coefficients and M as literals, as a channel unit is specialised to its
+constant modulus at synthesis time. tests/test_kernels.py pins the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from operator import add, mod, mul, sub
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from hrfna.errors import HrfnaError, InvariantViolation
@@ -64,6 +72,44 @@ class ModulusSet:
     crt_coeffs: tuple[int, ...]
     hex_formats: tuple[str, ...]
 
+    @cached_property
+    def kernels(self) -> SimpleNamespace:
+        """This set's channel kernels, generated on first use and kept on the set.
+
+        On residue tuples r, s and ints n, c, with no range or set check:
+          encode(n)          (n mod m_i)
+          mul(r, s)          (r_i * s_i mod m_i)
+          scale_add(r, c, s) ((r_i * c + s_i) mod m_i)
+          offset(n, r)       ((n + r_i) mod m_i)
+          signed(r)          the CRT n = sum(r_i * crt_coeffs_i) mod M, as
+                             n - M if 2n >= M else n
+        """
+        consts = (*self.moduli, *self.crt_coeffs, self.composite)
+        if any(type(c) is not int for c in consts):  # only ints are written into code
+            raise InvariantViolation("modulus-constants", f"not all ints: {consts!r}")
+        ch = range(len(self.moduli))
+        r, s = "".join(f"r{i}, " for i in ch), "".join(f"s{i}, " for i in ch)
+        source = _KERNEL_SOURCE.format(
+            r=r,
+            s=s,
+            encode="".join(f"n % {m}, " for m in self.moduli),
+            mul="".join(f"r{i} * s{i} % {m}, " for i, m in enumerate(self.moduli)),
+            scale_add="".join(f"(r{i} * c + s{i}) % {m}, " for i, m in enumerate(self.moduli)),
+            offset="".join(f"(n + r{i}) % {m}, " for i, m in enumerate(self.moduli)),
+            crt=" + ".join(f"r{i} * {c}" for i, c in enumerate(self.crt_coeffs)),
+            M=self.composite,
+            half=(self.composite + 1) // 2,  # n >= half exactly when 2n >= M
+        )
+        namespace = {"__name__": __name__}
+        exec(compile(source, f"<kernels {self.moduli}>", "exec"), namespace)
+        return SimpleNamespace(**{name: namespace[name] for name in _KERNEL_NAMES})
+
+    def __getstate__(self):
+        """The fields without the kernels, which cannot be pickled; a copy rebuilds them."""
+        state = vars(self).copy()
+        state.pop("kernels", None)
+        return state
+
 
 class ResidueVector(NamedTuple):
     """Per-channel residues of one integer under a specific modulus set."""
@@ -73,6 +119,33 @@ class ResidueVector(NamedTuple):
 
 
 _new = tuple.__new__  # a NamedTuple from all its fields, skipping its Python-level __new__
+
+# ModulusSet.kernels fills in the channel unpacks {r}, {s}, the per-channel
+# expressions and the integer literals.
+_KERNEL_SOURCE = """\
+def encode(n):
+    return ({encode})
+
+def mul(r, s):
+    {r}= r
+    {s}= s
+    return ({mul})
+
+def scale_add(r, c, s):
+    {r}= r
+    {s}= s
+    return ({scale_add})
+
+def offset(n, r):
+    {r}= r
+    return ({offset})
+
+def signed(r):
+    {r}= r
+    n = ({crt}) % {M}
+    return n - {M} if n >= {half} else n
+"""
+_KERNEL_NAMES = ("encode", "mul", "scale_add", "offset", "signed")
 
 
 def make_modulus_set(moduli) -> ModulusSet:

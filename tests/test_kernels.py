@@ -1,0 +1,114 @@
+"""ModulusSet.kernels pinned to the map-based rns reference, bit for bit.
+
+The kernels are straight-line code generated per modulus set; the rns
+functions (encode_signed, encode_residues, mod_mul, mod_add and
+crt_reconstruct with the symmetric fold) map one operator over any set and
+are the reference. Sets are drawn pairwise coprime with 1 to 12 channels of
+at most 16 bits, and the edges are pinned as examples: one channel, the
+65535/65534 pair, and signed values at +-(M/2 - 1). Each set's kernels are
+built on first use, and an equal set built apart gets identical results.
+"""
+
+import pickle
+from dataclasses import replace
+from math import gcd
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hrfna import (
+    DEFAULT_MODULI,
+    ResidueVector,
+    crt_reconstruct,
+    encode_residues,
+    encode_signed,
+    make_modulus_set,
+    mod_add,
+    mod_mul,
+)
+from hrfna.errors import InvariantViolation
+
+TWELVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@st.composite
+def coprime_moduli(draw):
+    """1 to 12 pairwise-coprime moduli in [2, 65535], kept in draw order."""
+    width = draw(st.integers(1, 12))
+    moduli = []
+    for candidate in draw(st.lists(st.integers(2, 65535), min_size=width, max_size=60)):
+        if all(gcd(candidate, m) == 1 for m in moduli):
+            moduli.append(candidate)
+            if len(moduli) == width:
+                break
+    return tuple(moduli)
+
+
+def ref_signed(residues, ms):
+    n = crt_reconstruct(ResidueVector(residues, ms), ms)
+    return n - ms.composite if 2 * n >= ms.composite else n
+
+
+def ref_encode_any(n, ms):
+    """Residues of any integer n, through the reference encoder of n mod M."""
+    return encode_residues(n % ms.composite, ms)
+
+
+def residues_of(ms):
+    return st.tuples(*(st.integers(0, m - 1) for m in ms.moduli))
+
+
+@given(coprime_moduli(), st.data())
+@settings(max_examples=300, deadline=None)
+@example((7,), None)
+@example((65535,), None)
+@example((65535, 65534), None)
+@example(DEFAULT_MODULI, None)
+@example(TWELVE_PRIMES, None)
+def test_kernels_match_reference(moduli, data):
+    ms, twin = make_modulus_set(moduli), make_modulus_set(moduli)
+    assert "kernels" not in vars(ms)  # built on first use, never by make_modulus_set
+    assert ms.kernels is ms.kernels and twin.kernels is not ms.kernels
+    half = (ms.composite - 1) // 2  # the largest |n| with 2|n| < M
+    ns = [half, -half, 0, min(1, half), -min(1, half)]
+    # All m_i - 1, all 0, and M // 2, which reads -M/2 when M is even.
+    residues = [tuple(m - 1 for m in moduli), tuple(0 for _ in moduli)]
+    residues.append(encode_residues(ms.composite // 2, ms).residues)
+    cs = [1, 2, 1 << 80]
+    if data is not None:
+        ns.append(data.draw(st.integers(-half, half), label="n"))
+        residues += [data.draw(residues_of(ms), label="r"), data.draw(residues_of(ms), label="s")]
+        cs.append(1 << data.draw(st.integers(0, 80), label="delta"))
+
+    # An equal set built apart generates its own kernels, with identical results.
+    for k in (ms.kernels, twin.kernels):
+        for n in ns:
+            assert k.encode(n) == encode_signed(n, ms).residues
+            assert k.signed(k.encode(n)) == n
+        for r in residues:
+            rv = ResidueVector(r, ms)
+            assert k.signed(r) == ref_signed(r, ms)
+            for s in residues:
+                sv = ResidueVector(s, ms)
+                assert k.mul(r, s) == mod_mul(rv, sv, ms).residues
+                for c in cs:
+                    want = mod_add(mod_mul(rv, ref_encode_any(c, ms), ms), sv, ms).residues
+                    assert k.scale_add(r, c, s) == want
+            for n in ns + [ms.composite, -(1 << 80)]:
+                assert k.offset(n, r) == mod_add(ref_encode_any(n, ms), rv, ms).residues
+
+
+def test_only_int_constants_reach_the_generated_source():
+    ms = make_modulus_set((3, 5, 7))
+    forged = replace(ms, moduli=("3, __import__('os')", 5, 7))
+    with pytest.raises(InvariantViolation, match="modulus-constants"):
+        forged.kernels
+
+
+def test_a_set_with_kernels_pickles_without_them():
+    ms = make_modulus_set(DEFAULT_MODULI)
+    ms.kernels
+    copy = pickle.loads(pickle.dumps(ms))
+    assert copy == ms and "kernels" not in vars(copy)
+    assert copy.kernels.signed(copy.kernels.encode(-12345)) == -12345

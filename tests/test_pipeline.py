@@ -20,7 +20,6 @@ from hrfna import (
     PipelineConfig,
     SimState,
     TraceEvent,
-    initial_state,
     make_modulus_set,
     metrics_report,
     scheduler_step,
@@ -38,6 +37,30 @@ def issue_cycles(trace):
 
 def retire_cycles(trace):
     return {e.op: e.cycle for e in trace if e.unit == "scheduler" and e.action == "retire"}
+
+
+# Scheduler-state oracles: what a SimState implies about the pipe, derived
+# from its fields alone (the op in stage s is ticks - 1 - s).
+def initial_state(op_norms, cfg):
+    return SimState(0, Fsm.IDLE, 0, tuple(op_norms), cfg.total_stages)
+
+
+def at(state, stage):
+    """Index of the issued op sitting in stage, or None for a bubble."""
+    op = state.ticks - 1 - stage
+    return op if 0 <= op < len(state.norms) else None
+
+
+def occupancy(state):
+    return tuple(at(state, s) for s in range(state.stages))
+
+
+def next_issue(state):
+    return min(state.ticks, len(state.norms))
+
+
+def stall_asserted(state):
+    return state.fsm is Fsm.NORMALIZE
 
 
 def mul_stream(n, value=1.5):
@@ -159,14 +182,14 @@ class TestSchedulerFsm:
         assert state.fsm is Fsm.IDLE
         nxt = scheduler_step(state, pcfg)
         assert nxt.fsm is Fsm.EXECUTE
-        assert nxt.occupancy[0] == 0
+        assert occupancy(nxt)[0] == 0
 
     def test_idle_persists_without_issues(self, pcfg):
         state = initial_state((), pcfg)
         for _ in range(5):
             state = scheduler_step(state, pcfg)
             assert state.fsm is Fsm.IDLE
-            assert not any(state.occupancy)
+            assert not any(occupancy(state))
 
     def test_normalize_to_resume_after_six_cycles(self, pcfg):
         state = initial_state((1,), pcfg)
@@ -194,7 +217,7 @@ class TestSchedulerFsm:
         state = initial_state((1, 0, 0), pcfg)
         for _ in range(60):
             state = scheduler_step(state, pcfg)
-            assert state.stall_asserted == (state.fsm is Fsm.NORMALIZE)
+            assert stall_asserted(state) == (state.fsm is Fsm.NORMALIZE)
 
 
 class TestClosedForm:
@@ -225,10 +248,10 @@ class TestClosedForm:
         for _ in range(len(norms) + L + S * sum(norms)):
             nxt = scheduler_step(state, cfg)
             if state.fsm is not Fsm.NORMALIZE:
-                if nxt.next_issue > state.next_issue:
-                    issue[state.next_issue] = state.cycle
-                if state.occupancy[-1] is not None:
-                    retire[state.occupancy[-1]] = state.cycle
+                if next_issue(nxt) > next_issue(state):
+                    issue[next_issue(state)] = state.cycle
+                if occupancy(state)[-1] is not None:
+                    retire[occupancy(state)[-1]] = state.cycle
             state = nxt
         assert issue == {j: j + S * P(j) for j in range(len(norms))}
         assert retire == {j: j + L + S * P(j + L) for j in range(len(norms))}
@@ -421,13 +444,13 @@ class TestTraceOrder:
 
 
 def reference_step(state, cfg):
-    """The scheduler transition written plainly: SimState(...) and state.at."""
+    """The scheduler transition written plainly: SimState(...) and at(state, stage)."""
     cycle, fsm, ticks, norms, stages, remaining = state
     if fsm is Fsm.NORMALIZE:
         if remaining > 1:
             return SimState(cycle + 1, fsm, ticks, norms, stages, remaining - 1)
         return SimState(cycle + 1, Fsm.RESUME, ticks, norms, stages)
-    entered = state.at(cfg.detect_stage - 1)
+    entered = at(state, cfg.detect_stage - 1)
     if entered is not None and norms[entered] > 0:
         stall = norms[entered] * cfg.norm_latency
         return SimState(cycle + 1, Fsm.NORMALIZE, ticks + 1, norms, stages, stall)
@@ -447,8 +470,8 @@ class TestSchedulerReference:
             assert type(got) is SimState
             assert tuple(got) == tuple(want)
             assert got.fsm is want.fsm
-            assert (got.occupancy, got.next_issue, got.stall_asserted) == (
-                want.occupancy, want.next_issue, want.stall_asserted)
+            assert (occupancy(got), next_issue(got), stall_asserted(got)) == (
+                occupancy(want), next_issue(want), stall_asserted(want))
             state = got
 
 
