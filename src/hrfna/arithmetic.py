@@ -15,9 +15,10 @@ it by reconstruction.
 
 Each op reads the (tau, limit) pair once and does its channel work with
 the kernels of ms (rns.ModulusSet.kernels): the channel product, the
-scaled sum (r * 2^delta + s) mod m, the offset sum (n + r) mod m and the
-signed CRT. A shift-down add that is not absorbed reconstructs lo through
-signed_value and rounds through shift_round_half_even. An operand under
+scaled sum (r * 2^delta + s) mod m and the signed CRT. A shift-down add
+that is not absorbed is one shift_add call, which reconstructs lo, rounds
+it half to even, adds it into hi per channel and reconstructs the sum;
+normalize drains through one drain call. An operand under
 another set object is first checked by rns, so a set with other moduli
 raises MismatchedSet there, before any kernel runs, and an equal set
 built apart gives the same result bit for bit.
@@ -119,16 +120,15 @@ def hrfna_add(
     if delta == 0 or hi.mag_log2 + delta < limit:
         # (r_hi * 2^delta + r_lo) mod m_i: the residues of 2^delta would give the same.
         residues = kernels.scale_add(hm.residues, 1 << delta, lm.residues)
+        n = kernels.signed(residues)
         exponent, strategy = lo.exponent, ALIGN_SCALE_UP
     elif delta >= ms.composite.bit_length():
         # Absorbed: |n_lo| <= M/2 < 2^(delta-1) rounds to 0, so hi's residues stand.
         residues = hm.residues
+        n = kernels.signed(residues)
     else:
-        # delta >= 1 at least halves |n_lo| <= M/2, so the re-encode needs no range check.
-        shifted = shift_round_half_even(signed_value(lm, ms), delta)
-        residues = kernels.offset(shifted, hm.residues)
-
-    n = kernels.signed(residues)
+        # lo rounded by 2^delta, 1 <= delta < M.bit_length(), added into hi per channel.
+        residues, n = kernels.shift_add(hm.residues, lm.residues, delta)
     mag = log2(abs(n)) if n else -inf
     mant = _new(ResidueVector, (residues, ms))
     out = _new(HybridNum, (mant, exponent, mag, (n > 0) - (n < 0), strategy, ()))

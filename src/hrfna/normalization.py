@@ -6,8 +6,9 @@ by at most 2^(f+k-1). Detection has a fast mode driven by the magnitude
 estimator and an exact mode driven by reconstruction; fast mode is
 one-sided safe (it never misses a true crossing). normalize refuses a
 mantissa under a set with other moduli (MismatchedSet, raised by rns),
-then reconstructs and re-encodes with the signed and encode kernels of
-the set it is given.
+then reconstructs, rounds and re-encodes in one call of the drain kernel
+of the set it is given (rns.ModulusSet.kernels); shift_round_half_even is
+the reference that kernel is pinned to.
 """
 
 from __future__ import annotations
@@ -81,16 +82,15 @@ def normalize(h: HybridNum, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
     mantissa. The result is under ms even when h's mantissa is under an
     equal set built apart.
     """
-    k, hm, kernels = cfg.scale_shift_k, h.mantissa, ms.kernels
+    k, hm = cfg.scale_shift_k, h.mantissa
     if hm.set_ref is not ms:
         rns._check_set(hm, ms)
-    n = kernels.signed(hm.residues)
-    n_out = shift_round_half_even(n, k)
+    # |n_out| <= |n|/2 + 1/2 < M/2, so the re-encode needs no range check.
+    n, n_out, residues = ms.kernels.drain(hm.residues, k)
     if n_out == 0 and n != 0:
         raise DegenerateResult(f"mantissa {n} vanished under shift {k}")
     exponent = h.exponent + k
     event = _new(NormalizationEvent, (n, n_out, k, h.exponent, exponent))
-    # |n_out| <= |n|/2 + 1/2 < M/2, so the re-encode needs no range check.
-    mant = _new(ResidueVector, (kernels.encode(n_out), ms))
+    mant = _new(ResidueVector, (residues, ms))
     mag, sign = (log2(abs(n_out)) if n_out else -inf), (n_out > 0) - (n_out < 0)
     return _new(HybridNum, (mant, exponent, mag, sign, h.align_strategy, h.norm_events + (event,)))

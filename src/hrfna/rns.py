@@ -9,7 +9,11 @@ The public channel functions map one operator over the channels of any
 set and are the reference. The fused hybrid ops call ModulusSet.kernels
 instead: straight-line code generated once per set, with its moduli, CRT
 coefficients and M as literals, as a channel unit is specialised to its
-constant modulus at synthesis time. tests/test_kernels.py pins the two.
+constant modulus at synthesis time. Two kernels are whole datapath units:
+drain (reconstruct, round by 2^k, re-encode) is the normalization engine
+and shift_add (reconstruct, round by 2^d, add per channel, reconstruct the
+sum) the alignment shifter. tests/test_kernels.py pins the kernels to the
+reference and to normalization.shift_round_half_even.
 """
 
 from __future__ import annotations
@@ -76,13 +80,21 @@ class ModulusSet:
     def kernels(self) -> SimpleNamespace:
         """This set's channel kernels, generated on first use and kept on the set.
 
-        On residue tuples r, s and ints n, c, with no range or set check:
+        On residue tuples r, s and ints n, c, k, d, with no range or set check:
           encode(n)          (n mod m_i)
           mul(r, s)          (r_i * s_i mod m_i)
           scale_add(r, c, s) ((r_i * c + s_i) mod m_i)
-          offset(n, r)       ((n + r_i) mod m_i)
           signed(r)          the CRT n = sum(r_i * crt_coeffs_i) mod M, as
                              n - M if 2n >= M else n
+          drain(r, k)        (n, q, (q mod m_i)) for n = signed(r) and q its
+                             quotient by 2^k rounded half to even; needs
+                             k >= 1, and from k >= M.bit_length() on q is 0
+                             without 2^k being built
+          shift_add(s, r, d) (t, signed(t)) for t_i = (s_i + q) mod m_i, q
+                             being signed(r) / 2^d rounded half to even;
+                             needs 1 <= d < M.bit_length()
+        The rounding is a floor shift with a carry,
+        (n + 2^(d-1) - 1 + ((n >> d) & 1)) >> d, exact for either sign of n.
         """
         consts = (*self.moduli, *self.crt_coeffs, self.composite)
         if any(type(c) is not int for c in consts):  # only ints are written into code
@@ -95,10 +107,13 @@ class ModulusSet:
             encode="".join(f"n % {m}, " for m in self.moduli),
             mul="".join(f"r{i} * s{i} % {m}, " for i, m in enumerate(self.moduli)),
             scale_add="".join(f"(r{i} * c + s{i}) % {m}, " for i, m in enumerate(self.moduli)),
-            offset="".join(f"(n + r{i}) % {m}, " for i, m in enumerate(self.moduli)),
+            encode_q="".join(f"q % {m}, " for m in self.moduli),
+            zeros="0, " * len(self.moduli),
+            add_q="".join(f"(s{i} + q) % {m}, " for i, m in enumerate(self.moduli)),
             crt=" + ".join(f"r{i} * {c}" for i, c in enumerate(self.crt_coeffs)),
             M=self.composite,
             half=(self.composite + 1) // 2,  # n >= half exactly when 2n >= M
+            top=self.composite.bit_length(),
         )
         namespace = {"__name__": __name__}
         exec(compile(source, f"<kernels {self.moduli}>", "exec"), namespace)
@@ -136,16 +151,33 @@ def scale_add(r, c, s):
     {s}= s
     return ({scale_add})
 
-def offset(n, r):
-    {r}= r
-    return ({offset})
-
 def signed(r):
     {r}= r
     n = ({crt}) % {M}
     return n - {M} if n >= {half} else n
+
+def drain(r, k):
+    {r}= r
+    n = ({crt}) % {M}
+    if n >= {half}:
+        n -= {M}
+    if k >= {top}:  # |n| <= M/2 < 2^(k-1) rounds to 0
+        return n, 0, ({zeros})
+    q = (n + (1 << (k - 1)) - 1 + ((n >> k) & 1)) >> k
+    return n, q, ({encode_q})
+
+def shift_add(s, r, d):
+    {r}= r
+    q = ({crt}) % {M}
+    if q >= {half}:
+        q -= {M}
+    q = (q + (1 << (d - 1)) - 1 + ((q >> d) & 1)) >> d
+    {s}= s
+    {r}= t = ({add_q})
+    n = ({crt}) % {M}
+    return t, n - {M} if n >= {half} else n
 """
-_KERNEL_NAMES = ("encode", "mul", "scale_add", "offset", "signed")
+_KERNEL_NAMES = ("encode", "mul", "scale_add", "signed", "drain", "shift_add")
 
 
 def make_modulus_set(moduli) -> ModulusSet:

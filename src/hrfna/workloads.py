@@ -47,9 +47,15 @@ def _pair_add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 
 
 def _compose(f, g):
-    """The affine map x -> m*x + a of g applied after f, as a (m, a) pair of pairs."""
-    (m_f, a_f), (m_g, a_g) = f, g
-    return _pair_mul(m_f, m_g), _pair_add(_pair_mul(a_f, m_g), a_g)
+    """The affine map x -> m*x + a of g applied after f, as a (m, a) pair of pairs.
+
+    The pair arithmetic of _pair_mul(m_f, m_g) and
+    _pair_add(_pair_mul(a_f, m_g), a_g), written out in this frame.
+    """
+    ((m_f, s_f), (a_f, t_f)), ((m_g, s_g), (a_g, t_g)) = f, g
+    t = t_f + s_g  # the shift of a_f * m_g
+    low = min(t, t_g)
+    return (m_f * m_g, s_f + s_g), (((a_f * m_g) << (t - low)) + (a_g << (t_g - low)), low)
 
 
 def _chain_exact(start: tuple[int, int], steps: list) -> tuple[int, int]:
@@ -143,6 +149,7 @@ def run_mac_chain(mults, addends, ms: ModulusSet, cfg: HybridConfig) -> DriftRep
     if len(mults) != len(addends):
         raise LengthMismatch(f"{len(mults)} multipliers vs {len(addends)} addends")
 
+    signed = ms.kernels.signed  # from_real builds under ms: no set check needed
     acc = hybrid.from_real(1.0, ms, cfg)
     start = hybrid.signed_value(acc.mantissa, ms), acc.exponent
     steps = []
@@ -157,8 +164,8 @@ def run_mac_chain(mults, addends, ms: ModulusSet, cfg: HybridConfig) -> DriftRep
         norm_events += len(acc.norm_events)
         strategies[acc.align_strategy] = strategies.get(acc.align_strategy, 0) + 1
         steps.append((
-            (hybrid.signed_value(hm.mantissa, ms), hm.exponent),
-            (hybrid.signed_value(ha.mantissa, ms), ha.exponent),
+            (signed(hm.mantissa.residues), hm.exponent),
+            (signed(ha.mantissa.residues), ha.exponent),
         ))
 
     approx = hybrid.signed_value(acc.mantissa, ms), acc.exponent
@@ -213,6 +220,7 @@ def dot_product(
     if not xs:
         raise LengthMismatch("empty input")
 
+    signed = ms.kernels.signed  # from_real builds under ms: no set check needed
     acc: HybridNum | None = None
     exact = (0, 0)
     norm_events = 0
@@ -222,11 +230,8 @@ def dot_product(
         hy = hybrid.from_real(y, ms, cfg)
         prod = arithmetic.hrfna_mul(hx, hy, ms, cfg)
         norm_events += len(prod.norm_events)
-        term = (
-            hybrid.signed_value(hx.mantissa, ms) * hybrid.signed_value(hy.mantissa, ms),
-            hx.exponent + hy.exponent,
-        )
-        exact = _pair_add(exact, term)
+        term = signed(hx.mantissa.residues) * signed(hy.mantissa.residues)
+        exact = _pair_add(exact, (term, hx.exponent + hy.exponent))
         if acc is None:
             acc = prod
         else:

@@ -3,9 +3,10 @@ from hypothesis import settings
 
 from hrfna import DEFAULT_CONFIG, DEFAULT_MODULI, DEFAULT_PIPELINE, make_modulus_set
 
-# CI runs the reference-op pins (tests/test_reference_ops.py) harder with
-# --hypothesis-profile=ci; those pins read their example count from the
-# active profile and run 400 examples under the default one.
+# CI runs the reference-op and kernel pins (tests/test_reference_ops.py,
+# tests/test_kernels.py) harder with --hypothesis-profile=ci; those pins read
+# their example count from the active profile and run 400 and 300 examples
+# under the default one.
 settings.register_profile("ci", max_examples=4000)
 
 

@@ -3,10 +3,14 @@
 The kernels are straight-line code generated per modulus set; the rns
 functions (encode_signed, encode_residues, mod_mul, mod_add and
 crt_reconstruct with the symmetric fold) map one operator over any set and
-are the reference. Sets are drawn pairwise coprime with 1 to 12 channels of
-at most 16 bits, and the edges are pinned as examples: one channel, the
-65535/65534 pair, and signed values at +-(M/2 - 1). Each set's kernels are
-built on first use, and an equal set built apart gets identical results.
+are the reference, with shift_round_half_even for the rounding of drain and
+shift_add. Sets are drawn pairwise coprime with 1 to 12 channels of at most
+16 bits, and the edges are pinned as examples: one channel, the 65535/65534
+pair, and signed values at +-(M/2 - 1). Each set's kernels are built on
+first use, and an equal set built apart gets identical results.
+
+The hypothesis pins run KERNEL_EXAMPLES examples each: 300, or more when
+the active profile asks for more (tests/conftest.py registers CI's "ci").
 """
 
 import pickle
@@ -26,10 +30,12 @@ from hrfna import (
     make_modulus_set,
     mod_add,
     mod_mul,
+    shift_round_half_even,
 )
 from hrfna.errors import InvariantViolation
 
 TWELVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+KERNEL_EXAMPLES = max(300, settings.default.max_examples)
 
 
 @st.composite
@@ -59,8 +65,15 @@ def residues_of(ms):
     return st.tuples(*(st.integers(0, m - 1) for m in ms.moduli))
 
 
+def ties(d, half):
+    """The ties +-(2q+1) * 2^(d-1) for q = 0, 1 and the largest q, with |n| <= half."""
+    step = 1 << (d - 1)
+    odd = {1, 3, ((half // step - 1) // 2) * 2 + 1}
+    return sorted(t for o in odd for t in (o * step, -o * step) if 0 < o * step <= half)
+
+
 @given(coprime_moduli(), st.data())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=KERNEL_EXAMPLES, deadline=None)
 @example((7,), None)
 @example((65535,), None)
 @example((65535, 65534), None)
@@ -95,8 +108,22 @@ def test_kernels_match_reference(moduli, data):
                 for c in cs:
                     want = mod_add(mod_mul(rv, ref_encode_any(c, ms), ms), sv, ms).residues
                     assert k.scale_add(r, c, s) == want
-            for n in ns + [ms.composite, -(1 << 80)]:
-                assert k.offset(n, r) == mod_add(ref_encode_any(n, ms), rv, ms).residues
+
+    # drain and shift_add: every shift they accept, on each residue tuple
+    # above, on n at +-(M-1)//2 and 0, +-1, and on the ties at each shift.
+    top = ms.composite.bit_length()
+    inputs = [(r, ref_signed(r, ms)) for r in residues]
+    inputs += [(encode_signed(n, ms).residues, n) for n in ns]
+    for d in range(1, top + 2):
+        for r, n in inputs + [(encode_signed(t, ms).residues, t) for t in ties(d, half)]:
+            q = shift_round_half_even(n, d)
+            qv = encode_signed(q, ms)
+            assert ms.kernels.drain(r, d) == twin.kernels.drain(r, d) == (n, q, qv.residues)
+            if d < top:  # the last residue tuple is the drawn s, or M // 2's
+                t = mod_add(ResidueVector(residues[-1], ms), qv, ms).residues
+                summed = t, ref_signed(t, ms)
+                assert ms.kernels.shift_add(residues[-1], r, d) == summed
+                assert twin.kernels.shift_add(residues[-1], r, d) == summed
 
 
 def test_only_int_constants_reach_the_generated_source():

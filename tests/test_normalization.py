@@ -74,6 +74,17 @@ class TestNormalize:
         with pytest.raises(DegenerateResult):
             normalize(make_hybrid(1, 0, default_ms), default_ms, hcfg)
 
+    def test_shift_past_m_vanishes_unvalidated(self, default_ms):
+        # k >= b fails validate_config, but normalize never reads the thresholds,
+        # so the shift reaches it; every nonzero mantissa rounds to 0, and a
+        # 2^k-sized number is never built.
+        cfg = HybridConfig(Fraction(3, 8192), 10**6, 12)
+        half = (default_ms.composite - 1) // 2
+        for n in (1, -1, half, -half):
+            with pytest.raises(DegenerateResult, match=f"mantissa {n} vanished under shift {10**6}"):
+                normalize(make_hybrid(n, 0, default_ms), default_ms, cfg)
+        assert normalize(make_hybrid(0, 0, default_ms), default_ms, cfg).exponent == 10**6
+
     def test_zero_passes_through(self, default_ms, hcfg):
         out = normalize(make_hybrid(0, 3, default_ms), default_ms, hcfg)
         assert signed_value(out.mantissa, default_ms) == 0

@@ -214,10 +214,23 @@ class TestSchedulerFsm:
                 break
 
     def test_stall_asserted_only_in_normalize(self, pcfg):
-        state = initial_state((1, 0, 0), pcfg)
-        for _ in range(60):
-            state = scheduler_step(state, pcfg)
-            assert stall_asserted(state) == (state.fsm is Fsm.NORMALIZE)
+        """simulate stamps one stall event on each cycle whose state is Normalize, and no other.
+
+        The narrow config has back-to-back windows: Normalize runs of up to
+        four of them.
+        """
+        ms = make_modulus_set(DEFAULT_MODULI)
+        for hcfg in (DEFAULT_CONFIG, TestExportPins.NARROW):
+            validate_config(ms, hcfg)
+            sim = simulate(chained_mac_program(0, 300), pcfg, hcfg, ms)
+            stalls = [e.cycle for e in sim.trace if (e.unit, e.action) == ("scheduler", "stall")]
+            state, asserted = initial_state([len(v.norm_events) for v in sim.results], pcfg), []
+            while state.cycle <= sim.trace[-1].cycle:
+                if stall_asserted(state):
+                    asserted.append(state.cycle)
+                state = scheduler_step(state, pcfg)
+            assert stalls == asserted
+            assert len(asserted) == sim.metrics.stall_cycles > 0
 
 
 class TestClosedForm:

@@ -32,7 +32,6 @@ from hrfna import (
     NormalizationEvent,
     OutOfRange,
     ResidueVector,
-    arithmetic,
     crt_reconstruct,
     encode_signed,
     from_real,
@@ -296,17 +295,21 @@ class TestAgainstChannelOps:
         """Shift-down gaps around L = M.bit_length(): from L on, lo is absorbed unreconstructed.
 
         |n_lo| <= M/2 < 2^(L-1) rounds to 0 under any shift >= L, so the sum is
-        hi's residues; below L, lo is reconstructed once and may still count.
+        hi's residues; below L, lo is reconstructed once, by the set's shift_add
+        kernel, and may still count.
         """
         reconstructed = []
 
-        def counting(rv, ms):
-            reconstructed.append(rv)
-            return signed_value(rv, ms)
+        def counted(shift_add):
+            def counting(s, r, d):
+                reconstructed.append(r)
+                return shift_add(s, r, d)
 
-        monkeypatch.setattr(arithmetic, "signed_value", counting)
+            return counting
+
         for name in sorted(SETS):
             ms, cfg = built(name)
+            monkeypatch.setattr(ms.kernels, "shift_add", counted(ms.kernels.shift_add))
             top, tau = ms.composite.bit_length(), tau_and_limit(ms, cfg)[0]
             half, quarter = (ms.composite - 1) // 2, 1 << (top - 2)
             for hi in (make_hybrid(tau // 2 - 9, 0, ms), make_hybrid(-2047, 5, ms)):
