@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from hrfna import rns
 from hrfna.errors import InvariantViolation
-from hrfna.rns import ModulusSet, ResidueVector
+from hrfna.rns import FRESH_MEMO_SIZE, ModulusSet, ResidueVector
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -164,8 +164,10 @@ def from_real(x: float, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
     The exponent f is chosen so N = round(x * 2^-f), rounded half to even,
     lands in [2^(b-2), 2^(b-1)); zero encodes as an all-zero mantissa with
     f = 0. The round-trip error is at most 2^(f-1). A nonzero N is checked
-    against M/2 and encoded by ms's encode kernel, as make_hybrid would do
-    it: the same residues, fields and OutOfRange message.
+    against M/2, with make_hybrid's OutOfRange message, and then read from
+    ms.fresh, the set's forward-conversion table. A miss builds the entry
+    with ms's encode kernel, the residues and fields make_hybrid would
+    give, and stores it while the table is below rns.FRESH_MEMO_SIZE.
     """
     if not isfinite(x):
         raise rns.OutOfRange(f"cannot encode non-finite value {x!r}")
@@ -181,8 +183,14 @@ def from_real(x: float, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
         n = round(ldexp(x, -f))
     if 2 * abs(n) >= ms.composite:
         raise rns.OutOfRange(f"|{n}| not below M/2 = {ms.composite / 2}")
-    mant = _new(ResidueVector, (ms.kernels.encode(n), ms))
-    return _new(HybridNum, (mant, f, log2(abs(n)), 1 if n > 0 else -1, None, ()))
+    fresh = ms.fresh
+    entry = fresh.get(n)
+    if entry is None:
+        entry = _new(ResidueVector, (ms.kernels.encode(n), ms)), log2(abs(n)), 1 if n > 0 else -1
+        if len(fresh) < FRESH_MEMO_SIZE:
+            fresh[n] = entry
+    mant, mag, sign = entry
+    return _new(HybridNum, (mant, f, mag, sign, None, ()))
 
 
 def to_real(h: HybridNum) -> float:

@@ -14,6 +14,13 @@ drain (reconstruct, round by 2^k, re-encode) is the normalization engine
 and shift_add (reconstruct, round by 2^d, add per channel, reconstruct the
 sum) the alignment shifter. tests/test_kernels.py pins the kernels to the
 reference and to normalization.shift_round_half_even.
+
+ModulusSet.fresh is the forward converter for fresh operands. A b-bit
+operand has only 2^b encodings, so a hardware forward converter for
+narrow inputs is a lookup table. hybrid.from_real keeps one per set: each
+fresh mantissa's residue vector, magnitude estimate and sign, built once
+through the encode kernel and shared from then on, up to FRESH_MEMO_SIZE
+mantissas.
 """
 
 from __future__ import annotations
@@ -31,6 +38,10 @@ from hrfna.errors import HrfnaError, InvariantViolation
 MAX_MODULUS_BITS = 16
 
 DEFAULT_MODULI = (4093, 4095, 4091)
+
+# At most this many mantissas in a set's fresh-operand memo (ModulusSet.fresh):
+# the whole window at b = 14, four times the default config's window (b = 12).
+FRESH_MEMO_SIZE = 8192
 
 
 class ModulusTooSmall(InvariantViolation):
@@ -68,6 +79,9 @@ class ModulusSet:
     per channel with M_i = M / m_i and y_i = M_i^-1 mod m_i; crt_coeffs
     holds M_i * y_i mod M per channel; hex_formats holds the format spec
     that prints a channel's residue as zero-padded hex as wide as m_i.
+
+    kernels and fresh are made on first use and kept on the set; equality,
+    hashing, pickles and copies see only the fields.
     """
 
     moduli: tuple[int, ...]
@@ -119,10 +133,32 @@ class ModulusSet:
         exec(compile(source, f"<kernels {self.moduli}>", "exec"), namespace)
         return SimpleNamespace(**{name: namespace[name] for name in _KERNEL_NAMES})
 
+    @cached_property
+    def fresh(self) -> dict:
+        """The forward-conversion lookup table: hybrid.from_real's memo, empty on first use.
+
+        It maps a fresh signed mantissa n, one in 2^(b-2) <= |n| < 2^(b-1),
+        to (ResidueVector(kernels.encode(n), self), log2(|n|), sign). The
+        vectors are immutable and shared by every value built from n.
+        from_real stores an entry only after n has passed its OutOfRange
+        check, and only while the memo holds fewer than FRESH_MEMO_SIZE
+        entries; past that a miss is built through the kernel and not kept.
+        The bound keeps the memo's size independent of how much data is
+        encoded: a window holds 2^(b-1) mantissas, 2048 at the default
+        b = 12, but a wide set admits b up to about M.bit_length() / 2.
+
+        Each stored vector refers back to this set, so a set with a filled
+        memo is freed by the cyclic garbage collector, not by its reference
+        count. Pickles and copies leave the memo out (see __getstate__) and
+        build their own, whose vectors refer to the copy.
+        """
+        return {}
+
     def __getstate__(self):
-        """The fields without the kernels, which cannot be pickled; a copy rebuilds them."""
+        """The fields alone: the kernels cannot be pickled, and a copy builds its own memo."""
         state = vars(self).copy()
         state.pop("kernels", None)
+        state.pop("fresh", None)
         return state
 
 

@@ -222,7 +222,7 @@ def dot_product(
 
     signed = ms.kernels.signed  # from_real builds under ms: no set check needed
     acc: HybridNum | None = None
-    exact = (0, 0)
+    terms, shifts = [], []
     norm_events = 0
     strategies: dict[str, int] = {}
     for x, y in zip(xs, ys):
@@ -230,8 +230,8 @@ def dot_product(
         hy = hybrid.from_real(y, ms, cfg)
         prod = arithmetic.hrfna_mul(hx, hy, ms, cfg)
         norm_events += len(prod.norm_events)
-        term = signed(hx.mantissa.residues) * signed(hy.mantissa.residues)
-        exact = _pair_add(exact, (term, hx.exponent + hy.exponent))
+        terms.append(signed(hx.mantissa.residues) * signed(hy.mantissa.residues))
+        shifts.append(hx.exponent + hy.exponent)
         if acc is None:
             acc = prod
         else:
@@ -239,6 +239,9 @@ def dot_product(
             norm_events += len(acc.norm_events)
             strategies[acc.align_strategy] = strategies.get(acc.align_strategy, 0) + 1
 
+    # The (numerator, shift) pair a _pair_add fold from (0, 0) gives: it never reduces.
+    low = min(0, *shifts)
+    exact = sum(t << (s - low) for t, s in zip(terms, shifts)), low
     rel = relative_error((hybrid.signed_value(acc.mantissa, ms), acc.exponent), exact)
     bound = Fraction(len(xs), 2 ** (cfg.operand_bound_bits - 3))
     report = DriftReport(

@@ -13,7 +13,11 @@ The hypothesis pins run PIN_EXAMPLES examples each: 400, or more when the
 active profile asks for more (tests/conftest.py registers CI's "ci").
 """
 
+import copy
+import gc
 import math
+import pickle
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -47,6 +51,7 @@ from hrfna import (
     signed_value,
     validate_config,
 )
+from hrfna.rns import FRESH_MEMO_SIZE
 from hrfna.workloads import mac_sequences
 
 SETS = {
@@ -409,3 +414,100 @@ class TestForeignOperands:
         assert fields(normalize(big, default_ms, hcfg)) == fields(
             normalize(make_hybrid(2**30, 0, default_ms), default_ms, hcfg)
         )
+
+
+class TestFreshMemo:
+    """from_real's forward-conversion table (ModulusSet.fresh), one per set object.
+
+    A miss and then a hit give every field of the reference, under the set
+    that was passed in; the table is made on first use, holds no refused
+    mantissa, stops at FRESH_MEMO_SIZE, and is left out of pickles and copies.
+    """
+
+    @staticmethod
+    def window_edges(b):
+        """Reals at the edges of the b-bit window and, last, ones that round up to 2^(b-1)."""
+        low, top = 1 << (b - 2), 1 << (b - 1)
+        for f in (-b - 40, -b, 0, 7):
+            for n in (low, top - 1, top - 0.5, top - 0.25):
+                for sign in (1, -1):
+                    yield math.ldexp(sign * n, f)
+
+    def test_miss_then_hit(self):
+        for name, (moduli, cfg) in sorted(SETS.items()):
+            xs = [*self.window_edges(cfg.operand_bound_bits), 0.1, -0.7, 3.25e-9, 2.5e12]
+            sets = make_modulus_set(moduli), make_modulus_set(moduli)
+            for ms in sets:
+                assert "fresh" not in vars(ms)
+                validate_config(ms, cfg)
+                seen = set()
+                for x in xs:
+                    want = ref_from_real(x, ms, cfg)
+                    n = signed_value(want.mantissa, ms)
+                    assert (n in ms.fresh) == (n in seen)  # a miss the first time n is met
+                    first, second = from_real(x, ms, cfg), from_real(x, ms, cfg)
+                    for got in (first, second):
+                        assert fields(got) == fields(want)
+                        assert got.set_ref is ms
+                    assert second.mantissa is first.mantissa is ms.fresh[n][0]
+                    seen.add(n)
+                assert sorted(ms.fresh) == sorted(seen)
+                assert 1 << (cfg.operand_bound_bits - 2) in seen  # the bump landed at the low edge
+            assert sets[0].fresh is not sets[1].fresh
+
+    def test_refused_mantissa_is_not_stored(self):
+        # Unvalidated: b = 7 puts |N| in [32, 64), and 2 * |N| < M = 105 only up to 52.
+        cfg = HybridConfig(Fraction(3, 8192), 5, 7)
+        ms = make_modulus_set((3, 5, 7))
+        for x in (53.0, -60.0, 63.0):
+            with pytest.raises(OutOfRange):
+                from_real(x, ms, cfg)
+        assert "fresh" not in vars(ms)
+        assert fields(from_real(52.0, ms, cfg)) == fields(ref_from_real(52.0, ms, cfg))
+        for x in (53.0, -60.0, 63.0):
+            with pytest.raises(OutOfRange):
+                from_real(x, ms, cfg)
+        assert list(ms.fresh) == [52]
+
+    def test_memo_stops_at_its_bound(self):
+        assert FRESH_MEMO_SIZE >= 1 << (DEFAULT_CONFIG.operand_bound_bits - 1)
+        # b = 15 on the eleven set: a window of 2^14 mantissas, twice the bound.
+        cfg = HybridConfig(Fraction(3, 8192), 11, 15)
+        assert 1 << (cfg.operand_bound_bits - 1) > FRESH_MEMO_SIZE
+        ms = make_modulus_set(SETS["eleven"][0])
+        validate_config(ms, cfg)
+        low = 1 << (cfg.operand_bound_bits - 2)
+        mantissas = [*range(low, 2 * low), *range(-low, -low - 300, -1)]
+        assert len(mantissas) > FRESH_MEMO_SIZE
+        for n in mantissas:
+            got = from_real(float(n), ms, cfg)
+            assert fields(got) == fields(make_hybrid(n, 0, ms)) and got.set_ref is ms
+        assert len(ms.fresh) == FRESH_MEMO_SIZE
+        assert list(ms.fresh) == mantissas[:FRESH_MEMO_SIZE]
+        for n in mantissas[FRESH_MEMO_SIZE:]:  # past the bound: built through the kernel again
+            first, second = from_real(float(n), ms, cfg), from_real(float(n), ms, cfg)
+            assert fields(first) == fields(second) == fields(make_hybrid(n, 0, ms))
+            assert first.mantissa is not second.mantissa
+        assert len(ms.fresh) == FRESH_MEMO_SIZE
+
+    def test_copies_build_their_own_memo(self):
+        moduli, cfg = SETS["default"]
+        ms = make_modulus_set(moduli)
+        xs = [0.3, -1.75, 1e-5, 2047.0]
+        for x in xs:
+            from_real(x, ms, cfg)
+        filled = dict(ms.fresh)
+        for twin in (pickle.loads(pickle.dumps(ms)), copy.deepcopy(ms), copy.copy(ms)):
+            assert twin == ms and twin is not ms
+            assert "fresh" not in vars(twin) and "kernels" not in vars(twin)
+            for x in xs:
+                got = from_real(x, twin, cfg)
+                assert fields(got) == fields(ref_from_real(x, ms, cfg))
+                assert got.set_ref is twin
+            assert all(entry[0].set_ref is twin for entry in twin.fresh.values())
+        assert ms.fresh == filled and all(entry[0].set_ref is ms for entry in filled.values())
+        # Each stored vector refers back to ms: only the cyclic collector frees it.
+        ref = weakref.ref(ms)
+        del ms, filled
+        gc.collect()
+        assert ref() is None
