@@ -17,11 +17,15 @@ Each op reads the (tau, limit) pair once and does its channel work with
 the kernels of ms (rns.ModulusSet.kernels): the channel product, the
 scaled sum (r * 2^delta + s) mod m and the signed CRT. A shift-down add
 that is not absorbed is one shift_add call, which reconstructs lo, rounds
-it half to even, adds it into hi per channel and reconstructs the sum;
-normalize drains through one drain call. An operand under
-another set object is first checked by rns, so a set with other moduli
-raises MismatchedSet there, before any kernel runs, and an equal set
-built apart gives the same result bit for bit.
+it half to even, adds it into hi per channel and reconstructs the sum.
+An absorbed add keeps hi's residues; it reconstructs them with the signed
+kernel only when hi has no normalization event, since normalize already
+took hi's mag_log2 and sign from their exact value. In a long chained MAC
+nearly every add absorbs its addend into a product just normalized, so
+those adds run no CRT at all. normalize drains through one drain call.
+An operand under another set object is first checked by rns, so a set
+with other moduli raises MismatchedSet there, before any kernel runs, and
+an equal set built apart gives the same result bit for bit.
 """
 
 from __future__ import annotations
@@ -99,7 +103,10 @@ def hrfna_add(
     exponent, so it is symmetric in (x, y) and the aligned mantissa
     addition is channel-wise commutative. The magnitude estimate and sign
     are recomputed exactly from the sum (a log-sum estimate cannot survive
-    cancellation), and the result is normalized if it reaches threshold.
+    cancellation); an absorbed add whose hi carries normalization events
+    takes them from hi instead, which normalize computed from the exact
+    value of the same residues. The result is normalized if it reaches
+    threshold.
     With debug=True the sum is audited against the exact aligned integer
     sum: a wrap modulo M or a missed threshold crossing raises AuditFailure.
     """
@@ -122,16 +129,21 @@ def hrfna_add(
         residues = kernels.scale_add(hm.residues, 1 << delta, lm.residues)
         n = kernels.signed(residues)
         exponent, strategy = lo.exponent, ALIGN_SCALE_UP
-    elif delta >= ms.composite.bit_length():
-        # Absorbed: |n_lo| <= M/2 < 2^(delta-1) rounds to 0, so hi's residues stand.
-        residues = hm.residues
-        n = kernels.signed(residues)
-    else:
+    elif delta < ms.composite.bit_length():
         # lo rounded by 2^delta, 1 <= delta < M.bit_length(), added into hi per channel.
         residues, n = kernels.shift_add(hm.residues, lm.residues, delta)
-    mag = log2(abs(n)) if n else -inf
+    else:
+        # Absorbed: |n_lo| <= M/2 < 2^(delta-1) rounds to 0, so hi's residues stand.
+        # normalize set a normalized hi's mag_log2 and sign from these residues'
+        # exact value; an unnormalized product's mag_log2 is only an estimate.
+        residues = hm.residues
+        n = None if hi.norm_events else kernels.signed(residues)
+    if n is None:
+        mag, sign = hi.mag_log2, hi.sign
+    else:
+        mag, sign = (log2(abs(n)) if n else -inf), (n > 0) - (n < 0)
     mant = _new(ResidueVector, (residues, ms))
-    out = _new(HybridNum, (mant, exponent, mag, (n > 0) - (n < 0), strategy, ()))
+    out = _new(HybridNum, (mant, exponent, mag, sign, strategy, ()))
     if debug:
         n_hi, n_lo = signed_value(hm, ms), signed_value(lm, ms)
         if strategy == ALIGN_SHIFT_DOWN:

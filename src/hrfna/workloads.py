@@ -9,12 +9,13 @@ the oracle is the rounding introduced by normalization and lossy alignment.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
 from hrfna import arithmetic, hybrid
 from hrfna.errors import HrfnaError
-from hrfna.hybrid import HybridConfig, HybridNum, tau_int
+from hrfna.hybrid import HybridConfig, HybridNum
 from hrfna.pipeline import Op, _new
 from hrfna.rns import ModulusSet
 
@@ -46,6 +47,9 @@ def _pair_add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return (a[0] << (a[1] - s)) + (b[0] << (b[1] - s)), s
 
 
+_RUN = 16  # steps _chain_exact composes in one loop before its product tree
+
+
 def _compose(f, g):
     """The affine map x -> m*x + a of g applied after f, as a (m, a) pair of pairs.
 
@@ -61,13 +65,30 @@ def _compose(f, g):
 def _chain_exact(start: tuple[int, int], steps: list) -> tuple[int, int]:
     """start folded through x -> m*x + a for each (m, a) pair of pairs in steps.
 
-    The maps are composed pairwise in a balanced tree (binary splitting, a
-    product tree), so the big products meet operands of like size instead
-    of one growing value meeting one small factor per step. Every shift is
-    the minimum over the same terms as in the step-by-step fold, so the
-    result is that fold's exact (numerator, shift) pair.
+    Each run of _RUN consecutive steps is first composed left to right in
+    one loop, _compose's arithmetic written inline, since a call per pair
+    of small leaf maps costs more than their products. The runs are then
+    composed pairwise in a balanced tree (binary splitting, a product
+    tree), so the big products meet operands of like size instead of one
+    growing value meeting one small factor per step. Composition and its
+    min-shift bookkeeping are both associative: every shift is the minimum
+    over the same terms as in the step-by-step fold, so the result is that
+    fold's exact (numerator, shift) pair.
     """
-    maps = steps
+    maps = []
+    for i in range(0, len(steps), _RUN):
+        (m, s), (a, t) = steps[i]
+        for (m_g, s_g), (a_g, t_g) in steps[i + 1 : i + _RUN]:
+            m *= m_g
+            s += s_g
+            a *= m_g
+            t += s_g  # the shift of a * m_g
+            if t <= t_g:
+                a += a_g << (t_g - t)
+            else:
+                a = (a << (t - t_g)) + a_g
+                t = t_g
+        maps.append(((m, s), (a, t)))
     while len(maps) > 1:
         maps = list(map(_compose, maps[::2], maps[1::2])) + (maps[-1:] if len(maps) % 2 else [])
     if not maps:
@@ -141,28 +162,31 @@ def run_mac_chain(mults, addends, ms: ModulusSet, cfg: HybridConfig) -> DriftRep
 
     The oracle folds the encoded operand values exactly, so the measured
     relative error isolates normalization and alignment rounding; it keeps
-    each step's exact (multiplier, addend) pair and composes the steps in a
-    balanced tree after the chain. The per-event rounding model gives the
-    bound norm_events * 2^(k-1) / tau; a chain that exceeds it raises
+    each step's exact (multiplier, addend) pair and composes the steps in
+    runs and a balanced tree after the chain (_chain_exact). The three ops
+    are looked up once per call, so a wrapper installed before the call
+    sees every op, and the add strategies are counted once, after the loop.
+    The per-event rounding model gives the bound norm_events * 2^(k-1) / tau,
+    with tau from cfg.thresholds(ms); a chain that exceeds it raises
     DriftBoundExceeded.
     """
     if len(mults) != len(addends):
         raise LengthMismatch(f"{len(mults)} multipliers vs {len(addends)} addends")
 
+    from_real, mul, add = hybrid.from_real, arithmetic.hrfna_mul, arithmetic.hrfna_add
     signed = ms.kernels.signed  # from_real builds under ms: no set check needed
-    acc = hybrid.from_real(1.0, ms, cfg)
+    acc = from_real(1.0, ms, cfg)
     start = hybrid.signed_value(acc.mantissa, ms), acc.exponent
-    steps = []
+    steps, added = [], []
     norm_events = 0
-    strategies: dict[str, int] = {}
     for m, a in zip(mults, addends):
-        hm = hybrid.from_real(m, ms, cfg)
-        ha = hybrid.from_real(a, ms, cfg)
-        acc = arithmetic.hrfna_mul(acc, hm, ms, cfg)
+        hm = from_real(m, ms, cfg)
+        ha = from_real(a, ms, cfg)
+        acc = mul(acc, hm, ms, cfg)
         norm_events += len(acc.norm_events)
-        acc = arithmetic.hrfna_add(acc, ha, ms, cfg)
+        acc = add(acc, ha, ms, cfg)
         norm_events += len(acc.norm_events)
-        strategies[acc.align_strategy] = strategies.get(acc.align_strategy, 0) + 1
+        added.append(acc.align_strategy)
         steps.append((
             (signed(hm.mantissa.residues), hm.exponent),
             (signed(ha.mantissa.residues), ha.exponent),
@@ -170,7 +194,7 @@ def run_mac_chain(mults, addends, ms: ModulusSet, cfg: HybridConfig) -> DriftRep
 
     approx = hybrid.signed_value(acc.mantissa, ms), acc.exponent
     rel = relative_error(approx, _chain_exact(start, steps))
-    bound = Fraction(norm_events * 2 ** (cfg.scale_shift_k - 1), tau_int(ms, cfg))
+    bound = Fraction(norm_events * 2 ** (cfg.scale_shift_k - 1), cfg.thresholds(ms)[0])
     if rel > bound:
         raise DriftBoundExceeded(f"drift {float(rel)} exceeds bound {float(bound)}")
     return DriftReport(
@@ -180,7 +204,7 @@ def run_mac_chain(mults, addends, ms: ModulusSet, cfg: HybridConfig) -> DriftRep
         generator="caller-supplied",
         config=_config_record(ms, cfg),
         norm_events=norm_events,
-        strategy_counts=strategies,
+        strategy_counts=dict(Counter(added)),
         rel_error=rel,
         bound=bound,
     )

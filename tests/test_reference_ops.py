@@ -330,6 +330,50 @@ class TestAgainstChannelOps:
                             assert fields(hrfna_add(x, y, ms, cfg, debug=True)) == fields(z)
                             assert_apart_agrees(hrfna_add, x, y, ms, cfg)
 
+    def test_absorbed_add_takes_magnitude_from_a_normalized_hi(self, monkeypatch):
+        """From the gap L = M.bit_length() on, a hi with norm events is not reconstructed.
+
+        normalize set such a hi's mag_log2 and sign from its exact value, so
+        the absorbed sum reuses them; any other hi (an unnormalized product,
+        whose mag_log2 is an estimate, or a from_real value) is reconstructed
+        once by the signed kernel. Below L, lo is reconstructed by shift_add
+        and signed does not run.
+        """
+        reconstructed = []
+
+        def counted(signed):
+            def counting(r):
+                reconstructed.append(r)
+                return signed(r)
+
+            return counting
+
+        for name in sorted(SETS):
+            ms, cfg = built(name)
+            monkeypatch.setattr(ms.kernels, "signed", counted(ms.kernels.signed))
+            top, (tau, limit) = ms.composite.bit_length(), tau_and_limit(ms, cfg)
+            half = (ms.composite - 1) // 2
+            wide, fresh = make_hybrid(tau // 2 - 9, 0, ms), make_hybrid(-2047, -11, ms)
+            normalized = hrfna_mul(wide, fresh, ms, cfg)
+            unnormalized = hrfna_mul(from_real(1.3, ms, cfg), from_real(-0.7, ms, cfg), ms, cfg)
+            still_wide = normalize(make_hybrid(-half, 4, ms), ms, cfg)
+            assert normalized.norm_events and still_wide.norm_events
+            assert not unnormalized.norm_events
+            if name == "eleven":  # one drain pass leaves half / 2^k above the limit
+                assert still_wide.mag_log2 >= limit
+            for hi in (normalized, unnormalized, from_real(-5.5, ms, cfg), still_wide):
+                for delta in (top - 1, top, top + 1, top + 2):
+                    for n_lo in (half, -3):
+                        lo = make_hybrid(n_lo, hi.exponent - delta, ms)
+                        for x, y in ((hi, lo), (lo, hi)):
+                            want = ref_add(x, y, ms, cfg)
+                            for pair in ((x, y), (apart(x), y), (x, apart(y)), (apart(x), apart(y))):
+                                reconstructed.clear()
+                                z = hrfna_add(*pair, ms, cfg)
+                                assert len(reconstructed) == (delta >= top and not hi.norm_events)
+                                assert fields(z) == want
+                            assert fields(hrfna_add(x, y, ms, cfg, debug=True)) == want
+
     def test_half_m_mantissa_reads_negative(self):
         """Residues of M/2 on an even M (only a wrap leaves them) reconstruct as -M/2."""
         ms, cfg = built("two")

@@ -4,15 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrfna import (
+    ALIGN_SCALE_UP,
+    ALIGN_SHIFT_DOWN,
     DriftBoundExceeded,
     ExactZero,
     HrfnaError,
     HybridConfig,
     LengthMismatch,
+    arithmetic,
     chained_mac,
     dot_product,
     exact_value,
@@ -26,6 +29,7 @@ from hrfna import (
 )
 from hrfna.pipeline import Op, evaluate_program
 from hrfna.workloads import (
+    _RUN,
     _chain_exact,
     _pair_add,
     _pair_mul,
@@ -94,6 +98,35 @@ class TestChainedMac:
     def test_mismatched_sequences(self, default_ms, hcfg):
         with pytest.raises(LengthMismatch):
             run_mac_chain([1.0], [], default_ms, hcfg)
+
+    def test_fold_reconstructs_only_unknown_magnitudes(self, default_ms, hcfg, monkeypatch):
+        # The fold's adds call the signed kernel only for a scale-up sum and for an
+        # absorbed add whose hi has no norm event; the oracle calls it once per
+        # operand, for the start and for the result.
+        calls, needed, reused = [], [], []
+        signed, add = default_ms.kernels.signed, arithmetic.hrfna_add
+        top = default_ms.composite.bit_length()
+
+        def counted_signed(r):
+            calls.append(r)
+            return signed(r)
+
+        def counted_add(x, y, ms, cfg):
+            before = len(calls)
+            z = add(x, y, ms, cfg)
+            hi, lo = (x, y) if x.exponent >= y.exponent else (y, x)
+            absorbed = z.align_strategy == ALIGN_SHIFT_DOWN and hi.exponent - lo.exponent >= top
+            needed.append(z.align_strategy == ALIGN_SCALE_UP or (absorbed and not hi.norm_events))
+            reused.append(absorbed and bool(hi.norm_events))
+            assert len(calls) - before == needed[-1]
+            return z
+
+        monkeypatch.setattr(default_ms.kernels, "signed", counted_signed)
+        monkeypatch.setattr(arithmetic, "hrfna_add", counted_add)
+        report = chained_mac(0, 2000, default_ms, hcfg)
+        assert len(needed) == 2000 == sum(report.strategy_counts.values())
+        assert len(calls) == 2 * 2000 + 2 + sum(needed)
+        assert sum(reused) > 1800  # nearly every add absorbs into a product just drained
 
 
 class TestDotProduct:
@@ -198,9 +231,22 @@ def sequential_chain(start, steps):
 pairs = st.tuples(st.integers(-(2**40), 2**40) | st.just(0), st.integers(-70, 70))
 
 
+def far_below(n):
+    """n steps whose addend shifts lie far below the running shift of the fold."""
+    return [((2 * i + 3, 5), (-(7 * i + 1), -70 + i % 3)) for i in range(n)]
+
+
 class TestExactOracle:
     @given(pairs, st.lists(st.tuples(pairs, pairs), max_size=300))
     @settings(max_examples=200, deadline=None)
+    # Lengths at the edges of _chain_exact's runs of _RUN steps.
+    @example((5, 40), far_below(0))
+    @example((5, 40), far_below(1))
+    @example((5, 40), far_below(_RUN - 1))
+    @example((5, 40), far_below(_RUN))
+    @example((5, 40), far_below(_RUN + 1))
+    @example((5, 40), far_below(2 * _RUN))
+    @example((5, 40), far_below(2 * _RUN + 1))
     def test_tree_equals_sequential_fold(self, start, steps):
         assert _chain_exact(start, steps) == sequential_chain(start, steps)
 
