@@ -21,6 +21,14 @@ narrow inputs is a lookup table. hybrid.from_real keeps one per set: each
 fresh mantissa's residue vector, magnitude estimate and sign, built once
 through the encode kernel and shared from then on, up to FRESH_MEMO_SIZE
 mantissas.
+
+ModulusSet.kernels.reverse is the reverse converter for the same narrow
+range, also a lookup table: a dict from a fresh vector's residue tuple to
+its symmetric signed value. Only the set's signed kernel fills it, on a
+miss, up to FRESH_MEMO_SIZE vectors. The exact oracles in workloads read
+every fresh operand through it, so each distinct vector is reconstructed
+once per set instead of once per use, and every value they read is still
+the CRT of the residues the fold used.
 """
 
 from __future__ import annotations
@@ -39,8 +47,9 @@ MAX_MODULUS_BITS = 16
 
 DEFAULT_MODULI = (4093, 4095, 4091)
 
-# At most this many mantissas in a set's fresh-operand memo (ModulusSet.fresh):
-# the whole window at b = 14, four times the default config's window (b = 12).
+# At most this many entries in each of a set's fresh-operand tables
+# (ModulusSet.fresh and kernels.reverse): the whole window at b = 14, four
+# times the default config's window (b = 12).
 FRESH_MEMO_SIZE = 8192
 
 
@@ -107,6 +116,12 @@ class ModulusSet:
           shift_add(s, r, d) (t, signed(t)) for t_i = (s_i + q) mod m_i, q
                              being signed(r) / 2^d rounded half to even;
                              needs 1 <= d < M.bit_length()
+        and one table, made empty with them and holding no reference to
+        the set:
+          reverse            the reverse-conversion lookup table, a dict from
+                             residue tuples to signed values: reverse[r] is
+                             signed(r), and a miss keeps it while the table
+                             holds fewer than FRESH_MEMO_SIZE entries
         The rounding is a floor shift with a carry,
         (n + 2^(d-1) - 1 + ((n >> d) & 1)) >> d, exact for either sign of n.
         """
@@ -128,6 +143,7 @@ class ModulusSet:
             M=self.composite,
             half=(self.composite + 1) // 2,  # n >= half exactly when 2n >= M
             top=self.composite.bit_length(),
+            memo=FRESH_MEMO_SIZE,
         )
         namespace = {"__name__": __name__}
         exec(compile(source, f"<kernels {self.moduli}>", "exec"), namespace)
@@ -155,7 +171,7 @@ class ModulusSet:
         return {}
 
     def __getstate__(self):
-        """The fields alone: the kernels cannot be pickled, and a copy builds its own memo."""
+        """The fields alone: the kernels cannot be pickled, and a copy builds its own tables."""
         state = vars(self).copy()
         state.pop("kernels", None)
         state.pop("fresh", None)
@@ -212,8 +228,19 @@ def shift_add(s, r, d):
     {r}= t = ({add_q})
     n = ({crt}) % {M}
     return t, n - {M} if n >= {half} else n
+
+class ReverseTable(dict):
+    __slots__ = ()
+
+    def __missing__(self, r):
+        n = signed(r)
+        if len(self) < {memo}:
+            self[r] = n
+        return n
+
+reverse = ReverseTable()
 """
-_KERNEL_NAMES = ("encode", "mul", "scale_add", "signed", "drain", "shift_add")
+_KERNEL_NAMES = ("encode", "mul", "scale_add", "signed", "drain", "shift_add", "reverse")
 
 
 def make_modulus_set(moduli) -> ModulusSet:

@@ -163,9 +163,13 @@ def run_mac_chain(mults, addends, ms: ModulusSet, cfg: HybridConfig) -> DriftRep
     The oracle folds the encoded operand values exactly, so the measured
     relative error isolates normalization and alignment rounding; it keeps
     each step's exact (multiplier, addend) pair and composes the steps in
-    runs and a balanced tree after the chain (_chain_exact). The three ops
-    are looked up once per call, so a wrapper installed before the call
-    sees every op, and the add strategies are counted once, after the loop.
+    runs and a balanced tree after the chain (_chain_exact). It reads each
+    operand's value through ms.kernels.reverse, which the set's signed
+    kernel fills on a miss, so each distinct fresh vector is reconstructed
+    once per set and every value is the CRT of the residues the fold used.
+    The three ops are looked up once per call, so a wrapper installed before
+    the call sees every op, and the add strategies are counted once, after
+    the loop.
     The per-event rounding model gives the bound norm_events * 2^(k-1) / tau,
     with tau from cfg.thresholds(ms); a chain that exceeds it raises
     DriftBoundExceeded.
@@ -174,7 +178,7 @@ def run_mac_chain(mults, addends, ms: ModulusSet, cfg: HybridConfig) -> DriftRep
         raise LengthMismatch(f"{len(mults)} multipliers vs {len(addends)} addends")
 
     from_real, mul, add = hybrid.from_real, arithmetic.hrfna_mul, arithmetic.hrfna_add
-    signed = ms.kernels.signed  # from_real builds under ms: no set check needed
+    leaf = ms.kernels.reverse  # from_real builds under ms: no set check needed
     acc = from_real(1.0, ms, cfg)
     start = hybrid.signed_value(acc.mantissa, ms), acc.exponent
     steps, added = [], []
@@ -188,8 +192,8 @@ def run_mac_chain(mults, addends, ms: ModulusSet, cfg: HybridConfig) -> DriftRep
         norm_events += len(acc.norm_events)
         added.append(acc.align_strategy)
         steps.append((
-            (signed(hm.mantissa.residues), hm.exponent),
-            (signed(ha.mantissa.residues), ha.exponent),
+            (leaf[hm.mantissa.residues], hm.exponent),
+            (leaf[ha.mantissa.residues], ha.exponent),
         ))
 
     approx = hybrid.signed_value(acc.mantissa, ms), acc.exponent
@@ -237,31 +241,32 @@ def dot_product(
 
     Exponent synchronization happens inside the accumulation adds; the
     reported bound 2^-(b-3) * length comes from the per-operation rounding
-    model.
+    model. The oracle reads each operand's value through ms.kernels.reverse,
+    which the set's signed kernel fills on a miss, and the add strategies
+    are counted once, after the loop.
     """
     if len(xs) != len(ys):
         raise LengthMismatch(f"{len(xs)} vs {len(ys)} elements")
     if not xs:
         raise LengthMismatch("empty input")
 
-    signed = ms.kernels.signed  # from_real builds under ms: no set check needed
+    leaf = ms.kernels.reverse  # from_real builds under ms: no set check needed
     acc: HybridNum | None = None
-    terms, shifts = [], []
+    terms, shifts, added = [], [], []
     norm_events = 0
-    strategies: dict[str, int] = {}
     for x, y in zip(xs, ys):
         hx = hybrid.from_real(x, ms, cfg)
         hy = hybrid.from_real(y, ms, cfg)
         prod = arithmetic.hrfna_mul(hx, hy, ms, cfg)
         norm_events += len(prod.norm_events)
-        terms.append(signed(hx.mantissa.residues) * signed(hy.mantissa.residues))
+        terms.append(leaf[hx.mantissa.residues] * leaf[hy.mantissa.residues])
         shifts.append(hx.exponent + hy.exponent)
         if acc is None:
             acc = prod
         else:
             acc = arithmetic.hrfna_add(acc, prod, ms, cfg)
             norm_events += len(acc.norm_events)
-            strategies[acc.align_strategy] = strategies.get(acc.align_strategy, 0) + 1
+            added.append(acc.align_strategy)
 
     # The (numerator, shift) pair a _pair_add fold from (0, 0) gives: it never reduces.
     low = min(0, *shifts)
@@ -275,7 +280,7 @@ def dot_product(
         generator="caller-supplied",
         config=_config_record(ms, cfg),
         norm_events=norm_events,
-        strategy_counts=strategies,
+        strategy_counts=dict(Counter(added)),
         rel_error=rel,
         bound=bound,
     )

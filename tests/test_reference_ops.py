@@ -36,7 +36,9 @@ from hrfna import (
     NormalizationEvent,
     OutOfRange,
     ResidueVector,
+    chained_mac,
     crt_reconstruct,
+    dot_product,
     encode_signed,
     from_real,
     hrfna_add,
@@ -555,3 +557,124 @@ class TestFreshMemo:
         del ms, filled
         gc.collect()
         assert ref() is None
+
+
+class TestReverseTable:
+    """The oracles' reverse-conversion table (ModulusSet.kernels.reverse), one per set object.
+
+    Every entry is the reference reconstruction of its key folded to the
+    symmetric range, not the kernel's own output; the signed kernel runs once
+    per key, on its miss; the table stops at FRESH_MEMO_SIZE, is left out of
+    pickles and copies, and a cold and a warm table give the workloads
+    identical results.
+    """
+
+    @staticmethod
+    def assert_entries_are_the_reference(ms):
+        for r, n in ms.kernels.reverse.items():
+            assert n == ref_signed(ResidueVector(r, ms), ms)
+
+    def test_miss_then_hit(self, monkeypatch):
+        for name, (moduli, cfg) in sorted(SETS.items()):
+            ms = make_modulus_set(moduli)
+            validate_config(ms, cfg)
+            assert "kernels" not in vars(ms)
+            table, signed, calls = ms.kernels.reverse, ms.kernels.signed, []
+            assert not table  # made empty with the kernels
+            # A miss calls signed from the kernels' own namespace.
+            kernel_globals = type(table).__missing__.__globals__
+            monkeypatch.setitem(kernel_globals, "signed", lambda r: calls.append(r) or signed(r))
+            xs = [*TestFreshMemo.window_edges(cfg.operand_bound_bits), 0.1, -0.7, 3.25e-9, 2.5e12]
+            seen = []
+            for x in xs:
+                rv = from_real(x, ms, cfg).mantissa
+                hit = rv.residues in table
+                assert hit == (rv.residues in seen)  # a miss the first time a vector is met
+                assert table[rv.residues] == ref_signed(rv, ms)
+                if not hit:
+                    seen.append(rv.residues)
+            assert calls == seen == list(table)  # one kernel call per key, on its miss
+            self.assert_entries_are_the_reference(ms)
+
+    def test_oracle_leaves_are_the_reference(self):
+        for name, (moduli, cfg) in sorted(SETS.items()):
+            ms = make_modulus_set(moduli)
+            validate_config(ms, cfg)
+            mults, addends = mac_sequences(3, 300)
+            run_mac_chain(mults, addends, ms, cfg)
+            dot_product(addends, mults, ms, cfg)
+            leaves = {from_real(x, ms, cfg).mantissa.residues for x in [*mults, *addends]}
+            assert set(ms.kernels.reverse) == leaves
+            self.assert_entries_are_the_reference(ms)
+
+    def test_table_stops_at_its_bound(self):
+        moduli, cfg = SETS["default"]
+        sequences = mac_sequences(5, 2000)
+        cold = make_modulus_set(moduli)
+        want = run_mac_chain(*sequences, cold, cfg)
+        met = list(cold.kernels.reverse)
+        assert 100 < len(met) < FRESH_MEMO_SIZE
+        # A table with room for 100 more vectors. Mantissas at and above 2^(b-1)
+        # are never fresh, so the chain meets none of these keys.
+        ms = make_modulus_set(moduli)
+        table, top = ms.kernels.reverse, 1 << (cfg.operand_bound_bits - 1)
+        outside = [ms.kernels.encode(n) for n in range(top, top + FRESH_MEMO_SIZE - 100)]
+        for r in outside:
+            table[r]
+        assert list(table) == outside
+        assert run_mac_chain(*sequences, ms, cfg) == want  # runs past the bound
+        assert list(table) == outside + met[:100]
+        self.assert_entries_are_the_reference(ms)
+        # Past the bound a miss is reconstructed and not kept.
+        r = ms.kernels.encode(-top - 1)
+        assert r not in table and table[r] == ref_signed(ResidueVector(r, ms), ms)
+        assert r not in table and len(table) == FRESH_MEMO_SIZE
+        assert run_mac_chain(*sequences, ms, cfg) == want
+
+    def test_copies_leave_the_table_out(self):
+        ms = make_modulus_set(SETS["default"][0])
+        keys = [ms.kernels.encode(n) for n in (1024, -2047, 1500)]
+        for r in keys:
+            ms.kernels.reverse[r]
+        filled = dict(ms.kernels.reverse)
+        for twin in (pickle.loads(pickle.dumps(ms)), copy.deepcopy(ms), copy.copy(ms)):
+            assert twin == ms and twin is not ms
+            assert "kernels" not in vars(twin)
+            assert [twin.kernels.reverse[r] for r in keys] == [filled[r] for r in keys]
+            assert twin.kernels.reverse is not ms.kernels.reverse
+            assert list(twin.kernels.reverse) == keys
+        assert ms.kernels.reverse == filled
+        # The table refers to no vector and so not to ms: its reference count frees it.
+        ref = weakref.ref(ms)
+        del ms
+        assert ref() is None
+
+    def test_equal_sets_keep_separate_tables(self):
+        moduli, cfg = SETS["default"]
+        a, b = make_modulus_set(moduli), make_modulus_set(moduli)
+        assert a == b and hash(a) == hash(b)
+        r = a.kernels.encode(-1500)
+        assert a.kernels.reverse[r] == -1500
+        assert a.kernels.reverse is not b.kernels.reverse and not b.kernels.reverse
+        run_mac_chain(*mac_sequences(2, 50), b, cfg)
+        assert list(a.kernels.reverse) == [r] and r not in b.kernels.reverse
+
+    def test_cold_and_warm_runs_agree(self):
+        xs, ys = mac_sequences(4, 600)
+
+        def both(ms, cfg, dot_first):
+            validate_config(ms, cfg)
+            if dot_first:
+                acc, dot = dot_product(xs, ys, ms, cfg)
+            chain = chained_mac(4, 600, ms, cfg)
+            if not dot_first:
+                acc, dot = dot_product(xs, ys, ms, cfg)
+            assert acc.set_ref is ms
+            return chain, fields(acc), dot
+
+        for name, (moduli, cfg) in sorted(SETS.items()):
+            ms = make_modulus_set(moduli)
+            cold = both(ms, cfg, False)
+            assert ms.kernels.reverse
+            assert both(ms, cfg, False) == cold, name  # warm
+            assert both(make_modulus_set(moduli), cfg, True) == cold, name  # cold, other order

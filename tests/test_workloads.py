@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hrfna import (
     ALIGN_SCALE_UP,
     ALIGN_SHIFT_DOWN,
+    DEFAULT_MODULI,
     DriftBoundExceeded,
     ExactZero,
     HrfnaError,
@@ -22,6 +23,7 @@ from hrfna import (
     from_real,
     hrfna_add,
     hrfna_mul,
+    make_modulus_set,
     run_mac_chain,
     simulate,
     to_real,
@@ -99,13 +101,16 @@ class TestChainedMac:
         with pytest.raises(LengthMismatch):
             run_mac_chain([1.0], [], default_ms, hcfg)
 
-    def test_fold_reconstructs_only_unknown_magnitudes(self, default_ms, hcfg, monkeypatch):
+    def test_fold_reconstructs_only_unknown_magnitudes(self, hcfg, monkeypatch):
         # The fold's adds call the signed kernel only for a scale-up sum and for an
-        # absorbed add whose hi has no norm event; the oracle calls it once per
-        # operand, for the start and for the result.
+        # absorbed add whose hi has no norm event. The oracle reads its operands
+        # through ms.kernels.reverse, which calls the kernel once per distinct
+        # fresh vector; the start and the result are reconstructed directly. A set
+        # of the test's own starts with an empty table, whatever ran before.
+        ms = make_modulus_set(DEFAULT_MODULI)
         calls, needed, reused = [], [], []
-        signed, add = default_ms.kernels.signed, arithmetic.hrfna_add
-        top = default_ms.composite.bit_length()
+        signed, add = ms.kernels.signed, arithmetic.hrfna_add
+        top = ms.composite.bit_length()
 
         def counted_signed(r):
             calls.append(r)
@@ -121,11 +126,18 @@ class TestChainedMac:
             assert len(calls) - before == needed[-1]
             return z
 
-        monkeypatch.setattr(default_ms.kernels, "signed", counted_signed)
+        monkeypatch.setattr(ms.kernels, "signed", counted_signed)
+        # A table miss calls signed from the kernels' own namespace.
+        kernel_globals = type(ms.kernels.reverse).__missing__.__globals__
+        monkeypatch.setitem(kernel_globals, "signed", counted_signed)
         monkeypatch.setattr(arithmetic, "hrfna_add", counted_add)
-        report = chained_mac(0, 2000, default_ms, hcfg)
+        report = chained_mac(0, 2000, ms, hcfg)
         assert len(needed) == 2000 == sum(report.strategy_counts.values())
-        assert len(calls) == 2 * 2000 + 2 + sum(needed)
+        mults, addends = mac_sequences(0, 2000)
+        fresh = {from_real(x, ms, hcfg).mantissa.residues for x in [*mults, *addends]}
+        assert set(ms.kernels.reverse) == fresh
+        assert len(calls) == len(fresh) + 2 + sum(needed)
+        assert len(fresh) <= 1 << (hcfg.operand_bound_bits - 1)  # the window: under 4000
         assert sum(reused) > 1800  # nearly every add absorbs into a product just drained
 
 
