@@ -13,16 +13,19 @@ signed range (|N_x * N_y| < M/2). Keeping at least one freshly encoded
 operand (|N| < 2^b) per multiplication guarantees that; debug mode audits
 it by reconstruction.
 
-Each op reads the (tau, limit) pair once and does its channel work with
-the kernels of ms (rns.ModulusSet.kernels): the channel product, the
-scaled sum (r * 2^delta + s) mod m and the signed CRT. A shift-down add
-that is not absorbed is one shift_add call, which reconstructs lo, rounds
-it half to even, adds it into hi per channel and reconstructs the sum.
-An absorbed add keeps hi's residues; it reconstructs them with the signed
-kernel only when hi has no normalization event, since normalize already
-took hi's mag_log2 and sign from their exact value. In a long chained MAC
-nearly every add absorbs its addend into a product just normalized, so
-those adds run no CRT at all. normalize drains through one drain call.
+Each op reads the detector limit (and an add the absorb gap) once, from
+cfg._thresholds[ms.composite] with no Python-level call; only a pair's
+first op calls HybridConfig.thresholds, which runs validate_config. Each
+does its channel work with the kernels of ms (rns.ModulusSet.kernels):
+the channel product, the scaled sum (r * 2^delta + s) mod m and the
+signed CRT. A shift-down add that is not absorbed is one shift_add call,
+which reconstructs lo, rounds it half to even, adds it into hi per
+channel and reconstructs the sum. An absorbed add keeps hi's residues; it
+reconstructs them with the signed kernel only when hi has no
+normalization event, since normalize already took hi's mag_log2 and sign
+from their exact value. In a long chained MAC nearly every add absorbs
+its addend into a product just normalized, so those adds run no CRT at
+all. normalize drains through one drain call.
 An operand under another set object is first checked by rns, so a set
 with other moduli raises MismatchedSet there, before any kernel runs, and
 an equal set built apart gives the same result bit for bit.
@@ -83,7 +86,7 @@ def hrfna_mul(
     if debug:
         prod = signed_value(xm, ms) * signed_value(ym, ms)
         _audit("product", prod, h, ms, cfg, "operand bounds misconfigured")
-    limit = cfg.thresholds(ms)[1]
+    limit = (cfg._thresholds.get(ms.composite) or cfg.thresholds(ms))[1]
     while h.mag_log2 >= limit:  # needs_normalization's fast mode
         h = normalize(h, ms, cfg)
     return h
@@ -122,14 +125,14 @@ def hrfna_add(
         rns._check_set(hm, ms)
     if lm.set_ref is not ms:
         rns._check_set(lm, ms)
-    limit = cfg.thresholds(ms)[1]
+    _, limit, gap = cfg._thresholds.get(ms.composite) or cfg.thresholds(ms)
     exponent, strategy = hi.exponent, ALIGN_SHIFT_DOWN
     if delta == 0 or hi.mag_log2 + delta < limit:
         # (r_hi * 2^delta + r_lo) mod m_i: the residues of 2^delta would give the same.
         residues = kernels.scale_add(hm.residues, 1 << delta, lm.residues)
         n = kernels.signed(residues)
         exponent, strategy = lo.exponent, ALIGN_SCALE_UP
-    elif delta < ms.composite.bit_length():
+    elif delta < gap:
         # lo rounded by 2^delta, 1 <= delta < M.bit_length(), added into hi per channel.
         residues, n = kernels.shift_add(hm.residues, lm.residues, delta)
     else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import frexp, isfinite, ldexp, log2
+from math import frexp, ldexp, log2
 from typing import NamedTuple
 
 from hrfna import rns
@@ -50,17 +50,20 @@ class HybridConfig:
         if self.operand_bound_bits < 3:
             raise InvariantViolation("hybrid-config", "operand_bound_bits must be >= 3")
 
-    def thresholds(self, ms: ModulusSet) -> tuple[int, float]:
-        """(tau, log2(tau) - 1.0) under ms: the threshold and the fast detector's limit.
+    def thresholds(self, ms: ModulusSet) -> tuple[int, float, int]:
+        """(tau, log2(tau) - 1.0, M.bit_length()) under ms: the values an op compares against.
 
-        validate_config computes the pair on the first call per modulus set
-        composite, so no op computes under a pair it refuses; later calls
-        read it from the config.
+        tau is the threshold, the second value the fast detector's limit,
+        and the third the exponent gap from which a shift-down add absorbs
+        its addend. validate_config computes them on the first call per
+        modulus set composite, so no op computes under a pair it refuses.
+        The ops read them from _thresholds[ms.composite], with no call, and
+        call this method only on a miss.
         """
-        pair = self._thresholds.get(ms.composite)
-        if pair is None:
-            pair = self._thresholds[ms.composite] = validate_config(ms, self)
-        return pair
+        limits = self._thresholds.get(ms.composite)
+        if limits is None:
+            limits = self._thresholds[ms.composite] = validate_config(ms, self)
+        return limits
 
 
 DEFAULT_CONFIG = HybridConfig(
@@ -73,10 +76,11 @@ def tau_int(ms: ModulusSet, cfg: HybridConfig) -> int:
     return (cfg.alpha.numerator * ms.composite) // cfg.alpha.denominator
 
 
-def validate_config(ms: ModulusSet, cfg: HybridConfig) -> tuple[int, float]:
+def validate_config(ms: ModulusSet, cfg: HybridConfig) -> tuple[int, float, int]:
     """Check the cross invariants between a modulus set and a hybrid config.
 
-    Returns (tau, log2(tau) - 1.0) for HybridConfig.thresholds to keep.
+    Returns (tau, log2(tau) - 1.0, M.bit_length()) for HybridConfig.thresholds
+    to keep.
     Raises InvariantViolation naming the failed invariant:
       operand-bound: 2^(2b) < alpha*M so in-bound operands multiply without wrap
       shift-bound:   k < b so normalization keeps a nonzero mantissa above threshold
@@ -88,7 +92,7 @@ def validate_config(ms: ModulusSet, cfg: HybridConfig) -> tuple[int, float]:
     if k >= b:
         raise InvariantViolation("shift-bound", f"k = {k} >= b = {b}")
     tau = tau_int(ms, cfg)
-    return tau, math.log2(tau) - 1.0
+    return tau, math.log2(tau) - 1.0, ms.composite.bit_length()
 
 
 class HybridNum(NamedTuple):
@@ -163,30 +167,35 @@ def from_real(x: float, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
 
     The exponent f is chosen so N = round(x * 2^-f), rounded half to even,
     lands in [2^(b-2), 2^(b-1)); zero encodes as an all-zero mantissa with
-    f = 0. The round-trip error is at most 2^(f-1). A nonzero N is checked
-    against M/2, with make_hybrid's OutOfRange message, and then read from
-    ms.fresh, the set's forward-conversion table. A miss builds the entry
-    with ms's encode kernel, the residues and fields make_hybrid would
-    give, and stores it while the table is below rns.FRESH_MEMO_SIZE.
+    f = 0. The round-trip error is at most 2^(f-1). N is frexp's mantissa
+    scaled by 2^(b-1), exactly: past b = 54 that mantissa's 53 bits are
+    shifted as an int, so no b that validate_config accepts overflows the
+    float range, and rounding one infinite or NaN raises OutOfRange. A
+    nonzero N is checked against M/2, with make_hybrid's OutOfRange
+    message, and then read from ms.fresh, the set's forward-conversion
+    table. A miss builds the entry with ms's encode kernel, the residues
+    and fields make_hybrid would give, and stores it while the table is
+    below rns.FRESH_MEMO_SIZE.
     """
-    if not isfinite(x):
-        raise rns.OutOfRange(f"cannot encode non-finite value {x!r}")
-    if x == 0.0:
-        return make_hybrid(0, 0, ms)
-
+    m, e = frexp(x)  # x = m * 2^e with 0.5 <= |m| < 1, or m = x for 0, inf and NaN
     b = cfg.operand_bound_bits
-    f = frexp(x)[1] - b + 1  # |x| = m * 2^e with 0.5 <= m < 1
-    n = round(ldexp(x, -f))  # exact scaling, then round half to even
-    if abs(n) == 1 << (b - 1):
-        # Rounding bumped the mantissa out of the half-open window.
-        f += 1
-        n = round(ldexp(x, -f))
-    if 2 * abs(n) >= ms.composite:
+    try:
+        n = round(ldexp(m, b - 1)) if b < 54 else int(ldexp(m, 53)) << (b - 54)
+    except (OverflowError, ValueError):
+        raise rns.OutOfRange(f"cannot encode non-finite value {x!r}") from None
+    if not n:
+        return make_hybrid(0, 0, ms)
+    f, a = e - b + 1, abs(n)
+    if a == 1 << (b - 1):
+        # Rounding bumped the mantissa out of the half-open window. x * 2^-(f+1)
+        # lies within 1/4 below 2^(b-2), so it rounds to N / 2.
+        n, a, f = n >> 1, a >> 1, f + 1
+    if 2 * a >= ms.composite:
         raise rns.OutOfRange(f"|{n}| not below M/2 = {ms.composite / 2}")
     fresh = ms.fresh
     entry = fresh.get(n)
     if entry is None:
-        entry = _new(ResidueVector, (ms.kernels.encode(n), ms)), log2(abs(n)), 1 if n > 0 else -1
+        entry = _new(ResidueVector, (ms.kernels.encode(n), ms)), log2(a), 1 if n > 0 else -1
         if len(fresh) < FRESH_MEMO_SIZE:
             fresh[n] = entry
     mant, mag, sign = entry
@@ -194,10 +203,18 @@ def from_real(x: float, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
 
 
 def to_real(h: HybridNum) -> float:
-    """signed(N) * 2^f evaluated in binary64; saturates to +-inf on overflow."""
+    """signed(N) * 2^f evaluated in binary64; saturates to +-inf on overflow.
+
+    N is first cut to its top 64 bits, with a sticky bit for the rest,
+    which round to the same 53 bits as N does, so an N of 1025 bits or
+    more, past binary64's range, converts too.
+    """
     n = signed_value(h.mantissa, h.set_ref)
+    s = max(abs(n).bit_length() - 64, 0)
+    q = abs(n) >> s
+    q |= (q << s) != abs(n)  # the sticky bit
     try:
-        return math.ldexp(n, h.exponent)
+        return math.ldexp(q if n > 0 else -q, h.exponent + s)
     except OverflowError:
         return math.inf if n > 0 else -math.inf
 

@@ -65,7 +65,7 @@ def needs_normalization(
     operational envelope. A survivor times a fresh operand stays inside
     M/2 because of it, and a wider limit lets such products wrap.
     """
-    tau, limit = cfg.thresholds(ms)
+    tau, limit, _ = cfg.thresholds(ms)
     if exact:
         return abs(signed_value(h.mantissa, ms)) >= tau
     return h.mag_log2 >= limit

@@ -29,6 +29,16 @@ miss, up to FRESH_MEMO_SIZE vectors. The exact oracles in workloads read
 every fresh operand through it, so each distinct vector is reconstructed
 once per set instead of once per use, and every value they read is still
 the CRT of the residues the fold used.
+
+kernels and fresh are functools.cached_property values, so their first
+use writes them into the set's __dict__. On CPython 3.11 every later load
+of a field of that set then takes the slower dict path: about 26 ns
+against 7 ns for a set whose __dict__ was never made (a shared 2-core
+x86-64 VM), some ten loads per chained-MAC step. A descriptor that stores
+without making the __dict__ keeps the fast path, but its class adds
+GC-tracked objects at import, which perfbench's set-up timing reads as a
+slower set-up (a collection moves into its calibration), so it is not
+used.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from hrfna import arithmetic, hybrid
@@ -47,7 +48,7 @@ def _pair_add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return (a[0] << (a[1] - s)) + (b[0] << (b[1] - s)), s
 
 
-_RUN = 16  # steps _chain_exact composes in one loop before its product tree
+_RUN = 32  # steps _chain_exact composes in one loop before its product tree
 
 
 def _compose(f, g):
@@ -63,22 +64,24 @@ def _compose(f, g):
 
 
 def _chain_exact(start: tuple[int, int], steps: list) -> tuple[int, int]:
-    """start folded through x -> m*x + a for each (m, a) pair of pairs in steps.
+    """start folded through x -> (m, s)*x + (a, t) for each step, as a (numerator, shift) pair.
 
-    Each run of _RUN consecutive steps is first composed left to right in
-    one loop, _compose's arithmetic written inline, since a call per pair
-    of small leaf maps costs more than their products. The runs are then
-    composed pairwise in a balanced tree (binary splitting, a product
-    tree), so the big products meet operands of like size instead of one
-    growing value meeting one small factor per step. Composition and its
-    min-shift bookkeeping are both associative: every shift is the minimum
-    over the same terms as in the step-by-step fold, so the result is that
-    fold's exact (numerator, shift) pair.
+    steps is flat, four ints per step: m, s, a, t for the multiplier pair
+    (m, s) and the addend pair (a, t). Each run of _RUN consecutive steps is
+    first composed left to right in one loop, _compose's arithmetic written
+    inline, since a call per pair of small leaf maps costs more than their
+    products. The runs are then composed pairwise in a balanced tree
+    (binary splitting, a product tree), so the big products meet operands
+    of like size instead of one growing value meeting one small factor per
+    step. Composition and its min-shift bookkeeping are both associative:
+    every shift is the minimum over the same terms as in the step-by-step
+    fold, so the result is that fold's exact (numerator, shift) pair.
     """
-    maps = []
-    for i in range(0, len(steps), _RUN):
-        (m, s), (a, t) = steps[i]
-        for (m_g, s_g), (a_g, t_g) in steps[i + 1 : i + _RUN]:
+    maps, span = [], 4 * _RUN
+    for i in range(0, len(steps), span):
+        m, s, a, t = steps[i : i + 4]
+        run = iter(steps[i + 4 : i + span])
+        for m_g, s_g, a_g, t_g in zip(run, run, run, run):
             m *= m_g
             s += s_g
             a *= m_g
@@ -98,19 +101,37 @@ def _chain_exact(start: tuple[int, int], steps: list) -> tuple[int, int]:
 
 
 def relative_error(approx: tuple[int, int], exact: tuple[int, int]) -> Fraction:
-    """|approx - exact| / |exact| as an exact Fraction (0 when both are zero).
+    """|approx - exact| / |exact| as an exact, reduced Fraction (0 when both are zero).
 
-    Both sides are scaled to the smaller shift, so one gcd reduces the result.
-    A nonzero approx against an exact zero raises ExactZero, naming the
-    absolute error.
+    For approx = (a, x) and exact = (e, t), both sides are scaled to the
+    smaller shift s, so the error is |d| / (|e| * 2^(t-s)) with
+    d = a * 2^(x-s) - e * 2^(t-s). Euclid's gcd(u - q*v, v) = gcd(u, v)
+    reduces it without a gcd of the two: gcd(|d|, |e| * 2^(t-s)) is
+    gcd(|a| * 2^(x-s), |e| * 2^(t-s)), the smaller power of two times the
+    gcd of the odd parts of a and e. a is a hybrid mantissa, below M/2, so
+    that gcd is one remainder of e's odd part by a's, and the whole
+    reduction takes time linear in the size of e, where a gcd of two
+    integers of that size, as the Fraction constructor takes, does not.
+    The quotient is written into a Fraction's two fields, with no second
+    reduction. A nonzero approx against an exact zero raises ExactZero,
+    naming the absolute error.
     """
-    d, s = _pair_add(approx, (-exact[0], exact[1]))
-    e, t = exact
+    (a, x), (e, t) = approx, exact
+    s = min(x, t)
     if e == 0:
-        if d:
-            raise ExactZero(f"exact value is 0; absolute error {abs(d)} * 2^{s}")
+        if a:
+            raise ExactZero(f"exact value is 0; absolute error {abs(a << (x - s))} * 2^{s}")
         return Fraction(0)
-    return Fraction(abs(d) << max(s - t, 0), abs(e) << max(t - s, 0))
+    if a == 0:
+        return Fraction(1)
+    d = abs((a << (x - s)) - (e << (t - s)))
+    a_zeros, e_zeros = (a & -a).bit_length() - 1, (e & -e).bit_length() - 1
+    v = min(a_zeros + x, e_zeros + t) - s  # the gcd's power of two
+    a_odd, e_odd = abs(a) >> a_zeros, abs(e) >> e_zeros
+    g = gcd(a_odd, e_odd % a_odd)  # the gcd's odd part
+    rel = object.__new__(Fraction)
+    rel._numerator, rel._denominator = (d >> v) // g, (e_odd // g) << (e_zeros + t - s - v)
+    return rel
 
 
 class DriftReport(NamedTuple):
@@ -162,11 +183,14 @@ def run_mac_chain(mults, addends, ms: ModulusSet, cfg: HybridConfig) -> DriftRep
 
     The oracle folds the encoded operand values exactly, so the measured
     relative error isolates normalization and alignment rounding; it keeps
-    each step's exact (multiplier, addend) pair and composes the steps in
-    runs and a balanced tree after the chain (_chain_exact). It reads each
-    operand's value through ms.kernels.reverse, which the set's signed
-    kernel fills on a miss, so each distinct fresh vector is reconstructed
-    once per set and every value is the CRT of the residues the fold used.
+    each step's exact multiplier and addend as four plain ints in one flat
+    list, no tuple per step for the garbage collector to walk, and composes
+    the steps in runs and a balanced tree after the chain (_chain_exact);
+    relative_error then reduces the error in time linear in its size. It
+    reads each operand's value through ms.kernels.reverse, which the set's
+    signed kernel fills on a miss, so each distinct fresh vector is
+    reconstructed once per set and every value is the CRT of the residues
+    the fold used.
     The three ops are looked up once per call, so a wrapper installed before
     the call sees every op, and the add strategies are counted once, after
     the loop.
@@ -191,10 +215,7 @@ def run_mac_chain(mults, addends, ms: ModulusSet, cfg: HybridConfig) -> DriftRep
         acc = add(acc, ha, ms, cfg)
         norm_events += len(acc.norm_events)
         added.append(acc.align_strategy)
-        steps.append((
-            (leaf[hm.mantissa.residues], hm.exponent),
-            (leaf[ha.mantissa.residues], ha.exponent),
-        ))
+        steps += leaf[hm.mantissa.residues], hm.exponent, leaf[ha.mantissa.residues], ha.exponent
 
     approx = hybrid.signed_value(acc.mantissa, ms), acc.exponent
     rel = relative_error(approx, _chain_exact(start, steps))

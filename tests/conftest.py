@@ -28,3 +28,17 @@ def hcfg():
 @pytest.fixture(scope="session")
 def pcfg():
     return DEFAULT_PIPELINE
+
+
+@pytest.fixture(scope="session")
+def huge_ms():
+    """The 160 largest primes below 20000: M has 2277 bits, so b can pass 1025.
+
+    A window mantissa of b > 1025 bits is past binary64's range.
+    """
+    sieve = bytearray([1]) * 20000
+    sieve[:2] = b"\0\0"
+    for p in range(2, 142):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, 20000, p)))
+    return make_modulus_set([p for p in range(20000) if sieve[p]][-160:])

@@ -387,6 +387,16 @@ class TestCli:
         code, record2, _ = self.run("encode", value.strip())
         assert record2 == record
 
+    def test_encode_decode_past_binary64(self, tmp_path, huge_ms):
+        # b = 1100: 1.5's window mantissa is 3 * 2^1097, past binary64's range.
+        cfg = HybridConfig(alpha=Fraction(1, 4), scale_shift_k=3, operand_bound_bits=1100)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(config_to_dict(huge_ms, cfg, DEFAULT_PIPELINE)))
+        code, record, err = self.run("--config", str(path), "encode", "1.5")
+        assert (code, err) == (0, "")
+        code, value, _ = self.run("--config", str(path), "decode", record.strip())
+        assert (code, value) == (0, "1.5\n")
+
     def test_mul_add_commands(self):
         _, rec, _ = self.run("encode", "1.5")
         rec = rec.strip()

@@ -29,6 +29,7 @@ from hrfna import (
     validate_config,
 )
 from hrfna.errors import InvariantViolation
+from hrfna.rns import OutOfRange
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -87,6 +88,17 @@ class TestConfig:
             ops[use]()
         assert exc.value.name == invariant
 
+    def test_thresholds_kept_per_composite(self):
+        # The triple validate_config returns is what the ops read, with no call.
+        cfg = HybridConfig(alpha=Fraction(1, 2), scale_shift_k=2, operand_bound_bits=3)
+        ms = make_modulus_set([5, 7, 11])  # M = 385: tau = 192
+        assert cfg._thresholds == {}
+        x = make_hybrid(3, 0, ms)
+        hrfna_add(x, make_hybrid(5, 20, ms), ms, cfg)
+        assert cfg._thresholds == {385: (192, math.log2(192) - 1.0, 9)}
+        assert cfg.thresholds(ms) is cfg._thresholds[385]
+        assert validate_config(ms, cfg) == cfg.thresholds(ms)
+
     def test_alpha_range(self):
         with pytest.raises(ValueError):
             HybridConfig(alpha=Fraction(1), scale_shift_k=2, operand_bound_bits=4)
@@ -128,6 +140,30 @@ class TestFromReal:
             with pytest.raises(ValueError):
                 from_real(x, default_ms, hcfg)
 
+    @pytest.mark.parametrize("b", [54, 1025, 1026, 1100])
+    def test_every_double_exact_from_b_54(self, huge_ms, b):
+        # 53 bits fit the window from b = 54 on; past b = 1025 the window
+        # mantissa is past binary64's range, and must not go through a float.
+        cfg = HybridConfig(alpha=Fraction(1, 4), scale_shift_k=3, operand_bound_bits=b)
+        validate_config(huge_ms, cfg)
+        for x in (1.5, -1.5, 0.1, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308):
+            h = from_real(x, huge_ms, cfg)
+            assert 2 ** (b - 2) <= abs(signed_value(h.mantissa, huge_ms)) < 2 ** (b - 1)
+            assert exact_value(h) == Fraction(x)
+            assert to_real(h) == x
+        assert from_real(0.0, huge_ms, cfg) == make_hybrid(0, 0, huge_ms)
+        for x in (math.inf, -math.inf, math.nan):
+            with pytest.raises(OutOfRange, match="non-finite"):
+                from_real(x, huge_ms, cfg)
+
+    @given(finite_floats)
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_exact_past_binary64(self, huge_ms, x):
+        cfg = HybridConfig(alpha=Fraction(1, 4), scale_shift_k=3, operand_bound_bits=1100)
+        h = from_real(x, huge_ms, cfg)
+        assert exact_value(h) == Fraction(x)
+        assert to_real(h) == x
+
     @given(finite_floats)
     @settings(max_examples=500, deadline=None)
     def test_round_trip_error_bound(self, default_ms, hcfg, x):
@@ -160,6 +196,17 @@ class TestToReal:
         h = make_hybrid(-1, 0, small_ms)
         assert h.mantissa.residues == (2, 4, 6)
         assert to_real(h) == -1.0
+
+    def test_mantissa_past_binary64_rounds_once(self, huge_ms):
+        # 1 + 2^-53 is a tie between 1 and 1 + 2^-52: half to even gives 1;
+        # a bit beyond it, 1099 - 53 bits below, rounds up.
+        one, half_ulp = 1 << 1099, 1 << (1099 - 53)
+        for n, want in ((one + half_ulp, 1.0), (one + half_ulp + 1, 1 + 2**-52), (one + 1, 1.0)):
+            assert to_real(make_hybrid(n, -1099, huge_ms)) == want
+            assert to_real(make_hybrid(-n, -1099, huge_ms)) == -want
+        assert to_real(make_hybrid(one, -1099 - 1074, huge_ms)) == 5e-324
+        assert to_real(make_hybrid(one, 0, huge_ms)) == math.inf
+        assert to_real(make_hybrid(-one, 0, huge_ms)) == -math.inf
 
     def test_overflow_saturates(self, default_ms):
         h = make_hybrid(3, 3000, default_ms)

@@ -260,7 +260,8 @@ class TestExactOracle:
     @example((5, 40), far_below(2 * _RUN))
     @example((5, 40), far_below(2 * _RUN + 1))
     def test_tree_equals_sequential_fold(self, start, steps):
-        assert _chain_exact(start, steps) == sequential_chain(start, steps)
+        flat = [n for (m, s), (a, t) in steps for n in (m, s, a, t)]
+        assert _chain_exact(start, flat) == sequential_chain(start, steps)
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_chain_rel_error_against_fraction_fold(self, default_ms, hcfg, seed):
