@@ -43,6 +43,12 @@ class HybridConfig:
     _thresholds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.alpha, Fraction):
+            raise InvariantViolation("hybrid-config", f"alpha {self.alpha!r} is not a Fraction")
+        for name in ("scale_shift_k", "operand_bound_bits"):
+            value = getattr(self, name)
+            if type(value) is not int:  # so also a bool or an integral float
+                raise InvariantViolation("hybrid-config", f"{name} {value!r} is not an int")
         if not (0 < self.alpha < 1):
             raise InvariantViolation("hybrid-config", f"alpha {self.alpha} not in (0, 1)")
         if self.scale_shift_k < 1:

@@ -64,6 +64,10 @@ class PipelineConfig:
     end_to_end_latency: int = 10
 
     def __post_init__(self):
+        for f in fields(self):  # every stage depth and the budget, before any range
+            value = getattr(self, f.name)
+            if type(value) is not int:  # so also a bool or an integral float
+                raise InvariantViolation("stage-depths", f"{f.name} = {value!r} is not an int")
         for f in fields(self)[:-1]:  # every stage depth; the last field is the budget
             depth = getattr(self, f.name)
             if not 1 <= depth <= MAX_STAGE_DEPTH:

@@ -1,7 +1,8 @@
 """Residue-number-system core: modulus sets, channel arithmetic, reconstruction.
 
-Every value is a plain Python integer, so channel products and the
-reconstruction accumulator never overflow regardless of the modulus set.
+A ModulusSet is built from its moduli alone; every other constant follows
+from them. Every value is a plain Python integer, so channel products and
+the reconstruction accumulator never overflow regardless of the modulus set.
 Channels never interact: each operation is applied per modulus with no
 carries between lanes.
 
@@ -43,10 +44,10 @@ used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import cached_property
-from math import gcd
-from operator import add, mod, mul, sub
+from math import gcd, prod
+from operator import add, index, mod, mul, sub
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -92,22 +93,49 @@ class MismatchedSet(HrfnaError):
 
 @dataclass(frozen=True)
 class ModulusSet:
-    """A fixed modulus set with its precomputed constants.
+    """A fixed modulus set, built from its moduli alone, with its derived constants.
 
-    composite is the full product M; crt_weights holds one (M_i, y_i) pair
-    per channel with M_i = M / m_i and y_i = M_i^-1 mod m_i; crt_coeffs
-    holds M_i * y_i mod M per channel; hex_formats holds the format spec
-    that prints a channel's residue as zero-padded hex as wide as m_i.
+    Every constructor, dataclasses.replace included, runs __post_init__: it
+    checks the moduli (ints by operator.index, 2 to 16 bits wide, pairwise
+    coprime) and derives composite, the full product M; crt_weights, one
+    (M_i, y_i) pair per channel with M_i = M / m_i and y_i = M_i^-1 mod m_i;
+    crt_coeffs, M_i * y_i mod M per channel; and hex_formats, the format
+    spec that prints a channel's residue as zero-padded hex as wide as m_i.
 
     kernels and fresh are made on first use and kept on the set; equality,
     hashing, pickles and copies see only the fields.
     """
 
     moduli: tuple[int, ...]
-    composite: int
-    crt_weights: tuple[tuple[int, int], ...]
-    crt_coeffs: tuple[int, ...]
-    hex_formats: tuple[str, ...]
+    composite: int = field(init=False)
+    crt_weights: tuple[tuple[int, int], ...] = field(init=False)
+    crt_coeffs: tuple[int, ...] = field(init=False)
+    hex_formats: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self):
+        try:
+            moduli = tuple(map(index, self.moduli))
+        except TypeError:
+            raise InvariantViolation("modulus-constants", f"non-int in {self.moduli!r}") from None
+        if not moduli:
+            raise ModulusTooSmall("modulus-minimum", "modulus list is empty")
+        for m in moduli:
+            if m < 2:
+                raise ModulusTooSmall("modulus-minimum", f"modulus {m} < 2")
+            if m.bit_length() > MAX_MODULUS_BITS:
+                raise ModulusTooLarge(
+                    "modulus-width", f"modulus {m} exceeds {MAX_MODULUS_BITS} bits"
+                )
+        for i in range(len(moduli)):
+            for j in range(i + 1, len(moduli)):
+                if gcd(moduli[i], moduli[j]) != 1:
+                    raise NotCoprime(i, j, moduli[i], moduli[j])
+        composite = prod(moduli)
+        weights = tuple((composite // m, pow(composite // m, -1, m)) for m in moduli)
+        coeffs = tuple(m_i * y_i % composite for m_i, y_i in weights)
+        formats = tuple(f"0{(m.bit_length() + 3) // 4}x" for m in moduli)
+        for f, value in zip(fields(self), (moduli, composite, weights, coeffs, formats)):
+            object.__setattr__(self, f.name, value)
 
     @cached_property
     def kernels(self) -> SimpleNamespace:
@@ -253,32 +281,7 @@ reverse = ReverseTable()
 _KERNEL_NAMES = ("encode", "mul", "scale_add", "signed", "drain", "shift_add", "reverse")
 
 
-def make_modulus_set(moduli) -> ModulusSet:
-    """Build a ModulusSet, validating range and pairwise coprimality."""
-    moduli = tuple(int(m) for m in moduli)
-    if not moduli:
-        raise ModulusTooSmall("modulus-minimum", "modulus list is empty")
-    for m in moduli:
-        if m < 2:
-            raise ModulusTooSmall("modulus-minimum", f"modulus {m} < 2")
-        if m.bit_length() > MAX_MODULUS_BITS:
-            raise ModulusTooLarge("modulus-width", f"modulus {m} exceeds {MAX_MODULUS_BITS} bits")
-    for i in range(len(moduli)):
-        for j in range(i + 1, len(moduli)):
-            if gcd(moduli[i], moduli[j]) != 1:
-                raise NotCoprime(i, j, moduli[i], moduli[j])
-
-    composite = 1
-    for m in moduli:
-        composite *= m
-    weights = tuple((composite // m, pow(composite // m, -1, m)) for m in moduli)
-    return ModulusSet(
-        moduli,
-        composite,
-        weights,
-        tuple(m_i * y_i % composite for m_i, y_i in weights),
-        tuple(f"0{(m.bit_length() + 3) // 4}x" for m in moduli),
-    )
+make_modulus_set = ModulusSet  # the checked constructor under its older name
 
 
 def encode_residues(n: int, ms: ModulusSet) -> ResidueVector:

@@ -105,6 +105,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             HybridConfig(alpha=Fraction(-1, 2), scale_shift_k=2, operand_bound_bits=4)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("alpha", 0.0003),
+            ("alpha", 3),  # out of range too: the type is checked first
+            ("scale_shift_k", 11.0),
+            ("scale_shift_k", True),
+            ("operand_bound_bits", 12.0),
+            ("operand_bound_bits", "12"),
+            ("operand_bound_bits", 2.0),
+        ],
+    )
+    def test_field_types(self, field, value):
+        fields = dict(alpha=Fraction(3, 8192), scale_shift_k=11, operand_bound_bits=12)
+        with pytest.raises(InvariantViolation, match="is not an? ") as exc:
+            HybridConfig(**{**fields, field: value})
+        assert exc.value.name == "hybrid-config"
+
 
 class TestFromReal:
     def test_zero(self, default_ms, hcfg):

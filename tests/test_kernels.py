@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from hrfna import (
     DEFAULT_MODULI,
+    ModulusSet,
     ResidueVector,
     crt_reconstruct,
     encode_residues,
@@ -128,7 +129,14 @@ def test_kernels_match_reference(moduli, data):
 
 def test_only_int_constants_reach_the_generated_source():
     ms = make_modulus_set((3, 5, 7))
-    forged = replace(ms, moduli=("3, __import__('os')", 5, 7))
+    injected = ("3, __import__('os')", 5, 7)
+    with pytest.raises(InvariantViolation, match="modulus-constants"):
+        replace(ms, moduli=injected)  # refused at construction
+    # A set forged past the constructor still meets the exec guard.
+    forged = object.__new__(ModulusSet)
+    for name, value in vars(ms).items():
+        object.__setattr__(forged, name, value)
+    object.__setattr__(forged, "moduli", injected)
     with pytest.raises(InvariantViolation, match="modulus-constants"):
         forged.kernels
 

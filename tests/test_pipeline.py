@@ -91,6 +91,20 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="latency-budget"):
             PipelineConfig(input_stages=3)
 
+    @pytest.mark.parametrize(
+        "depths",
+        [
+            dict(residue_stages=5.0),
+            dict(input_stages=True, post_stages=4),  # sums to the budget
+            dict(norm_engine_stages="3"),
+            dict(cycles_per_norm_stage=0.5),  # out of range too: the type is checked first
+            dict(end_to_end_latency=10.0),
+        ],
+    )
+    def test_stage_types(self, depths):
+        with pytest.raises(ValueError, match="stage-depths: .* is not an int"):
+            PipelineConfig(**depths)
+
     def test_derived_depths_kept_once_per_config(self):
         depths = dict(norm_engine_stages=2, cycles_per_norm_stage=3, input_stages=3, post_stages=2)
         cfg = PipelineConfig(**depths)

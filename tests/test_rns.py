@@ -6,6 +6,7 @@ homomorphism checks.
 """
 
 import random
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from hrfna import (
     MismatchedSet,
+    ModulusSet,
     ModulusTooLarge,
     ModulusTooSmall,
     NotCoprime,
@@ -25,6 +27,7 @@ from hrfna import (
     mod_mul,
     mod_sub,
 )
+from hrfna.errors import InvariantViolation
 from hrfna.hybrid import signed_value
 
 
@@ -75,6 +78,59 @@ class TestMakeModulusSet:
     def test_modulus_too_large(self):
         with pytest.raises(ModulusTooLarge):
             make_modulus_set([3, 1 << 16])
+
+
+class TestOneFieldConstruction:
+    """A set is its moduli: every constructor checks them and derives the rest."""
+
+    def test_moduli_is_the_only_init_field(self):
+        assert [f.name for f in fields(ModulusSet) if f.init] == ["moduli"]
+
+    def test_replace_derives_from_the_new_moduli(self, default_ms):
+        small = replace(default_ms, moduli=(7, 9, 11))
+        assert small == make_modulus_set((7, 9, 11)) == ModulusSet([7, 9, 11])
+        assert small.composite == 693
+        assert small.crt_weights == ((99, 1), (77, 2), (63, 7))
+        assert crt_reconstruct(encode_residues(500, small), small) == 500
+
+    def test_derived_constants_are_not_accepted(self, default_ms):
+        with pytest.raises(TypeError):
+            ModulusSet((3, 5), 16, ((5, 2), (3, 2)), (10, 6), ("01x", "01x"))
+        with pytest.raises(TypeError):
+            ModulusSet((3, 5), composite=16)
+        with pytest.raises(ValueError, match="init=False"):
+            replace(default_ms, composite=105)
+
+    @pytest.mark.parametrize(
+        "moduli, error",
+        [
+            ([4093.5, 4095, 4091], InvariantViolation),  # refused, not truncated to 4093
+            (("3", 5, 7), InvariantViolation),
+            ((3, None), InvariantViolation),
+            (7, InvariantViolation),  # not a sequence
+            ((4093, 4093, 4091), NotCoprime),
+            ((1, 4095, 4091), ModulusTooSmall),
+            ((70001, 4095, 4091), ModulusTooLarge),
+        ],
+    )
+    def test_every_constructor_refuses_bad_moduli(self, default_ms, moduli, error):
+        for build in (ModulusSet, make_modulus_set, lambda m: replace(default_ms, moduli=m)):
+            with pytest.raises(error) as exc:
+                build(moduli)
+            if error is InvariantViolation:
+                assert exc.value.name == "modulus-constants"
+
+    def test_integer_like_moduli_become_ints(self):
+        class Index:
+            def __init__(self, n):
+                self.n = n
+
+            def __index__(self):
+                return self.n
+
+        ms = ModulusSet((Index(3), Index(5), 7))
+        assert ms.moduli == (3, 5, 7) and all(type(m) is int for m in ms.moduli)
+        assert ms == make_modulus_set((3, 5, 7))
 
 
 class TestEncodeReconstruct:
