@@ -39,7 +39,7 @@ from hrfna import rns
 from hrfna.errors import HrfnaError
 from hrfna.hybrid import HybridConfig, HybridNum, signed_value
 from hrfna.normalization import needs_normalization, normalize, shift_round_half_even
-from hrfna.rns import ModulusSet, ResidueVector
+from hrfna.rns import ModulusSet, ResidueVector, _new
 
 # align_strategy values recorded on addition results
 ALIGN_SCALE_UP = "scale-up"  # exact: larger-exponent mantissa scaled by 2^delta
@@ -49,9 +49,6 @@ ALIGN_IDENTITY = "identity"  # one operand was zero
 
 class AuditFailure(HrfnaError):
     """A debug-mode audit caught a wrapped product, a residue mismatch or a missed crossing."""
-
-
-_new = tuple.__new__  # a NamedTuple from all its fields, skipping its Python-level __new__
 
 
 def _audit(kind: str, exact: int, out: HybridNum, ms: ModulusSet, cfg: HybridConfig, cause: str):

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 data error (one-line diagnostic on stderr),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from hrfna import arithmetic, formats, pipeline, workloads
@@ -90,10 +89,9 @@ def _run(args) -> int:
         return 0
 
     if args.command == "config":
-        text = json.dumps(formats.config_to_dict(ms, hcfg, pcfg), indent=2) + "\n"
         if args.save:
-            formats.atomic_write(args.save, text)
-        sys.stdout.write(text)
+            formats.save_config(args.save, ms, hcfg, pcfg)
+        sys.stdout.write(formats.config_json(ms, hcfg, pcfg))
         return 0
 
     if args.command == "workload":

@@ -17,8 +17,8 @@ from fractions import Fraction
 from hrfna import hybrid, pipeline, rns
 from hrfna.errors import HrfnaError, InvariantViolation  # noqa: F401 (re-exported)
 from hrfna.hybrid import DEFAULT_CONFIG, HybridConfig, HybridNum
-from hrfna.pipeline import DEFAULT_PIPELINE, Op, PipelineConfig, _new
-from hrfna.rns import DEFAULT_MODULI, ModulusSet
+from hrfna.pipeline import DEFAULT_PIPELINE, Op, PipelineConfig
+from hrfna.rns import DEFAULT_MODULI, ModulusSet, _new
 
 CONFIG_FORMAT = "hrfna-config v1"
 RECORD_FORMAT = "hrfna-hybrid v1"
@@ -117,11 +117,19 @@ def load_config(path: str | None = None) -> tuple[ModulusSet, HybridConfig, Pipe
     return config_from_dict(data)
 
 
+def config_json(ms: ModulusSet, hcfg: HybridConfig, pcfg: PipelineConfig) -> str:
+    return json.dumps(config_to_dict(ms, hcfg, pcfg), indent=2) + "\n"
+
+
 def save_config(path: str, ms: ModulusSet, hcfg: HybridConfig, pcfg: PipelineConfig) -> None:
-    atomic_write(path, json.dumps(config_to_dict(ms, hcfg, pcfg), indent=2) + "\n")
+    atomic_write(path, config_json(ms, hcfg, pcfg))
 
 
 # -- hybrid records ----------------------------------------------------------
+
+# int() also takes signs, underscores, 0x prefixes and non-ASCII digits; a record does not.
+_DIGITS = "0123456789"
+_HEX_DIGITS = _DIGITS + "abcdefABCDEF"
 
 
 def _group(h: HybridNum) -> str:
@@ -135,13 +143,20 @@ def hybrid_record(h: HybridNum) -> str:
 
 
 def parse_hybrid_record(line: str, ms: ModulusSet) -> HybridNum:
+    """The value a record denotes: ASCII hex residues, an exponent of [-]ASCII digits."""
     parts = line.split()
     if len(parts) != 3 + len(ms.moduli) or " ".join(parts[:2]) != RECORD_FORMAT:
         raise ParseError(f"malformed hybrid record: {line!r}")
+    for i, p in enumerate(parts[2:-1]):
+        if p.strip(_HEX_DIGITS):
+            raise ParseError(f"malformed hybrid record: residue {i} {p!r} is not ASCII hex digits")
+    digits = parts[-1].removeprefix("-")
+    if not digits or digits.strip(_DIGITS):
+        raise ParseError(f"malformed hybrid record: exponent {parts[-1]!r} is not [-]ASCII digits")
+    residues = tuple(int(p, 16) for p in parts[2:-1])
     try:
-        residues = tuple(int(p, 16) for p in parts[2:-1])
         exponent = int(parts[-1])
-    except ValueError as exc:
+    except ValueError as exc:  # past int's digit limit
         raise ParseError(f"malformed hybrid record: {exc}") from None
     for r, m in zip(residues, ms.moduli):
         if not 0 <= r < m:

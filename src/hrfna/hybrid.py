@@ -16,11 +16,9 @@ from typing import NamedTuple
 
 from hrfna import rns
 from hrfna.errors import InvariantViolation
-from hrfna.rns import FRESH_MEMO_SIZE, ModulusSet, ResidueVector
+from hrfna.rns import FRESH_MEMO_SIZE, ModulusSet, ResidueVector, _new
 
 LESS, EQUAL, GREATER = -1, 0, 1
-
-_new = tuple.__new__  # a NamedTuple from all its fields, skipping its Python-level __new__
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 from hrfna import rns
 from hrfna.errors import HrfnaError
 from hrfna.hybrid import HybridConfig, HybridNum, signed_value
-from hrfna.rns import ModulusSet, ResidueVector
+from hrfna.rns import ModulusSet, ResidueVector, _new
 
 
 class DegenerateResult(HrfnaError):
@@ -34,9 +34,6 @@ class NormalizationEvent(NamedTuple):
     shift: int
     exponent_before: int
     exponent_after: int
-
-
-_new = tuple.__new__  # a NamedTuple from all its fields, skipping its Python-level __new__
 
 
 def shift_round_half_even(n: int, s: int) -> int:

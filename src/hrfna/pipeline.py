@@ -27,7 +27,7 @@ from typing import NamedTuple
 from hrfna import arithmetic, hybrid
 from hrfna.errors import HrfnaError, InvariantViolation
 from hrfna.hybrid import HybridConfig, HybridNum
-from hrfna.rns import ModulusSet
+from hrfna.rns import ModulusSet, _new
 
 
 class InvalidProgram(HrfnaError):
@@ -122,9 +122,6 @@ class TraceEvent(NamedTuple):
     action: str  # issue | advance | retire | stall | norm-begin | norm-end
     op: str | None = None
     value: str | None = None
-
-
-_new = tuple.__new__  # a NamedTuple from all its fields, skipping its Python-level __new__
 
 
 class SimState(NamedTuple):

@@ -31,15 +31,17 @@ every fresh operand through it, so each distinct vector is reconstructed
 once per set instead of once per use, and every value they read is still
 the CRT of the residues the fold used.
 
-kernels and fresh are functools.cached_property values, so their first
-use writes them into the set's __dict__. On CPython 3.11 every later load
-of a field of that set then takes the slower dict path: about 26 ns
-against 7 ns for a set whose __dict__ was never made (a shared 2-core
-x86-64 VM), some ten loads per chained-MAC step. A descriptor that stores
-without making the __dict__ keeps the fast path, but its class adds
-GC-tracked objects at import, which perfbench's set-up timing reads as a
-slower set-up (a collection moves into its calibration), so it is not
-used.
+ModulusSet.fresh is made, empty, with the set. ModulusSet.kernels stays a
+functools.cached_property, built on the set's first kernel call, because
+generating and compiling the kernels costs far more than the set: about
+0.76 ms against 13 us for the default set (CPython 3.11.7, a shared 2-core
+x86-64 VM). Built with every set, they read perfbench's scaled chained_mac
+setup_s 30% and 49% higher in two 4-second pairs of runs, past that
+metric's 25% bound, though raw set-up time was not higher (a collection
+moving into the bench's calibration reads as a slower set-up). A pickle or
+copy of a set is rebuilt from its moduli through the checked constructor
+(ModulusSet.__reduce__), so it derives its own constants and starts with
+empty tables of its own.
 """
 
 from __future__ import annotations
@@ -102,8 +104,11 @@ class ModulusSet:
     crt_coeffs, M_i * y_i mod M per channel; and hex_formats, the format
     spec that prints a channel's residue as zero-padded hex as wide as m_i.
 
-    kernels and fresh are made on first use and kept on the set; equality,
-    hashing, pickles and copies see only the fields.
+    fresh, an empty dict made with the set, is a plain attribute, not a
+    field, so dataclasses.asdict never recurses from its stored vectors
+    back into the set; kernels is made on first use and kept on the set.
+    Equality, hashing and repr see only the fields, and a pickle or copy
+    is rebuilt from the moduli (see __reduce__).
     """
 
     moduli: tuple[int, ...]
@@ -136,6 +141,14 @@ class ModulusSet:
         formats = tuple(f"0{(m.bit_length() + 3) // 4}x" for m in moduli)
         for f, value in zip(fields(self), (moduli, composite, weights, coeffs, formats)):
             object.__setattr__(self, f.name, value)
+        # The forward-conversion lookup table: hybrid.from_real's memo. It maps
+        # a fresh signed mantissa n, 2^(b-2) <= |n| < 2^(b-1), to
+        # (ResidueVector(kernels.encode(n), self), log2(|n|), sign), stored only
+        # after n passed from_real's OutOfRange check and only while the memo
+        # holds fewer than FRESH_MEMO_SIZE entries, so its size does not grow
+        # with the data encoded. Its vectors refer back to the set, so a set
+        # with a filled memo is freed by the cyclic garbage collector.
+        object.__setattr__(self, "fresh", {})
 
     @cached_property
     def kernels(self) -> SimpleNamespace:
@@ -187,33 +200,9 @@ class ModulusSet:
         exec(compile(source, f"<kernels {self.moduli}>", "exec"), namespace)
         return SimpleNamespace(**{name: namespace[name] for name in _KERNEL_NAMES})
 
-    @cached_property
-    def fresh(self) -> dict:
-        """The forward-conversion lookup table: hybrid.from_real's memo, empty on first use.
-
-        It maps a fresh signed mantissa n, one in 2^(b-2) <= |n| < 2^(b-1),
-        to (ResidueVector(kernels.encode(n), self), log2(|n|), sign). The
-        vectors are immutable and shared by every value built from n.
-        from_real stores an entry only after n has passed its OutOfRange
-        check, and only while the memo holds fewer than FRESH_MEMO_SIZE
-        entries; past that a miss is built through the kernel and not kept.
-        The bound keeps the memo's size independent of how much data is
-        encoded: a window holds 2^(b-1) mantissas, 2048 at the default
-        b = 12, but a wide set admits b up to about M.bit_length() / 2.
-
-        Each stored vector refers back to this set, so a set with a filled
-        memo is freed by the cyclic garbage collector, not by its reference
-        count. Pickles and copies leave the memo out (see __getstate__) and
-        build their own, whose vectors refer to the copy.
-        """
-        return {}
-
-    def __getstate__(self):
-        """The fields alone: the kernels cannot be pickled, and a copy builds its own tables."""
-        state = vars(self).copy()
-        state.pop("kernels", None)
-        state.pop("fresh", None)
-        return state
+    def __reduce__(self):
+        """Rebuild from the moduli alone: copies and pickles run the checked constructor."""
+        return ModulusSet, (self.moduli,)
 
 
 class ResidueVector(NamedTuple):
@@ -223,7 +212,9 @@ class ResidueVector(NamedTuple):
     set_ref: ModulusSet
 
 
-_new = tuple.__new__  # a NamedTuple from all its fields, skipping its Python-level __new__
+# A NamedTuple from all its fields, skipping its Python-level __new__; every
+# module that builds values on the fast path imports it from here.
+_new = tuple.__new__
 
 # ModulusSet.kernels fills in the channel unpacks {r}, {s}, the per-channel
 # expressions and the integer literals.

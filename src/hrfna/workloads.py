@@ -17,8 +17,8 @@ from typing import NamedTuple
 from hrfna import arithmetic, hybrid
 from hrfna.errors import HrfnaError
 from hrfna.hybrid import HybridConfig, HybridNum
-from hrfna.pipeline import Op, _new
-from hrfna.rns import ModulusSet
+from hrfna.pipeline import Op
+from hrfna.rns import ModulusSet, _new
 
 GENERATOR_ID = "python-random-mt19937"
 
@@ -156,13 +156,27 @@ class DriftReport(NamedTuple):
         }
 
 
-def _config_record(ms: ModulusSet, cfg: HybridConfig) -> dict:
-    return {
-        "moduli": list(ms.moduli),
-        "alpha": [cfg.alpha.numerator, cfg.alpha.denominator],
-        "k": cfg.scale_shift_k,
-        "b": cfg.operand_bound_bits,
-    }
+def _report(workload, steps, acc, exact, bound, norm_events, added, ms, cfg) -> DriftReport:
+    """The report of a workload whose hybrid result acc has the exact pair exact.
+
+    added holds each add's align_strategy, counted here, once per run.
+    """
+    return DriftReport(
+        workload=workload,
+        seed=None,
+        steps=steps,
+        generator="caller-supplied",
+        config={
+            "moduli": list(ms.moduli),
+            "alpha": [cfg.alpha.numerator, cfg.alpha.denominator],
+            "k": cfg.scale_shift_k,
+            "b": cfg.operand_bound_bits,
+        },
+        norm_events=norm_events,
+        strategy_counts=dict(Counter(added)),
+        rel_error=relative_error((hybrid.signed_value(acc.mantissa, ms), acc.exponent), exact),
+        bound=bound,
+    )
 
 
 def mac_sequences(seed: int, n_steps: int) -> tuple[list[float], list[float]]:
@@ -217,22 +231,12 @@ def run_mac_chain(mults, addends, ms: ModulusSet, cfg: HybridConfig) -> DriftRep
         added.append(acc.align_strategy)
         steps += leaf[hm.mantissa.residues], hm.exponent, leaf[ha.mantissa.residues], ha.exponent
 
-    approx = hybrid.signed_value(acc.mantissa, ms), acc.exponent
-    rel = relative_error(approx, _chain_exact(start, steps))
     bound = Fraction(norm_events * 2 ** (cfg.scale_shift_k - 1), cfg.thresholds(ms)[0])
-    if rel > bound:
-        raise DriftBoundExceeded(f"drift {float(rel)} exceeds bound {float(bound)}")
-    return DriftReport(
-        workload="chained_mac",
-        seed=None,
-        steps=len(mults),
-        generator="caller-supplied",
-        config=_config_record(ms, cfg),
-        norm_events=norm_events,
-        strategy_counts=dict(Counter(added)),
-        rel_error=rel,
-        bound=bound,
-    )
+    exact = _chain_exact(start, steps)
+    report = _report("chained_mac", len(mults), acc, exact, bound, norm_events, added, ms, cfg)
+    if report.rel_error > bound:
+        raise DriftBoundExceeded(f"drift {float(report.rel_error)} exceeds bound {float(bound)}")
+    return report
 
 
 def chained_mac(seed: int, n_steps: int, ms: ModulusSet, cfg: HybridConfig) -> DriftReport:
@@ -263,46 +267,36 @@ def dot_product(
     Exponent synchronization happens inside the accumulation adds; the
     reported bound 2^-(b-3) * length comes from the per-operation rounding
     model. The oracle reads each operand's value through ms.kernels.reverse,
-    which the set's signed kernel fills on a miss, and the add strategies
-    are counted once, after the loop.
+    which the set's signed kernel fills on a miss. As in run_mac_chain, the
+    three ops are looked up once per call and the add strategies are counted
+    once, after the loop.
     """
     if len(xs) != len(ys):
         raise LengthMismatch(f"{len(xs)} vs {len(ys)} elements")
     if not xs:
         raise LengthMismatch("empty input")
 
+    from_real, mul, add = hybrid.from_real, arithmetic.hrfna_mul, arithmetic.hrfna_add
     leaf = ms.kernels.reverse  # from_real builds under ms: no set check needed
     acc: HybridNum | None = None
     terms, shifts, added = [], [], []
     norm_events = 0
     for x, y in zip(xs, ys):
-        hx = hybrid.from_real(x, ms, cfg)
-        hy = hybrid.from_real(y, ms, cfg)
-        prod = arithmetic.hrfna_mul(hx, hy, ms, cfg)
+        hx = from_real(x, ms, cfg)
+        hy = from_real(y, ms, cfg)
+        prod = mul(hx, hy, ms, cfg)
         norm_events += len(prod.norm_events)
         terms.append(leaf[hx.mantissa.residues] * leaf[hy.mantissa.residues])
         shifts.append(hx.exponent + hy.exponent)
         if acc is None:
             acc = prod
         else:
-            acc = arithmetic.hrfna_add(acc, prod, ms, cfg)
+            acc = add(acc, prod, ms, cfg)
             norm_events += len(acc.norm_events)
             added.append(acc.align_strategy)
 
     # The (numerator, shift) pair a _pair_add fold from (0, 0) gives: it never reduces.
     low = min(0, *shifts)
     exact = sum(t << (s - low) for t, s in zip(terms, shifts)), low
-    rel = relative_error((hybrid.signed_value(acc.mantissa, ms), acc.exponent), exact)
     bound = Fraction(len(xs), 2 ** (cfg.operand_bound_bits - 3))
-    report = DriftReport(
-        workload="dot_product",
-        seed=None,
-        steps=len(xs),
-        generator="caller-supplied",
-        config=_config_record(ms, cfg),
-        norm_events=norm_events,
-        strategy_counts=dict(Counter(added)),
-        rel_error=rel,
-        bound=bound,
-    )
-    return acc, report
+    return acc, _report("dot_product", len(xs), acc, exact, bound, norm_events, added, ms, cfg)

@@ -9,6 +9,14 @@ item 2), so most accepted configs on small sets wrap. The sweep covers
 every config that validate_config accepts on four small sets, with
 alpha = n/d for odd n < d and d from 16 to 256 in powers of two, and b
 from 3 to 13: 9,540 configs, 655 of them inside the invariant.
+
+The invariant implies alpha < 2^-(b-1), so two survivors also add without
+a wrap. The add sweep runs the largest survivor plus itself, with signs
+(+, +), (+, -) and (-, -), at every exponent gap from 0 to
+M.bit_length() + 2, so through scale-up, shift-down and absorbed adds:
+32,322 sums inside the invariant, none of which wraps, and 476,607 over
+every accepted config, 29,806 of which wrap (the first at gap 0 on
+(7, 9, 11) with alpha = 9/16, k = 1, b = 3).
 """
 
 import math
@@ -23,6 +31,7 @@ from hrfna import (
     HybridConfig,
     exact_value,
     from_real,
+    hrfna_add,
     hrfna_mul,
     make_hybrid,
     make_modulus_set,
@@ -47,10 +56,8 @@ def largest_survivor(limit: float) -> int:
     return n
 
 
-@pytest.fixture(scope="module")
-def sweep() -> list:
-    """(config, meets tau * 2^(b-1) < M, AuditFailure text or None), one per accepted config."""
-    rows = []
+def accepted_configs():
+    """(ms, cfg, config key, detector limit, meets tau * 2^(b-1) < M) for every accepted config."""
     for moduli in SMALL_SETS:
         ms = make_modulus_set(moduli)
         for d in (16, 32, 64, 128, 256):
@@ -62,15 +69,35 @@ def sweep() -> list:
                             tau, limit, _ = cfg.thresholds(ms)
                         except InvariantViolation:
                             continue
-                        x = make_hybrid(largest_survivor(limit), 0, ms)
-                        y = make_hybrid(2 ** (b - 1) - 1, 0, ms)
-                        try:
-                            hrfna_mul(x, y, ms, cfg, debug=True)
-                            failure = None
-                        except AuditFailure as exc:
-                            failure = str(exc)
-                        rows.append(((moduli, n, d, k, b), tau << (b - 1) < ms.composite, failure))
+                        inside = tau << (b - 1) < ms.composite
+                        yield ms, cfg, (moduli, n, d, k, b), limit, inside
+
+
+@pytest.fixture(scope="module")
+def sweep() -> list:
+    """(config, meets tau * 2^(b-1) < M, AuditFailure text or None), one per accepted config."""
+    rows = []
+    for ms, cfg, key, limit, inside in accepted_configs():
+        x = make_hybrid(largest_survivor(limit), 0, ms)
+        y = make_hybrid(2 ** (cfg.operand_bound_bits - 1) - 1, 0, ms)
+        try:
+            hrfna_mul(x, y, ms, cfg, debug=True)
+            failure = None
+        except AuditFailure as exc:
+            failure = str(exc)
+        rows.append((key, inside, failure))
     return rows
+
+
+def survivor_sums(configs):
+    """Every config's largest survivor plus itself, signs (+, +), (+, -) and (-, -),
+    at each exponent gap from 0 to M.bit_length() + 2: (config, gap, signs, x, y)."""
+    for ms, cfg, key, limit, _ in configs:
+        s = largest_survivor(limit)
+        for gap in range(ms.composite.bit_length() + 3):
+            for signs in ((1, 1), (1, -1), (-1, -1)):
+                x, y = make_hybrid(signs[0] * s, gap, ms), make_hybrid(signs[1] * s, 0, ms)
+                yield ms, cfg, key, gap, signs, x, y
 
 
 def assert_none_wrap(rows):
@@ -87,6 +114,28 @@ def test_configs_inside_the_envelope_never_wrap(sweep):
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_2_CONFIGS)
 def test_every_accepted_config_keeps_its_widest_product(sweep):
     assert_none_wrap(sweep)
+
+
+def test_survivor_sums_inside_the_envelope_never_wrap():
+    inside = [config for config in accepted_configs() if config[-1]]
+    sums, wrapped = 0, []
+    for ms, cfg, key, gap, signs, x, y in survivor_sums(inside):
+        sums += 1
+        try:
+            hrfna_add(x, y, ms, cfg, debug=True)
+        except AuditFailure as exc:
+            wrapped.append((key, gap, signs, str(exc)))
+    assert (len(inside), sums) == (655, 32_322)
+    assert not wrapped, f"{len(wrapped)} of {sums} sums wrap, first {wrapped[0]}"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_2_CONFIGS)
+def test_every_accepted_config_keeps_its_widest_sum():
+    for ms, cfg, key, gap, signs, x, y in survivor_sums(accepted_configs()):
+        try:
+            hrfna_add(x, y, ms, cfg, debug=True)
+        except AuditFailure as exc:
+            raise AssertionError(f"{key} at gap {gap}, signs {signs}: {exc}") from None
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_2_PROGRAMS)

@@ -252,6 +252,32 @@ class TestHybridRecords:
             with pytest.raises(ParseError):
                 parse_hybrid_record(line, default_ms)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ("0x5 -0 1_0 3", "residue 0 '0x5' is not ASCII hex digits"),
+            ("5 -0 10 3", "residue 1 '-0' is not ASCII hex digits"),
+            ("5 0 1_0 3", "residue 2 '1_0' is not ASCII hex digits"),
+            ("5 0 +a 3", "residue 2 '+a' is not ASCII hex digits"),
+            ("5 0 \u0661 3", "residue 2 '\u0661' is not ASCII hex digits"),
+            ("5 0 10 +3", "exponent '+3' is not [-]ASCII digits"),
+            ("5 0 10 1_0", "exponent '1_0' is not [-]ASCII digits"),
+            ("5 0 10 -", "exponent '-' is not [-]ASCII digits"),
+            ("5 0 10 --3", "exponent '--3' is not [-]ASCII digits"),
+            ("5 0 10 0x3", "exponent '0x3' is not [-]ASCII digits"),
+            ("5 0 10 \u0663", "exponent '\u0663' is not [-]ASCII digits"),
+        ],
+    )
+    def test_fields_int_would_take_are_rejected(self, default_ms, fields, message):
+        with pytest.raises(ParseError) as exc:
+            parse_hybrid_record(f"hrfna-hybrid v1 {fields}", default_ms)
+        assert str(exc.value) == f"malformed hybrid record: {message}"
+
+    def test_hex_of_either_case_and_a_padded_exponent_parse(self, default_ms):
+        h = parse_hybrid_record("hrfna-hybrid v1 5 0 AbC -03", default_ms)
+        assert (h.mantissa.residues, h.exponent) == ((5, 0, 0xABC), -3)
+        assert h == parse_hybrid_record(hybrid_record(h), default_ms)
+
     @given(st.sampled_from(RECORD_SETS), st.data(), st.integers(-(2**40), 2**40))
     @settings(max_examples=300, deadline=None)
     def test_parsed_record_matches_its_constructor(self, ms, data, f):
@@ -504,6 +530,15 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("hrfna-hybrid v1 ")
+
+    def test_config_save_writes_what_it_prints(self, tmp_path):
+        configs = RECORD_SETS[1], TWO_CHANNEL_CFG, PipelineConfig(norm_engine_stages=5)
+        source, saved = tmp_path / "source.json", tmp_path / "saved.json"
+        save_config(str(source), *configs)
+        code, out, err = self.run("--config", str(source), "config", "--save", str(saved))
+        assert (code, err) == (0, "")
+        assert saved.read_text() == out == source.read_text()
+        assert load_config(str(saved)) == configs
 
     def test_config_command_uses_config_file(self, tmp_path, default_ms, hcfg, pcfg):
         path = tmp_path / "cfg.json"

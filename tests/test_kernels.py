@@ -13,9 +13,10 @@ The hypothesis pins run KERNEL_EXAMPLES examples each: 300, or more when
 the active profile asks for more (tests/conftest.py registers CI's "ci").
 """
 
+import copy
 import pickle
 from dataclasses import replace
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -147,3 +148,21 @@ def test_a_set_with_kernels_pickles_without_them():
     copy = pickle.loads(pickle.dumps(ms))
     assert copy == ms and "kernels" not in vars(copy)
     assert copy.kernels.signed(copy.kernels.encode(-12345)) == -12345
+
+
+def test_a_set_reduces_to_the_constructor_on_its_moduli():
+    ms = make_modulus_set(DEFAULT_MODULI)
+    assert ms.__reduce__() == (ModulusSet, (ms.moduli,))
+
+
+def test_copies_of_a_forged_set_are_rebuilt_from_the_moduli():
+    # Forged past the constructor with a wrong composite: every copy runs the
+    # checked constructor and derives its constants again.
+    ms = make_modulus_set((3, 5, 7))
+    forged = object.__new__(ModulusSet)
+    for name, value in vars(ms).items():
+        object.__setattr__(forged, name, value)
+    object.__setattr__(forged, "composite", 12345)
+    for twin in (copy.copy(forged), copy.deepcopy(forged), pickle.loads(pickle.dumps(forged))):
+        assert twin.composite == prod(twin.moduli) == 105
+        assert twin == ms and twin.fresh == {} and twin.fresh is not ms.fresh

@@ -466,7 +466,7 @@ class TestFreshMemo:
     """from_real's forward-conversion table (ModulusSet.fresh), one per set object.
 
     A miss and then a hit give every field of the reference, under the set
-    that was passed in; the table is made on first use, holds no refused
+    that was passed in; the table is made empty with the set, holds no refused
     mantissa, stops at FRESH_MEMO_SIZE, and is left out of pickles and copies.
     """
 
@@ -484,7 +484,7 @@ class TestFreshMemo:
             xs = [*self.window_edges(cfg.operand_bound_bits), 0.1, -0.7, 3.25e-9, 2.5e12]
             sets = make_modulus_set(moduli), make_modulus_set(moduli)
             for ms in sets:
-                assert "fresh" not in vars(ms)
+                assert ms.fresh == {}
                 validate_config(ms, cfg)
                 seen = set()
                 for x in xs:
@@ -508,7 +508,7 @@ class TestFreshMemo:
         for x in (53.0, -60.0, 63.0):
             with pytest.raises(OutOfRange):
                 from_real(x, ms, cfg)
-        assert "fresh" not in vars(ms)
+        assert ms.fresh == {}
         assert fields(from_real(52.0, ms, cfg)) == fields(ref_from_real(52.0, ms, cfg))
         for x in (53.0, -60.0, 63.0):
             with pytest.raises(OutOfRange):
@@ -545,7 +545,7 @@ class TestFreshMemo:
         filled = dict(ms.fresh)
         for twin in (pickle.loads(pickle.dumps(ms)), copy.deepcopy(ms), copy.copy(ms)):
             assert twin == ms and twin is not ms
-            assert "fresh" not in vars(twin) and "kernels" not in vars(twin)
+            assert twin.fresh == {} and "kernels" not in vars(twin)
             for x in xs:
                 got = from_real(x, twin, cfg)
                 assert fields(got) == fields(ref_from_real(x, ms, cfg))
