@@ -8,6 +8,6 @@ class HrfnaError(Exception):
 class InvariantViolation(HrfnaError, ValueError):
     """A configuration violates a named invariant; also a ValueError, as a bad value."""
 
-    def __init__(self, name: str, detail: str = ""):
+    def __init__(self, name: str, detail: str):
         self.name = name
-        super().__init__(f"{name}" + (f": {detail}" if detail else ""))
+        super().__init__(f"{name}: {detail}")

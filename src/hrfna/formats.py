@@ -78,13 +78,15 @@ def config_from_dict(data: dict) -> tuple[ModulusSet, HybridConfig, PipelineConf
         raise ParseError("config root must be a JSON object")
     if data.get("format", CONFIG_FORMAT) != CONFIG_FORMAT:
         raise ParseError(f"unsupported config format {data.get('format')!r}")
-    unknown = set(data) - set(config_to_dict(*default_configs()))
+    stages = [f.name for f in fields(PipelineConfig)]
+    known = ["format", "moduli", "alpha_num", "alpha_den", "k", "b", *stages]
+    unknown = set(data).difference(known)
     if unknown:
         raise ParseError(f"unknown config keys: {', '.join(sorted(map(repr, unknown)))}")
-    stages = [f.name for f in fields(PipelineConfig) if f.name in data]
+    stages = [name for name in stages if name in data]
     try:
         moduli = data["moduli"]
-        scalars = [data[name] for name in ("alpha_num", "alpha_den", "k", "b", *stages)]
+        scalars = [data[name] for name in known[2:6] + stages]  # the four hybrid scalars first
         if not isinstance(moduli, list):
             raise ParseError(f"bad config field: moduli {moduli!r} is not a list")
         for value in moduli + scalars:

@@ -148,22 +148,13 @@ def signed_value(rv: ResidueVector, ms: ModulusSet) -> int:
     return ms.kernels.signed(rv.residues)
 
 
-def make_hybrid(
-    n: int,
-    exponent: int,
-    ms: ModulusSet,
-    align_strategy: str | None = None,
-    norm_events: tuple = (),
-) -> HybridNum:
+def make_hybrid(n: int, exponent: int, ms: ModulusSet) -> HybridNum:
     """Build the hybrid value n * 2^exponent from a signed integer mantissa.
 
-    align_strategy and norm_events record the producing operation's provenance.
+    The value has no provenance: no align_strategy and no norm_events.
     """
     mag = math.log2(abs(n)) if n else -math.inf
-    return _new(
-        HybridNum,
-        (rns.encode_signed(n, ms), exponent, mag, (n > 0) - (n < 0), align_strategy, norm_events),
-    )
+    return _new(HybridNum, (rns.encode_signed(n, ms), exponent, mag, (n > 0) - (n < 0), None, ()))
 
 
 def from_real(x: float, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:

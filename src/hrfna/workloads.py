@@ -1,9 +1,11 @@
 """Long-sequence stability workloads measured against exact rational oracles.
 
 The oracle never touches binary64: every encoded operand has an exact value
-signed(N) * 2^f, and the reference fold tracks those values as (numerator,
+signed(N) * 2^f, and the reference tracks those values as (numerator,
 shift) integer pairs, so the only divergence between the hybrid chain and
 the oracle is the rounding introduced by normalization and lossy alignment.
+A chain's oracle is one fold of affine maps x -> m*x + a whose first map is
+the constant start value.
 """
 
 from __future__ import annotations
@@ -38,66 +40,51 @@ class ExactZero(HrfnaError, ZeroDivisionError):
 # Exact values as (numerator, shift) pairs denoting n * 2^s; cheaper than
 # Fraction over long chains because no gcd runs per operation.
 
-
-def _pair_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    return a[0] * b[0], a[1] + b[1]
+_RUN = 32  # maps _chain_exact folds in one loop before its product tree
 
 
-def _pair_add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    s = min(a[1], b[1])
-    return (a[0] << (a[1] - s)) + (b[0] << (b[1] - s)), s
+def _fold(flat) -> tuple[int, int, int, int]:
+    """Affine maps x -> (m, s)*x + (a, t), composed left to right, as one flat map.
 
-
-_RUN = 32  # steps _chain_exact composes in one loop before its product tree
-
-
-def _compose(f, g):
-    """The affine map x -> m*x + a of g applied after f, as a (m, a) pair of pairs.
-
-    The pair arithmetic of _pair_mul(m_f, m_g) and
-    _pair_add(_pair_mul(a_f, m_g), a_g), written out in this frame.
+    flat holds four ints per map: m, s, a, t for the multiplier pair (m, s)
+    and the addend pair (a, t). Each map multiplies the addend so far by
+    its multiplier and adds its own addend at the smaller of the two shifts.
     """
-    ((m_f, s_f), (a_f, t_f)), ((m_g, s_g), (a_g, t_g)) = f, g
-    t = t_f + s_g  # the shift of a_f * m_g
-    low = min(t, t_g)
-    return (m_f * m_g, s_f + s_g), (((a_f * m_g) << (t - low)) + (a_g << (t_g - low)), low)
+    m, s, a, t = flat[:4]
+    rest = iter(flat[4:])
+    for m_g, s_g, a_g, t_g in zip(rest, rest, rest, rest):
+        m *= m_g
+        s += s_g
+        a *= m_g
+        t += s_g  # the shift of a * m_g
+        if t <= t_g:
+            a += a_g << (t_g - t)
+        else:
+            a = (a << (t - t_g)) + a_g
+            t = t_g
+    return m, s, a, t
 
 
 def _chain_exact(start: tuple[int, int], steps: list) -> tuple[int, int]:
     """start folded through x -> (m, s)*x + (a, t) for each step, as a (numerator, shift) pair.
 
-    steps is flat, four ints per step: m, s, a, t for the multiplier pair
-    (m, s) and the addend pair (a, t). Each run of _RUN consecutive steps is
-    first composed left to right in one loop, _compose's arithmetic written
-    inline, since a call per pair of small leaf maps costs more than their
-    products. The runs are then composed pairwise in a balanced tree
-    (binary splitting, a product tree), so the big products meet operands
-    of like size instead of one growing value meeting one small factor per
-    step. Composition and its min-shift bookkeeping are both associative:
-    every shift is the minimum over the same terms as in the step-by-step
-    fold, so the result is that fold's exact (numerator, shift) pair.
+    steps is flat, four ints per step, as _fold reads them; start is the
+    constant map (0, 0, n, f) in front of them, so the fold's addend is the
+    chain's value. Each run of _RUN maps is folded in one loop, since a call
+    per pair of small leaf maps costs more than their products. The runs
+    are then folded pairwise in a balanced tree (binary splitting, a product
+    tree), so the big products meet operands of like size instead of one
+    growing value meeting one small factor per step; the left spine's
+    multiplier is 0, so no level forms the product of all multipliers.
+    Composition and its min-shift bookkeeping are both associative: every
+    shift is the minimum over the same terms as in the step-by-step fold,
+    so the result is that fold's exact (numerator, shift) pair.
     """
-    maps, span = [], 4 * _RUN
-    for i in range(0, len(steps), span):
-        m, s, a, t = steps[i : i + 4]
-        run = iter(steps[i + 4 : i + span])
-        for m_g, s_g, a_g, t_g in zip(run, run, run, run):
-            m *= m_g
-            s += s_g
-            a *= m_g
-            t += s_g  # the shift of a * m_g
-            if t <= t_g:
-                a += a_g << (t_g - t)
-            else:
-                a = (a << (t - t_g)) + a_g
-                t = t_g
-        maps.append(((m, s), (a, t)))
-    while len(maps) > 1:
-        maps = list(map(_compose, maps[::2], maps[1::2])) + (maps[-1:] if len(maps) % 2 else [])
-    if not maps:
-        return start
-    ((m, a),) = maps
-    return _pair_add(_pair_mul(start, m), a)
+    flat, span = [0, 0, *start, *steps], 4 * _RUN
+    while len(flat) > 4:
+        flat = [n for i in range(0, len(flat), span) for n in _fold(flat[i : i + span])]
+        span = 8  # two maps per fold above the runs
+    return flat[2], flat[3]
 
 
 def relative_error(approx: tuple[int, int], exact: tuple[int, int]) -> Fraction:
@@ -295,7 +282,7 @@ def dot_product(
             norm_events += len(acc.norm_events)
             added.append(acc.align_strategy)
 
-    # The (numerator, shift) pair a _pair_add fold from (0, 0) gives: it never reduces.
+    # The (numerator, shift) pair of the terms added one by one from (0, 0): it never reduces.
     low = min(0, *shifts)
     exact = sum(t << (s - low) for t, s in zip(terms, shifts)), low
     bound = Fraction(len(xs), 2 ** (cfg.operand_bound_bits - 3))

@@ -181,6 +181,19 @@ class TestConfigFormat:
         assert err.startswith("error: ParseError: ")
         assert err.count("\n") == 1
 
+    def test_keys_known_without_a_default_config(self, monkeypatch, default_ms, hcfg, pcfg):
+        data = config_to_dict(default_ms, hcfg, pcfg)
+
+        def refuse(*args):
+            raise AssertionError("config_from_dict built a default config")
+
+        monkeypatch.setattr(formats, "default_configs", refuse)
+        monkeypatch.setattr(formats, "config_to_dict", refuse)
+        ms, got_hcfg, got_pcfg = config_from_dict(data)
+        assert (ms.moduli, got_hcfg, got_pcfg) == (default_ms.moduli, hcfg, pcfg)
+        with pytest.raises(ParseError, match="^unknown config keys: 'residue_stage'$"):
+            config_from_dict({**data, "residue_stage": 6})
+
     def test_non_object_root_is_parse_error(self, tmp_path, capsys, default_ms, hcfg, pcfg):
         data = [config_to_dict(default_ms, hcfg, pcfg)]
         with pytest.raises(ParseError, match="JSON object"):

@@ -195,11 +195,12 @@ def operands(draw, wide_both):
     n_x = draw(wide)
     n_y = draw(wide if wide_both else st.integers(-fresh, fresh))
     assume(2 * abs(n_x * n_y) < ms.composite or wide_both)
-    provenance = (ALIGN_SHIFT_DOWN, (NormalizationEvent(9, 1, 3, 0, 3),))
+    events = (NormalizationEvent(9, 1, 3, 0, 3),)
+    provenance = dict(align_strategy=ALIGN_SHIFT_DOWN, norm_events=events)
     values = []
     for n in (n_x, n_y):
-        extra = provenance if draw(st.booleans()) else ()
-        values.append(make_hybrid(n, draw(st.integers(-40, 40)), ms, *extra))
+        extra = provenance if draw(st.booleans()) else {}
+        values.append(make_hybrid(n, draw(st.integers(-40, 40)), ms)._replace(**extra))
     if draw(st.booleans()):
         values.reverse()
     return (*values, ms, cfg)
@@ -213,8 +214,11 @@ def wide_operand(draw):
     half = (ms.composite - 1) // 2
     small = 1 << cfg.scale_shift_k
     n = draw(st.integers(-half, half) | st.integers(-small, small))
-    provenance = (ALIGN_SCALE_UP, (NormalizationEvent(9, 1, 3, 0, 3),)) if draw(st.booleans()) else ()
-    return make_hybrid(n, draw(st.integers(-40, 40)), ms, *provenance), ms, cfg
+    provenance = {}
+    if draw(st.booleans()):
+        events = (NormalizationEvent(9, 1, 3, 0, 3),)
+        provenance = dict(align_strategy=ALIGN_SCALE_UP, norm_events=events)
+    return make_hybrid(n, draw(st.integers(-40, 40)), ms)._replace(**provenance), ms, cfg
 
 
 class TestAgainstChannelOps:

@@ -33,8 +33,6 @@ from hrfna.pipeline import Op, evaluate_program
 from hrfna.workloads import (
     _RUN,
     _chain_exact,
-    _pair_add,
-    _pair_mul,
     chained_mac_program,
     mac_sequences,
     relative_error,
@@ -245,13 +243,16 @@ class TestMacSequences:
 
 def sequential_chain(start, steps):
     """The step-by-step fold x -> m*x + a over (numerator, shift) pairs."""
-    x = start
-    for m, a in steps:
-        x = _pair_add(_pair_mul(x, m), a)
-    return x
+    n, f = start
+    for (m, s), (a, t) in steps:
+        n, f, low = n * m, f + s, min(f + s, t)  # x * m
+        n, f = (n << (f - low)) + (a << (t - low)), low  # + a
+    return n, f
 
 
 pairs = st.tuples(st.integers(-(2**40), 2**40) | st.just(0), st.integers(-70, 70))
+# 200 examples, or more when the active profile (CI's ci) asks for more.
+FOLD_EXAMPLES = max(200, settings.default.max_examples)
 
 
 def far_below(n):
@@ -261,13 +262,14 @@ def far_below(n):
 
 class TestExactOracle:
     @given(pairs, st.lists(st.tuples(pairs, pairs), max_size=300))
-    @settings(max_examples=200, deadline=None)
-    # Lengths at the edges of _chain_exact's runs of _RUN steps.
+    @settings(max_examples=FOLD_EXAMPLES, deadline=None)
+    # Lengths at the edges of _chain_exact's runs of _RUN maps, the start map first.
     @example((5, 40), far_below(0))
     @example((5, 40), far_below(1))
     @example((5, 40), far_below(_RUN - 1))
     @example((5, 40), far_below(_RUN))
     @example((5, 40), far_below(_RUN + 1))
+    @example((5, 40), far_below(2 * _RUN - 1))
     @example((5, 40), far_below(2 * _RUN))
     @example((5, 40), far_below(2 * _RUN + 1))
     def test_tree_equals_sequential_fold(self, start, steps):
