@@ -15,7 +15,7 @@ it by reconstruction.
 
 Each op reads the detector limit (and an add the absorb gap) once, from
 cfg._thresholds[ms.composite] with no Python-level call; only a pair's
-first op calls HybridConfig.thresholds, which runs validate_config. Each
+first op calls validate_config, which checks the pair and keeps them. Each
 does its channel work with the kernels of ms (rns.ModulusSet.kernels):
 the channel product, the scaled sum (r * 2^delta + s) mod m and the
 signed CRT. A shift-down add that is not absorbed is one shift_add call,
@@ -26,9 +26,11 @@ normalization event, since normalize already took hi's mag_log2 and sign
 from their exact value. In a long chained MAC nearly every add absorbs
 its addend into a product just normalized, so those adds run no CRT at
 all. normalize drains through one drain call.
-An operand under another set object is first checked by rns, so a set
-with other moduli raises MismatchedSet there, before any kernel runs, and
-an equal set built apart gives the same result bit for bit.
+Each op tests its operands' set identity in one condition; if any
+operand is under another set object, one rns._check_set call checks them
+all, so a set with other moduli raises MismatchedSet there, before any
+kernel runs, and an equal set built apart gives the same result bit for
+bit.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from math import inf, log2
 
 from hrfna import rns
 from hrfna.errors import HrfnaError
-from hrfna.hybrid import HybridConfig, HybridNum, signed_value
+from hrfna.hybrid import HybridConfig, HybridNum, signed_value, validate_config
 from hrfna.normalization import needs_normalization, normalize, shift_round_half_even
 from hrfna.rns import ModulusSet, ResidueVector, _new
 
@@ -57,7 +59,7 @@ def _audit(kind: str, exact: int, out: HybridNum, ms: ModulusSet, cfg: HybridCon
         raise AuditFailure(f"{kind} {exact} wrapped modulo M={ms.composite}; {cause}")
     if signed_value(out.mantissa, ms) != exact:
         raise AuditFailure(f"residue {kind} disagrees with reconstruction")
-    if abs(exact) >= cfg.thresholds(ms)[0] and not needs_normalization(out, ms, cfg):
+    if abs(exact) >= validate_config(ms, cfg)[0] and not needs_normalization(out, ms, cfg):
         raise AuditFailure("magnitude estimator missed a threshold crossing")
 
 
@@ -73,17 +75,15 @@ def hrfna_mul(
     threshold crossing raises AuditFailure.
     """
     xm, ym = x.mantissa, y.mantissa
-    if xm.set_ref is not ms:
-        rns._check_set(xm, ms)
-    if ym.set_ref is not ms:
-        rns._check_set(ym, ms)
+    if xm.set_ref is not ms or ym.set_ref is not ms:
+        rns._check_set(ms, xm, ym)
     mant = _new(ResidueVector, (ms.kernels.mul(xm.residues, ym.residues), ms))
     exponent, mag, sign = x.exponent + y.exponent, x.mag_log2 + y.mag_log2, x.sign * y.sign
     h = _new(HybridNum, (mant, exponent, mag, sign, None, ()))
     if debug:
         prod = signed_value(xm, ms) * signed_value(ym, ms)
         _audit("product", prod, h, ms, cfg, "operand bounds misconfigured")
-    limit = (cfg._thresholds.get(ms.composite) or cfg.thresholds(ms))[1]
+    limit = (cfg._thresholds.get(ms.composite) or validate_config(ms, cfg))[1]
     while h.mag_log2 >= limit:  # needs_normalization's fast mode
         h = normalize(h, ms, cfg)
     return h
@@ -118,11 +118,9 @@ def hrfna_add(
     hi, lo = (x, y) if x.exponent >= y.exponent else (y, x)
     delta = hi.exponent - lo.exponent
     hm, lm, kernels = hi.mantissa, lo.mantissa, ms.kernels
-    if hm.set_ref is not ms:
-        rns._check_set(hm, ms)
-    if lm.set_ref is not ms:
-        rns._check_set(lm, ms)
-    _, limit, gap = cfg._thresholds.get(ms.composite) or cfg.thresholds(ms)
+    if hm.set_ref is not ms or lm.set_ref is not ms:
+        rns._check_set(ms, hm, lm)
+    _, limit, gap = cfg._thresholds.get(ms.composite) or validate_config(ms, cfg)
     exponent, strategy = hi.exponent, ALIGN_SHIFT_DOWN
     if delta == 0 or hi.mag_log2 + delta < limit:
         # (r_hi * 2^delta + r_lo) mod m_i: the residues of 2^delta would give the same.

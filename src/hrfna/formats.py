@@ -104,17 +104,22 @@ def config_from_dict(data: dict) -> tuple[ModulusSet, HybridConfig, PipelineConf
 
 
 def load_config(path: str | None = None) -> tuple[ModulusSet, HybridConfig, PipelineConfig]:
-    """Load configs from path, the HRFNA_CONFIG env var, or defaults when absent."""
+    """Load configs from path, the HRFNA_CONFIG env var, or defaults when neither is set.
+
+    A missing file, and any ValueError while reading it (malformed JSON,
+    bytes that do not decode, an integer past int's digit limit), raise
+    ParseError.
+    """
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
-    if path is None or not os.path.exists(path):
-        if path is not None:
-            raise ParseError(f"config file not found: {path}")
-        return default_configs()
+        if path is None:
+            return default_configs()
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except FileNotFoundError:
+        raise ParseError(f"config file not found: {path}") from None
+    except ValueError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
     return config_from_dict(data)
 

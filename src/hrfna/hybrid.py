@@ -32,7 +32,8 @@ class HybridConfig:
                 product of two of them stays below tau and never wraps mod M.
 
     The interplay with a concrete modulus set (2^(2b) < alpha*M) needs M, so
-    validate_config checks it on the config's first use with each set.
+    validate_config checks it on the config's first use with each set, and
+    keeps what it derives in _thresholds, keyed by M.
     """
 
     alpha: Fraction
@@ -54,21 +55,6 @@ class HybridConfig:
         if self.operand_bound_bits < 3:
             raise InvariantViolation("hybrid-config", "operand_bound_bits must be >= 3")
 
-    def thresholds(self, ms: ModulusSet) -> tuple[int, float, int]:
-        """(tau, log2(tau) - 1.0, M.bit_length()) under ms: the values an op compares against.
-
-        tau is the threshold, the second value the fast detector's limit,
-        and the third the exponent gap from which a shift-down add absorbs
-        its addend. validate_config computes them on the first call per
-        modulus set composite, so no op computes under a pair it refuses.
-        The ops read them from _thresholds[ms.composite], with no call, and
-        call this method only on a miss.
-        """
-        limits = self._thresholds.get(ms.composite)
-        if limits is None:
-            limits = self._thresholds[ms.composite] = validate_config(ms, self)
-        return limits
-
 
 DEFAULT_CONFIG = HybridConfig(
     alpha=Fraction(3, 8192), scale_shift_k=11, operand_bound_bits=12
@@ -76,19 +62,27 @@ DEFAULT_CONFIG = HybridConfig(
 
 
 def tau_int(ms: ModulusSet, cfg: HybridConfig) -> int:
-    """Integer normalization threshold floor(alpha * M); HybridConfig.thresholds caches it."""
+    """Integer normalization threshold floor(alpha * M); validate_config keeps it."""
     return (cfg.alpha.numerator * ms.composite) // cfg.alpha.denominator
 
 
 def validate_config(ms: ModulusSet, cfg: HybridConfig) -> tuple[int, float, int]:
-    """Check the cross invariants between a modulus set and a hybrid config.
+    """Check the cross invariants between a modulus set and a hybrid config, once per pair.
 
-    Returns (tau, log2(tau) - 1.0, M.bit_length()) for HybridConfig.thresholds
-    to keep.
+    Returns (tau, log2(tau) - 1.0, M.bit_length()): the threshold, the fast
+    detector's limit, and the exponent gap from which a shift-down add
+    absorbs its addend. The invariants and the triple depend on the set only
+    through M, so the first call per M stores the triple in
+    cfg._thresholds[M] and later calls return the stored triple. The ops
+    read it from there with no call, and call this only on a miss, so no op
+    computes under a pair it refuses.
     Raises InvariantViolation naming the failed invariant:
       operand-bound: 2^(2b) < alpha*M so in-bound operands multiply without wrap
       shift-bound:   k < b so normalization keeps a nonzero mantissa above threshold
     """
+    limits = cfg._thresholds.get(ms.composite)
+    if limits is not None:
+        return limits
     b, k, limit = cfg.operand_bound_bits, cfg.scale_shift_k, cfg.alpha * ms.composite
     # Past M's bit length 2^(2b) > M without being built (b may come from a file).
     if 2 * b > ms.composite.bit_length() or 2 ** (2 * b) >= limit:
@@ -96,7 +90,8 @@ def validate_config(ms: ModulusSet, cfg: HybridConfig) -> tuple[int, float, int]
     if k >= b:
         raise InvariantViolation("shift-bound", f"k = {k} >= b = {b}")
     tau = tau_int(ms, cfg)
-    return tau, math.log2(tau) - 1.0, ms.composite.bit_length()
+    limits = cfg._thresholds[ms.composite] = tau, math.log2(tau) - 1.0, ms.composite.bit_length()
+    return limits
 
 
 class HybridNum(NamedTuple):
@@ -144,7 +139,7 @@ def signed_value(rv: ResidueVector, ms: ModulusSet) -> int:
     (MismatchedSet).
     """
     if rv.set_ref is not ms:
-        rns._check_set(rv, ms)
+        rns._check_set(ms, rv)
     return ms.kernels.signed(rv.residues)
 
 
@@ -166,11 +161,12 @@ def from_real(x: float, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
     scaled by 2^(b-1), exactly: past b = 54 that mantissa's 53 bits are
     shifted as an int, so no b that validate_config accepts overflows the
     float range, and rounding one infinite or NaN raises OutOfRange. A
-    nonzero N is checked against M/2, with make_hybrid's OutOfRange
-    message, and then read from ms.fresh, the set's forward-conversion
-    table. A miss builds the entry with ms's encode kernel, the residues
-    and fields make_hybrid would give, and stores it while the table is
-    below rns.FRESH_MEMO_SIZE.
+    nonzero N is read from ms.fresh, the set's forward-conversion table.
+    A miss checks N against M/2, with make_hybrid's OutOfRange message,
+    builds the entry with ms's encode kernel, the residues and fields
+    make_hybrid would give, and stores it while the table is below
+    rns.FRESH_MEMO_SIZE. The table holds only entries that passed that
+    check under the same set, so a hit needs none.
     """
     m, e = frexp(x)  # x = m * 2^e with 0.5 <= |m| < 1, or m = x for 0, inf and NaN
     b = cfg.operand_bound_bits
@@ -185,11 +181,11 @@ def from_real(x: float, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
         # Rounding bumped the mantissa out of the half-open window. x * 2^-(f+1)
         # lies within 1/4 below 2^(b-2), so it rounds to N / 2.
         n, a, f = n >> 1, a >> 1, f + 1
-    if 2 * a >= ms.composite:
-        raise rns.OutOfRange(f"|{n}| not below M/2 = {ms.composite / 2}")
     fresh = ms.fresh
     entry = fresh.get(n)
     if entry is None:
+        if 2 * a >= ms.composite:
+            raise rns.OutOfRange(f"|{n}| not below M/2 = {ms.composite / 2}")
         entry = _new(ResidueVector, (ms.kernels.encode(n), ms)), log2(a), 1 if n > 0 else -1
         if len(fresh) < FRESH_MEMO_SIZE:
             fresh[n] = entry

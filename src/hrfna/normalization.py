@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from hrfna import rns
 from hrfna.errors import HrfnaError
-from hrfna.hybrid import HybridConfig, HybridNum, signed_value
+from hrfna.hybrid import HybridConfig, HybridNum, signed_value, validate_config
 from hrfna.rns import ModulusSet, ResidueVector, _new
 
 
@@ -62,7 +62,7 @@ def needs_normalization(
     operational envelope. A survivor times a fresh operand stays inside
     M/2 because of it, and a wider limit lets such products wrap.
     """
-    tau, limit, _ = cfg.thresholds(ms)
+    tau, limit, _ = validate_config(ms, cfg)
     if exact:
         return abs(signed_value(h.mantissa, ms)) >= tau
     return h.mag_log2 >= limit
@@ -72,7 +72,7 @@ def normalize(h: HybridNum, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
     """Scale the mantissa down by 2^k and bump the exponent by k.
 
     Callable below threshold as well; hrfna_mul and hrfna_add call it while
-    mag_log2 >= cfg.thresholds(ms)[1], the fast detector. The result keeps
+    mag_log2 >= validate_config(ms, cfg)[1], the fast detector. The result keeps
     h's align_strategy, carries h's norm_events followed by its own
     NormalizationEvent (so repeated passes over one operation's result
     accumulate), and has a mag_log2 recomputed exactly from the scaled
@@ -81,7 +81,7 @@ def normalize(h: HybridNum, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
     """
     k, hm = cfg.scale_shift_k, h.mantissa
     if hm.set_ref is not ms:
-        rns._check_set(hm, ms)
+        rns._check_set(ms, hm)
     # |n_out| <= |n|/2 + 1/2 < M/2, so the re-encode needs no range check.
     n, n_out, residues = ms.kernels.drain(hm.residues, k)
     if n_out == 0 and n != 0:

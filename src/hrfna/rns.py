@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from math import gcd, prod
+from math import gcd
 from operator import add, index, mod, mul, sub
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -131,11 +131,15 @@ class ModulusSet:
                 raise ModulusTooLarge(
                     "modulus-width", f"modulus {m} exceeds {MAX_MODULUS_BITS} bits"
                 )
-        for i in range(len(moduli)):
-            for j in range(i + 1, len(moduli)):
-                if gcd(moduli[i], moduli[j]) != 1:
-                    raise NotCoprime(i, j, moduli[i], moduli[j])
-        composite = prod(moduli)
+        # Coprime to every earlier modulus is coprime to their product: one gcd per
+        # modulus, and composite is that running product. On a failure, name the
+        # first earlier modulus m shares a factor with.
+        composite = 1
+        for j, m in enumerate(moduli):
+            if gcd(m, composite) != 1:
+                i = next(i for i in range(j) if gcd(moduli[i], m) != 1)
+                raise NotCoprime(i, j, moduli[i], m)
+            composite *= m
         weights = tuple((composite // m, pow(composite // m, -1, m)) for m in moduli)
         coeffs = tuple(m_i * y_i % composite for m_i, y_i in weights)
         formats = tuple(f"0{(m.bit_length() + 3) // 4}x" for m in moduli)
@@ -293,10 +297,15 @@ def encode_signed(n: int, ms: ModulusSet) -> ResidueVector:
     return _new(ResidueVector, (tuple(map(n.__mod__, ms.moduli)), ms))
 
 
-def _check_set(rv: ResidueVector, ms: ModulusSet) -> None:
-    """Refuse rv unless its set has ms's moduli; callers skip it when rv.set_ref is ms."""
-    if rv.set_ref.moduli != ms.moduli:
-        raise MismatchedSet(f"vector built under {rv.set_ref.moduli}, operating under {ms.moduli}")
+def _check_set(ms: ModulusSet, *vectors: ResidueVector) -> None:
+    """The one set check: refuse any vector whose set has other moduli than ms.
+
+    An op calls it once, with all its operands, and only when some operand's
+    set_ref is not ms.
+    """
+    for rv in vectors:
+        if (got := rv.set_ref.moduli) != ms.moduli:
+            raise MismatchedSet(f"vector built under {got}, operating under {ms.moduli}")
 
 
 def crt_reconstruct(rv: ResidueVector, ms: ModulusSet) -> int:
@@ -306,15 +315,13 @@ def crt_reconstruct(rv: ResidueVector, ms: ModulusSet) -> int:
     Python integers absorb that without truncation.
     """
     if rv.set_ref is not ms:
-        _check_set(rv, ms)
+        _check_set(ms, rv)
     return sum(map(mul, rv.residues, ms.crt_coeffs)) % ms.composite
 
 
 def _channelwise(op, a: ResidueVector, b: ResidueVector, ms: ModulusSet) -> ResidueVector:
-    if a.set_ref is not ms:
-        _check_set(a, ms)
-    if b.set_ref is not ms:
-        _check_set(b, ms)
+    if a.set_ref is not ms or b.set_ref is not ms:
+        _check_set(ms, a, b)
     return _new(ResidueVector, (tuple(map(mod, map(op, a.residues, b.residues), ms.moduli)), ms))
 
 

@@ -196,7 +196,7 @@ def run_mac_chain(mults, addends, ms: ModulusSet, cfg: HybridConfig) -> DriftRep
     the call sees every op, and the add strategies are counted once, after
     the loop.
     The per-event rounding model gives the bound norm_events * 2^(k-1) / tau,
-    with tau from cfg.thresholds(ms); a chain that exceeds it raises
+    with tau from validate_config(ms, cfg); a chain that exceeds it raises
     DriftBoundExceeded.
     """
     if len(mults) != len(addends):
@@ -218,7 +218,7 @@ def run_mac_chain(mults, addends, ms: ModulusSet, cfg: HybridConfig) -> DriftRep
         added.append(acc.align_strategy)
         steps += leaf[hm.mantissa.residues], hm.exponent, leaf[ha.mantissa.residues], ha.exponent
 
-    bound = Fraction(norm_events * 2 ** (cfg.scale_shift_k - 1), cfg.thresholds(ms)[0])
+    bound = Fraction(norm_events * 2 ** (cfg.scale_shift_k - 1), hybrid.validate_config(ms, cfg)[0])
     exact = _chain_exact(start, steps)
     report = _report("chained_mac", len(mults), acc, exact, bound, norm_events, added, ms, cfg)
     if report.rel_error > bound:

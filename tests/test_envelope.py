@@ -35,6 +35,7 @@ from hrfna import (
     hrfna_mul,
     make_hybrid,
     make_modulus_set,
+    validate_config,
 )
 from hrfna.arithmetic import AuditFailure
 from hrfna.errors import InvariantViolation
@@ -66,7 +67,7 @@ def accepted_configs():
                     for k in range(1, b):
                         cfg = HybridConfig(Fraction(n, d), k, b)
                         try:
-                            tau, limit, _ = cfg.thresholds(ms)
+                            tau, limit, _ = validate_config(ms, cfg)
                         except InvariantViolation:
                             continue
                         inside = tau << (b - 1) < ms.composite

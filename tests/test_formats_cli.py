@@ -245,6 +245,36 @@ class TestConfigFormat:
         with pytest.raises(ParseError):
             load_config(str(tmp_path / "absent.json"))
 
+    @pytest.mark.parametrize("kind", ["digit-limit", "undecodable"])
+    def test_unreadable_file_is_parse_error(self, tmp_path, capsys, default_ms, hcfg, pcfg, kind):
+        text = json.dumps(config_to_dict(default_ms, hcfg, pcfg))
+        if kind == "digit-limit":
+            # b as a 5,000-digit literal: past int's digit limit, a ValueError inside json.
+            data = text.replace('"b": 12,', f'"b": {"1" + "0" * 4999},').encode()
+            assert len(data) > 5000
+        else:
+            # A UTF-16 byte-order mark: 0xff starts no UTF-8 sequence.
+            data = b"\xff\xfe" + text.encode("utf-16-le")
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="^invalid JSON in "):
+            load_config(str(path))
+        assert main(["--config", str(path), "config"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ParseError: invalid JSON in ")
+        assert err.count("\n") == 1
+
+
+class TestAtomicWrite:
+    def test_failed_replace_reraises_and_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(OSError):
+            formats.atomic_write(str(target), "text")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert not any(target.iterdir())
+
 
 class TestHybridRecords:
     def test_record_round_trip(self, default_ms, hcfg):
@@ -285,6 +315,11 @@ class TestHybridRecords:
         with pytest.raises(ParseError) as exc:
             parse_hybrid_record(f"hrfna-hybrid v1 {fields}", default_ms)
         assert str(exc.value) == f"malformed hybrid record: {message}"
+
+    def test_exponent_past_the_digit_limit_is_parse_error(self, default_ms):
+        # ASCII digits, so only int's digit limit refuses it.
+        with pytest.raises(ParseError, match="^malformed hybrid record: "):
+            parse_hybrid_record(f"hrfna-hybrid v1 5 0 10 {'1' * 5000}", default_ms)
 
     def test_hex_of_either_case_and_a_padded_exponent_parse(self, default_ms):
         h = parse_hybrid_record("hrfna-hybrid v1 5 0 AbC -03", default_ms)

@@ -96,8 +96,7 @@ class TestConfig:
         x = make_hybrid(3, 0, ms)
         hrfna_add(x, make_hybrid(5, 20, ms), ms, cfg)
         assert cfg._thresholds == {385: (192, math.log2(192) - 1.0, 9)}
-        assert cfg.thresholds(ms) is cfg._thresholds[385]
-        assert validate_config(ms, cfg) == cfg.thresholds(ms)
+        assert validate_config(ms, cfg) is cfg._thresholds[385]
 
     def test_alpha_range(self):
         with pytest.raises(ValueError):

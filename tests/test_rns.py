@@ -26,6 +26,7 @@ from hrfna import (
     mod_add,
     mod_mul,
     mod_sub,
+    rns,
 )
 from hrfna.errors import InvariantViolation
 from hrfna.hybrid import signed_value
@@ -68,6 +69,32 @@ class TestMakeModulusSet:
             make_modulus_set([4, 6])
         assert exc.value.index_a == 0
         assert exc.value.index_b == 1
+
+    def test_not_coprime_names_first_conflict_with_an_earlier_modulus(self):
+        # 9 is the first modulus sharing a factor with an earlier one, 3 the first it shares with.
+        with pytest.raises(NotCoprime) as exc:
+            make_modulus_set([2, 3, 9, 4])
+        assert (exc.value.index_a, exc.value.index_b) == (1, 2)
+        assert str(exc.value) == "pairwise-coprime: moduli[1]=3 and moduli[2]=9 share gcd 3"
+
+    def test_not_coprime_costs_one_gcd_per_modulus(self, monkeypatch):
+        primes = [n for n in range(2, 2000) if all(n % q for q in range(2, int(n**0.5) + 1))][:300]
+        assert len(primes) == 300
+        calls = 0
+        real_gcd = rns.gcd
+
+        def counting_gcd(a, b):
+            nonlocal calls
+            calls += 1
+            return real_gcd(a, b)
+
+        monkeypatch.setattr(rns, "gcd", counting_gcd)
+        with pytest.raises(NotCoprime) as exc:
+            make_modulus_set(primes + primes[-1:] * 3000)
+        assert (exc.value.index_a, exc.value.index_b) == (299, 300)
+        # 301 tests against the running product, up to 300 to name the earlier modulus
+        # and one for the message; a pairwise scan makes about 10^6.
+        assert calls <= 2 * 301
 
     def test_modulus_too_small(self):
         with pytest.raises(ModulusTooSmall):
