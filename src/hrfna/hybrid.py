@@ -1,9 +1,12 @@
-"""Hybrid numbers: a residue-encoded integer mantissa paired with a power-of-two exponent.
+"""Hybrid numbers: an integer mantissa paired with a power-of-two exponent.
 
-A HybridNum denotes N * 2^f where N lives in the residue domain under the
-symmetric signed convention (reconstructions >= M/2 denote n - M). Alongside
-the contractual fields it carries an O(1) magnitude estimate (log2 |N|) and
-the sign, so threshold detection and most comparisons avoid reconstruction.
+A HybridNum denotes n * 2^f. It carries the signed mantissa n itself,
+always in the symmetric range -M/2 <= n < M/2 of its modulus set, so the
+ops compute with ints and never reconstruct. The residue channels of the
+paper are a view of n: the mantissa property is encode(n), computed when an
+export or a test reads it, and exact by the CRT isomorphism (see rns).
+Alongside n a value carries an O(1) magnitude estimate (log2 |n|) and the
+sign, which drive threshold detection and most comparisons.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import NamedTuple
 
 from hrfna import rns
 from hrfna.errors import InvariantViolation
-from hrfna.rns import FRESH_MEMO_SIZE, ModulusSet, ResidueVector, _new
+from hrfna.rns import ModulusSet, ResidueVector, _new
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -28,7 +31,7 @@ class HybridConfig:
     alpha:      safety factor in (0, 1); the normalization threshold is
                 tau = floor(alpha * M).
     scale_shift_k:      bits removed per normalization (scale factor 2^k).
-    operand_bound_bits: b; freshly encoded operands satisfy |N| < 2^b so a
+    operand_bound_bits: b; newly encoded operands satisfy |N| < 2^b so a
                 product of two of them stays below tau and never wraps mod M.
 
     The interplay with a concrete modulus set (2^(2b) < alpha*M) needs M, so
@@ -95,14 +98,17 @@ def validate_config(ms: ModulusSet, cfg: HybridConfig) -> tuple[int, float, int]
 
 
 class HybridNum(NamedTuple):
-    """Immutable hybrid value: mantissa residues, exponent, and estimator channels.
+    """Immutable hybrid value: signed mantissa, its set, exponent, and estimator channels.
 
-    align_strategy and norm_events describe only the operation that produced
-    this value (provenance for tests and event export); they are excluded
-    from equality, which compares residues, exponent, and modulus set.
+    n is the mantissa reduced to the symmetric range of set_ref, and
+    mantissa its residues. align_strategy and norm_events describe only the
+    operation that produced this value (provenance for tests and event
+    export); they are excluded from equality, which compares n, exponent,
+    and the set's moduli.
     """
 
-    mantissa: ResidueVector
+    n: int
+    set_ref: ModulusSet
     exponent: int
     mag_log2: float
     sign: int
@@ -110,11 +116,12 @@ class HybridNum(NamedTuple):
     norm_events: tuple = ()
 
     @property
-    def set_ref(self) -> ModulusSet:
-        return self.mantissa.set_ref
+    def mantissa(self) -> ResidueVector:
+        """The residues of n under set_ref, derived on each read."""
+        return rns.encode(self.n, self.set_ref)
 
     def _key(self):
-        return (self.mantissa.residues, self.mantissa.set_ref.moduli, self.exponent)
+        return (self.n, self.set_ref.moduli, self.exponent)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HybridNum):
@@ -131,25 +138,25 @@ class HybridNum(NamedTuple):
 
 
 def signed_value(rv: ResidueVector, ms: ModulusSet) -> int:
-    """Symmetric signed reconstruction: n if n < M/2 else n - M.
+    """Symmetric signed reconstruction of residues: n if n < M/2 else n - M.
 
-    The CRT sum is ms's signed kernel, the sum rns.crt_reconstruct takes
-    with the fold to the symmetric range. A vector under any other set
-    object is first checked by rns, which refuses a set with other moduli
-    (MismatchedSet).
+    n is rns.crt_reconstruct's, which refuses a vector under a set with
+    other moduli (MismatchedSet). Records are read back through it; the ops
+    never call it, since a value carries its n.
     """
-    if rv.set_ref is not ms:
-        rns._check_set(ms, rv)
-    return ms.kernels.signed(rv.residues)
+    n = rns.crt_reconstruct(rv, ms)
+    return n - ms.composite if 2 * n >= ms.composite else n
 
 
 def make_hybrid(n: int, exponent: int, ms: ModulusSet) -> HybridNum:
     """Build the hybrid value n * 2^exponent from a signed integer mantissa.
 
-    The value has no provenance: no align_strategy and no norm_events.
+    rns.check_signed refuses an n outside (-M/2, M/2) (OutOfRange). The
+    value has no provenance: no align_strategy and no norm_events.
     """
     mag = math.log2(abs(n)) if n else -math.inf
-    return _new(HybridNum, (rns.encode_signed(n, ms), exponent, mag, (n > 0) - (n < 0), None, ()))
+    sign = (n > 0) - (n < 0)
+    return _new(HybridNum, (rns.check_signed(n, ms), ms, exponent, mag, sign, None, ()))
 
 
 def from_real(x: float, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
@@ -160,13 +167,8 @@ def from_real(x: float, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
     f = 0. The round-trip error is at most 2^(f-1). N is frexp's mantissa
     scaled by 2^(b-1), exactly: past b = 54 that mantissa's 53 bits are
     shifted as an int, so no b that validate_config accepts overflows the
-    float range, and rounding one infinite or NaN raises OutOfRange. A
-    nonzero N is read from ms.fresh, the set's forward-conversion table.
-    A miss checks N against M/2, with make_hybrid's OutOfRange message,
-    builds the entry with ms's encode kernel, the residues and fields
-    make_hybrid would give, and stores it while the table is below
-    rns.FRESH_MEMO_SIZE. The table holds only entries that passed that
-    check under the same set, so a hit needs none.
+    float range, and rounding one infinite or NaN raises OutOfRange. Every
+    call checks N against M/2, with make_hybrid's OutOfRange message.
     """
     m, e = frexp(x)  # x = m * 2^e with 0.5 <= |m| < 1, or m = x for 0, inf and NaN
     b = cfg.operand_bound_bits
@@ -181,26 +183,19 @@ def from_real(x: float, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
         # Rounding bumped the mantissa out of the half-open window. x * 2^-(f+1)
         # lies within 1/4 below 2^(b-2), so it rounds to N / 2.
         n, a, f = n >> 1, a >> 1, f + 1
-    fresh = ms.fresh
-    entry = fresh.get(n)
-    if entry is None:
-        if 2 * a >= ms.composite:
-            raise rns.OutOfRange(f"|{n}| not below M/2 = {ms.composite / 2}")
-        entry = _new(ResidueVector, (ms.kernels.encode(n), ms)), log2(a), 1 if n > 0 else -1
-        if len(fresh) < FRESH_MEMO_SIZE:
-            fresh[n] = entry
-    mant, mag, sign = entry
-    return _new(HybridNum, (mant, f, mag, sign, None, ()))
+    if 2 * a >= ms.composite:
+        raise rns.OutOfRange(f"|{n}| not below M/2 = {ms.composite / 2}")
+    return _new(HybridNum, (n, ms, f, log2(a), 1 if n > 0 else -1, None, ()))
 
 
 def to_real(h: HybridNum) -> float:
-    """signed(N) * 2^f evaluated in binary64; saturates to +-inf on overflow.
+    """n * 2^f evaluated in binary64; saturates to +-inf on overflow.
 
-    N is first cut to its top 64 bits, with a sticky bit for the rest,
-    which round to the same 53 bits as N does, so an N of 1025 bits or
+    n is first cut to its top 64 bits, with a sticky bit for the rest,
+    which round to the same 53 bits as n does, so an n of 1025 bits or
     more, past binary64's range, converts too.
     """
-    n = signed_value(h.mantissa, h.set_ref)
+    n = h.n
     s = max(abs(n).bit_length() - 64, 0)
     q = abs(n) >> s
     q |= (q << s) != abs(n)  # the sticky bit
@@ -211,9 +206,8 @@ def to_real(h: HybridNum) -> float:
 
 
 def exact_value(h: HybridNum) -> Fraction:
-    """The exact rational value signed(N) * 2^f, for oracle comparisons."""
-    n = signed_value(h.mantissa, h.set_ref)
-    f = h.exponent
+    """The exact rational value n * 2^f, for oracle comparisons."""
+    n, f = h.n, h.exponent
     if f >= 0:
         return Fraction(n * (1 << f))
     return Fraction(n, 1 << (-f))
@@ -223,9 +217,10 @@ def hybrid_compare(x: HybridNum, y: HybridNum, ms: ModulusSet) -> int:
     """Total order on hybrid values: LESS, EQUAL, or GREATER.
 
     Fast path: differing signs, or same-sign magnitude windows
-    (mag_log2 + f) +- 1.0 that do not overlap, decide without
-    reconstruction. Otherwise both signed values are reconstructed and
-    compared by cross-shifted integers, with no floating point.
+    (mag_log2 + f) +- 1.0 that do not overlap, decide from the estimates.
+    Otherwise the operands' sets are checked against ms (MismatchedSet for
+    other moduli) and their mantissas compared by cross-shifted integers,
+    with no floating point.
     """
     if x.sign != y.sign:
         return GREATER if x.sign > y.sign else LESS
@@ -238,8 +233,9 @@ def hybrid_compare(x: HybridNum, y: HybridNum, ms: ModulusSet) -> int:
         bigger_mag = GREATER if wx > wy else LESS
         return bigger_mag if x.sign > 0 else -bigger_mag
 
-    nx = signed_value(x.mantissa, ms)
-    ny = signed_value(y.mantissa, ms)
+    if x.set_ref is not ms or y.set_ref is not ms:
+        rns._check_set(ms, x, y)
+    nx, ny = x.n, y.n
     fmin = min(x.exponent, y.exponent)
     ax = nx << (x.exponent - fmin)
     ay = ny << (y.exponent - fmin)

@@ -1,14 +1,13 @@
 """Dynamic-range normalization: threshold detection and power-of-two down-scaling.
 
-normalize reconstructs the signed mantissa, divides it by 2^k with round
-half to even, re-encodes, and raises the exponent by k, so the value moves
-by at most 2^(f+k-1). Detection has a fast mode driven by the magnitude
-estimator and an exact mode driven by reconstruction; fast mode is
-one-sided safe (it never misses a true crossing). normalize refuses a
-mantissa under a set with other moduli (MismatchedSet, raised by rns),
-then reconstructs, rounds and re-encodes in one call of the drain kernel
-of the set it is given (rns.ModulusSet.kernels); shift_round_half_even is
-the reference that kernel is pinned to.
+normalize divides the signed mantissa n by 2^k with round half to even
+and raises the exponent by k, so the value moves by at most 2^(f+k-1). It
+rounds with a floor shift and a carry, on the int the value carries;
+shift_round_half_even is the reference it is pinned to. Detection has a
+fast mode driven by the magnitude estimator and an exact mode that
+reconstructs the mantissa from its residues; fast mode is one-sided safe
+(it never misses a true crossing). normalize refuses a value under a set
+with other moduli (MismatchedSet, raised by rns).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import NamedTuple
 from hrfna import rns
 from hrfna.errors import HrfnaError
 from hrfna.hybrid import HybridConfig, HybridNum, signed_value, validate_config
-from hrfna.rns import ModulusSet, ResidueVector, _new
+from hrfna.rns import ModulusSet, _new
 
 
 class DegenerateResult(HrfnaError):
@@ -59,7 +58,7 @@ def needs_normalization(
     reconstructs and tests |N| >= tau. The - 1.0 is not a margin for the
     estimator's error: fast mode fires from about tau/2, so the mantissa an
     op returns after draining stays below about tau/2. That is half of the
-    operational envelope. A survivor times a fresh operand stays inside
+    operational envelope. A survivor times a newly encoded operand stays inside
     M/2 because of it, and a wider limit lets such products wrap.
     """
     tau, limit, _ = validate_config(ms, cfg)
@@ -76,18 +75,21 @@ def normalize(h: HybridNum, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
     h's align_strategy, carries h's norm_events followed by its own
     NormalizationEvent (so repeated passes over one operation's result
     accumulate), and has a mag_log2 recomputed exactly from the scaled
-    mantissa. The result is under ms even when h's mantissa is under an
-    equal set built apart.
+    mantissa. The result is under ms even when h is under an equal set
+    built apart.
     """
-    k, hm = cfg.scale_shift_k, h.mantissa
-    if hm.set_ref is not ms:
-        rns._check_set(ms, hm)
-    # |n_out| <= |n|/2 + 1/2 < M/2, so the re-encode needs no range check.
-    n, n_out, residues = ms.kernels.drain(hm.residues, k)
+    k = cfg.scale_shift_k
+    if h.set_ref is not ms:
+        rns._check_set(ms, h)
+    n = h.n
+    # (n + 2^(k-1) - 1 + bit k of n) >> k rounds half to even for either sign of
+    # n; from k > n.bit_length() on, |n| < 2^(k-1) rounds to 0 without 2^k built.
+    n_out = (n + (1 << (k - 1)) - 1 + ((n >> k) & 1)) >> k if k <= n.bit_length() else 0
     if n_out == 0 and n != 0:
         raise DegenerateResult(f"mantissa {n} vanished under shift {k}")
     exponent = h.exponent + k
     event = _new(NormalizationEvent, (n, n_out, k, h.exponent, exponent))
-    mant = _new(ResidueVector, (residues, ms))
     mag, sign = (log2(abs(n_out)) if n_out else -inf), (n_out > 0) - (n_out < 0)
-    return _new(HybridNum, (mant, exponent, mag, sign, h.align_strategy, h.norm_events + (event,)))
+    return _new(
+        HybridNum, (n_out, ms, exponent, mag, sign, h.align_strategy, h.norm_events + (event,))
+    )

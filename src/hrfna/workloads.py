@@ -1,11 +1,12 @@
 """Long-sequence stability workloads measured against exact rational oracles.
 
 The oracle never touches binary64: every encoded operand has an exact value
-signed(N) * 2^f, and the reference tracks those values as (numerator,
-shift) integer pairs, so the only divergence between the hybrid chain and
-the oracle is the rounding introduced by normalization and lossy alignment.
-A chain's oracle is one fold of affine maps x -> m*x + a whose first map is
-the constant start value.
+n * 2^f, read from the n the value carries, and the reference tracks those
+values as (numerator, shift) integer pairs, so the only divergence between
+the hybrid chain and the oracle is the rounding introduced by normalization
+and lossy alignment. No oracle reconstructs a residue vector. A chain's
+oracle is one fold of affine maps x -> m*x + a whose first map is the
+constant start value.
 """
 
 from __future__ import annotations
@@ -134,6 +135,14 @@ class DriftReport(NamedTuple):
     rel_error: Fraction
     bound: Fraction
 
+    def __repr__(self) -> str:
+        """The fields as the tuple would print them, but rel_error and bound as floats.
+
+        The exact Fractions of a long chain pass int's decimal digit limit.
+        """
+        shown = self._replace(rel_error=float(self.rel_error), bound=float(self.bound))
+        return f"DriftReport({', '.join(f'{k}={v!r}' for k, v in shown._asdict().items())})"
+
     def as_dict(self) -> dict:
         return {
             **self._asdict(),
@@ -161,7 +170,7 @@ def _report(workload, steps, acc, exact, bound, norm_events, added, ms, cfg) -> 
         },
         norm_events=norm_events,
         strategy_counts=dict(Counter(added)),
-        rel_error=relative_error((hybrid.signed_value(acc.mantissa, ms), acc.exponent), exact),
+        rel_error=relative_error((acc.n, acc.exponent), exact),
         bound=bound,
     )
 
@@ -188,10 +197,7 @@ def run_mac_chain(mults, addends, ms: ModulusSet, cfg: HybridConfig) -> DriftRep
     list, no tuple per step for the garbage collector to walk, and composes
     the steps in runs and a balanced tree after the chain (_chain_exact);
     relative_error then reduces the error in time linear in its size. It
-    reads each operand's value through ms.kernels.reverse, which the set's
-    signed kernel fills on a miss, so each distinct fresh vector is
-    reconstructed once per set and every value is the CRT of the residues
-    the fold used.
+    reads each operand's value from the n the operand carries.
     The three ops are looked up once per call, so a wrapper installed before
     the call sees every op, and the add strategies are counted once, after
     the loop.
@@ -203,9 +209,8 @@ def run_mac_chain(mults, addends, ms: ModulusSet, cfg: HybridConfig) -> DriftRep
         raise LengthMismatch(f"{len(mults)} multipliers vs {len(addends)} addends")
 
     from_real, mul, add = hybrid.from_real, arithmetic.hrfna_mul, arithmetic.hrfna_add
-    leaf = ms.kernels.reverse  # from_real builds under ms: no set check needed
     acc = from_real(1.0, ms, cfg)
-    start = hybrid.signed_value(acc.mantissa, ms), acc.exponent
+    start = acc.n, acc.exponent
     steps, added = [], []
     norm_events = 0
     for m, a in zip(mults, addends):
@@ -216,7 +221,7 @@ def run_mac_chain(mults, addends, ms: ModulusSet, cfg: HybridConfig) -> DriftRep
         acc = add(acc, ha, ms, cfg)
         norm_events += len(acc.norm_events)
         added.append(acc.align_strategy)
-        steps += leaf[hm.mantissa.residues], hm.exponent, leaf[ha.mantissa.residues], ha.exponent
+        steps += hm.n, hm.exponent, ha.n, ha.exponent
 
     bound = Fraction(norm_events * 2 ** (cfg.scale_shift_k - 1), hybrid.validate_config(ms, cfg)[0])
     exact = _chain_exact(start, steps)
@@ -253,10 +258,9 @@ def dot_product(
 
     Exponent synchronization happens inside the accumulation adds; the
     reported bound 2^-(b-3) * length comes from the per-operation rounding
-    model. The oracle reads each operand's value through ms.kernels.reverse,
-    which the set's signed kernel fills on a miss. As in run_mac_chain, the
-    three ops are looked up once per call and the add strategies are counted
-    once, after the loop.
+    model. The oracle reads each operand's value from the n it carries. As in
+    run_mac_chain, the three ops are looked up once per call and the add
+    strategies are counted once, after the loop.
     """
     if len(xs) != len(ys):
         raise LengthMismatch(f"{len(xs)} vs {len(ys)} elements")
@@ -264,7 +268,6 @@ def dot_product(
         raise LengthMismatch("empty input")
 
     from_real, mul, add = hybrid.from_real, arithmetic.hrfna_mul, arithmetic.hrfna_add
-    leaf = ms.kernels.reverse  # from_real builds under ms: no set check needed
     acc: HybridNum | None = None
     terms, shifts, added = [], [], []
     norm_events = 0
@@ -273,7 +276,7 @@ def dot_product(
         hy = from_real(y, ms, cfg)
         prod = mul(hx, hy, ms, cfg)
         norm_events += len(prod.norm_events)
-        terms.append(leaf[hx.mantissa.residues] * leaf[hy.mantissa.residues])
+        terms.append(hx.n * hy.n)
         shifts.append(hx.exponent + hy.exponent)
         if acc is None:
             acc = prod

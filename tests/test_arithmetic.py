@@ -15,7 +15,6 @@ from hrfna import (
     HrfnaError,
     HybridConfig,
     HybridNum,
-    encode_signed,
     from_real,
     hrfna_add,
     hrfna_mul,
@@ -69,7 +68,7 @@ class TestMul:
 
     def test_debug_audit_reports_missed_crossing(self, default_ms, hcfg):
         # An estimate of log2 |N| = 0 for N = 2^13 hides a product above tau.
-        x = HybridNum(encode_signed(2**13, default_ms), 0, 0.0, 1)
+        x = HybridNum(2**13, default_ms, 0, 0.0, 1)
         with pytest.raises(AuditFailure, match="missed a threshold crossing"):
             hrfna_mul(x, x, default_ms, hcfg, debug=True)
 

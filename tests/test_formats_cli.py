@@ -25,7 +25,7 @@ from hrfna.formats import (
     save_config,
     vectors_text,
 )
-from hrfna.hybrid import HybridConfig, from_real, make_hybrid, to_real
+from hrfna.hybrid import HybridConfig, from_real, make_hybrid, to_real, validate_config
 from hrfna.pipeline import DEFAULT_PIPELINE, MAX_STAGE_DEPTH, InvalidProgram, Op, PipelineConfig
 from hrfna.rns import DEFAULT_MODULI, OutOfRange, make_modulus_set
 
@@ -283,6 +283,21 @@ class TestHybridRecords:
         parsed = parse_hybrid_record(line, default_ms)
         assert parsed == h
         assert hybrid_record(parsed) == line
+
+    def test_set_past_the_decimal_digit_limit(self):
+        # The first 1,000 primes above 30,000: M has 15,098 bits, past int's
+        # 4,300-digit decimal limit. No step writes M in decimal, so 1.5
+        # round-trips through binary64 and through its record.
+        primes = [n for n in range(30_001, 42_000) if all(n % q for q in range(2, 206))]
+        ms = make_modulus_set(primes[:1000])
+        assert ms.composite.bit_length() == 15_098
+        cfg = HybridConfig(alpha=Fraction(1, 4), scale_shift_k=3, operand_bound_bits=12)
+        validate_config(ms, cfg)
+        h = from_real(1.5, ms, cfg)
+        assert to_real(h) == 1.5
+        line = hybrid_record(h)
+        parsed = parse_hybrid_record(line, ms)
+        assert parsed == h and to_real(parsed) == 1.5 and hybrid_record(parsed) == line
 
     def test_residues_are_fixed_width_hex(self, default_ms, hcfg):
         line = hybrid_record(from_real(1.5, default_ms, hcfg))

@@ -5,19 +5,15 @@ magnitude estimate, sign, alignment strategy and normalization events) from
 mod_mul, mod_add, encode_signed, shift_round_half_even and crt_reconstruct
 alone, with tau and the detector limit derived from the config's alpha;
 from_real is pinned to make_hybrid of an exact Fraction rounding. Each op
-does its channel work in its own frame after rns has checked any operand
-under another set object, so every pin is also run with operands rebuilt
-under an equal set made apart: the check must let them through unchanged.
+computes after rns has checked any operand under another set object, so
+every pin is also run with operands rebuilt under an equal set made apart:
+the check must let them through unchanged.
 
 The hypothesis pins run PIN_EXAMPLES examples each: 400, or more when the
 active profile asks for more (tests/conftest.py registers CI's "ci").
 """
 
-import copy
-import gc
 import math
-import pickle
-import weakref
 from fractions import Fraction
 
 import pytest
@@ -35,10 +31,7 @@ from hrfna import (
     MismatchedSet,
     NormalizationEvent,
     OutOfRange,
-    ResidueVector,
-    chained_mac,
     crt_reconstruct,
-    dot_product,
     encode_signed,
     from_real,
     hrfna_add,
@@ -53,7 +46,6 @@ from hrfna import (
     signed_value,
     validate_config,
 )
-from hrfna.rns import FRESH_MEMO_SIZE
 from hrfna.workloads import mac_sequences
 
 SETS = {
@@ -166,11 +158,11 @@ def fields(z):
 
 
 def apart(h):
-    """h with its mantissa under an equal modulus set made apart from its own."""
-    moduli = h.mantissa.set_ref.moduli
+    """h under an equal modulus set made apart from its own."""
+    moduli = h.set_ref.moduli
     if moduli not in TWINS:
         TWINS[moduli] = make_modulus_set(moduli)
-    return h._replace(mantissa=h.mantissa._replace(set_ref=TWINS[moduli]))
+    return h._replace(set_ref=TWINS[moduli])
 
 
 def assert_apart_agrees(op, x, y, ms, cfg):
@@ -302,25 +294,14 @@ class TestAgainstChannelOps:
                         assert fields(hrfna_add(hi, lo, ms, cfg)) == ref_add(hi, lo, ms, cfg)
                         assert_apart_agrees(hrfna_add, hi, lo, ms, cfg)
 
-    def test_absorption_boundary(self, monkeypatch):
-        """Shift-down gaps around L = M.bit_length(): from L on, lo is absorbed unreconstructed.
+    def test_absorption_boundary(self):
+        """Shift-down gaps around L = M.bit_length(): from L on, lo is absorbed.
 
         |n_lo| <= M/2 < 2^(L-1) rounds to 0 under any shift >= L, so the sum is
-        hi's residues; below L, lo is reconstructed once, by the set's shift_add
-        kernel, and may still count.
+        hi's mantissa; below L, lo is rounded and may still count.
         """
-        reconstructed = []
-
-        def counted(shift_add):
-            def counting(s, r, d):
-                reconstructed.append(r)
-                return shift_add(s, r, d)
-
-            return counting
-
         for name in sorted(SETS):
             ms, cfg = built(name)
-            monkeypatch.setattr(ms.kernels, "shift_add", counted(ms.kernels.shift_add))
             top, tau = ms.composite.bit_length(), tau_and_limit(ms, cfg)[0]
             half, quarter = (ms.composite - 1) // 2, 1 << (top - 2)
             for hi in (make_hybrid(tau // 2 - 9, 0, ms), make_hybrid(-2047, 5, ms)):
@@ -328,35 +309,22 @@ class TestAgainstChannelOps:
                     for n_lo in (half, -half, quarter, -quarter, 3, -3):
                         lo = make_hybrid(n_lo, hi.exponent - delta, ms)
                         for x, y in ((hi, lo), (lo, hi)):
-                            reconstructed.clear()
                             z = hrfna_add(x, y, ms, cfg)
-                            assert len(reconstructed) == (delta < top)
                             assert z.align_strategy == ALIGN_SHIFT_DOWN
                             assert fields(z) == ref_add(x, y, ms, cfg)
                             assert fields(hrfna_add(x, y, ms, cfg, debug=True)) == fields(z)
                             assert_apart_agrees(hrfna_add, x, y, ms, cfg)
 
-    def test_absorbed_add_takes_magnitude_from_a_normalized_hi(self, monkeypatch):
-        """From the gap L = M.bit_length() on, a hi with norm events is not reconstructed.
+    def test_absorbed_add_takes_magnitude_from_a_normalized_hi(self):
+        """From the gap L = M.bit_length() on, the sum is hi's mantissa.
 
-        normalize set such a hi's mag_log2 and sign from its exact value, so
-        the absorbed sum reuses them; any other hi (an unnormalized product,
-        whose mag_log2 is an estimate, or a from_real value) is reconstructed
-        once by the signed kernel. Below L, lo is reconstructed by shift_add
-        and signed does not run.
+        normalize set a hi with norm events its mag_log2 and sign from its
+        exact value, so the absorbed sum reuses them; any other hi (an
+        unnormalized product, whose mag_log2 is an estimate, or a from_real
+        value) has them recomputed from its mantissa.
         """
-        reconstructed = []
-
-        def counted(signed):
-            def counting(r):
-                reconstructed.append(r)
-                return signed(r)
-
-            return counting
-
         for name in sorted(SETS):
             ms, cfg = built(name)
-            monkeypatch.setattr(ms.kernels, "signed", counted(ms.kernels.signed))
             top, (tau, limit) = ms.composite.bit_length(), tau_and_limit(ms, cfg)
             half = (ms.composite - 1) // 2
             wide, fresh = make_hybrid(tau // 2 - 9, 0, ms), make_hybrid(-2047, -11, ms)
@@ -374,19 +342,15 @@ class TestAgainstChannelOps:
                         for x, y in ((hi, lo), (lo, hi)):
                             want = ref_add(x, y, ms, cfg)
                             for pair in ((x, y), (apart(x), y), (x, apart(y)), (apart(x), apart(y))):
-                                reconstructed.clear()
-                                z = hrfna_add(*pair, ms, cfg)
-                                assert len(reconstructed) == (delta >= top and not hi.norm_events)
-                                assert fields(z) == want
+                                assert fields(hrfna_add(*pair, ms, cfg)) == want
                             assert fields(hrfna_add(x, y, ms, cfg, debug=True)) == want
 
     def test_half_m_mantissa_reads_negative(self):
         """Residues of M/2 on an even M (only a wrap leaves them) reconstruct as -M/2."""
         ms, cfg = built("two")
         half = ms.composite // 2
-        h = make_hybrid(1, 0, ms)._replace(
-            mantissa=ResidueVector(tuple(half % m for m in ms.moduli), ms)
-        )
+        h = make_hybrid(1, 0, ms)._replace(n=-half)
+        assert h.mantissa.residues == tuple(half % m for m in ms.moduli)
         assert ref_signed(h.mantissa, ms) == -half
         assert fields(normalize(h, ms, cfg)) == ref_normalize(h, ms, cfg)
         assert fields(normalize(apart(h), ms, cfg)) == ref_normalize(h, ms, cfg)
@@ -464,221 +428,3 @@ class TestForeignOperands:
         assert fields(normalize(big, default_ms, hcfg)) == fields(
             normalize(make_hybrid(2**30, 0, default_ms), default_ms, hcfg)
         )
-
-
-class TestFreshMemo:
-    """from_real's forward-conversion table (ModulusSet.fresh), one per set object.
-
-    A miss and then a hit give every field of the reference, under the set
-    that was passed in; the table is made empty with the set, holds no refused
-    mantissa, stops at FRESH_MEMO_SIZE, and is left out of pickles and copies.
-    """
-
-    @staticmethod
-    def window_edges(b):
-        """Reals at the edges of the b-bit window and, last, ones that round up to 2^(b-1)."""
-        low, top = 1 << (b - 2), 1 << (b - 1)
-        for f in (-b - 40, -b, 0, 7):
-            for n in (low, top - 1, top - 0.5, top - 0.25):
-                for sign in (1, -1):
-                    yield math.ldexp(sign * n, f)
-
-    def test_miss_then_hit(self):
-        for name, (moduli, cfg) in sorted(SETS.items()):
-            xs = [*self.window_edges(cfg.operand_bound_bits), 0.1, -0.7, 3.25e-9, 2.5e12]
-            sets = make_modulus_set(moduli), make_modulus_set(moduli)
-            for ms in sets:
-                assert ms.fresh == {}
-                validate_config(ms, cfg)
-                seen = set()
-                for x in xs:
-                    want = ref_from_real(x, ms, cfg)
-                    n = signed_value(want.mantissa, ms)
-                    assert (n in ms.fresh) == (n in seen)  # a miss the first time n is met
-                    first, second = from_real(x, ms, cfg), from_real(x, ms, cfg)
-                    for got in (first, second):
-                        assert fields(got) == fields(want)
-                        assert got.set_ref is ms
-                    assert second.mantissa is first.mantissa is ms.fresh[n][0]
-                    seen.add(n)
-                assert sorted(ms.fresh) == sorted(seen)
-                assert 1 << (cfg.operand_bound_bits - 2) in seen  # the bump landed at the low edge
-            assert sets[0].fresh is not sets[1].fresh
-
-    def test_refused_mantissa_is_not_stored(self):
-        # Unvalidated: b = 7 puts |N| in [32, 64), and 2 * |N| < M = 105 only up to 52.
-        cfg = HybridConfig(Fraction(3, 8192), 5, 7)
-        ms = make_modulus_set((3, 5, 7))
-        for x in (53.0, -60.0, 63.0):
-            with pytest.raises(OutOfRange):
-                from_real(x, ms, cfg)
-        assert ms.fresh == {}
-        assert fields(from_real(52.0, ms, cfg)) == fields(ref_from_real(52.0, ms, cfg))
-        for x in (53.0, -60.0, 63.0):
-            with pytest.raises(OutOfRange):
-                from_real(x, ms, cfg)
-        assert list(ms.fresh) == [52]
-
-    def test_memo_stops_at_its_bound(self):
-        assert FRESH_MEMO_SIZE >= 1 << (DEFAULT_CONFIG.operand_bound_bits - 1)
-        # b = 15 on the eleven set: a window of 2^14 mantissas, twice the bound.
-        cfg = HybridConfig(Fraction(3, 8192), 11, 15)
-        assert 1 << (cfg.operand_bound_bits - 1) > FRESH_MEMO_SIZE
-        ms = make_modulus_set(SETS["eleven"][0])
-        validate_config(ms, cfg)
-        low = 1 << (cfg.operand_bound_bits - 2)
-        mantissas = [*range(low, 2 * low), *range(-low, -low - 300, -1)]
-        assert len(mantissas) > FRESH_MEMO_SIZE
-        for n in mantissas:
-            got = from_real(float(n), ms, cfg)
-            assert fields(got) == fields(make_hybrid(n, 0, ms)) and got.set_ref is ms
-        assert len(ms.fresh) == FRESH_MEMO_SIZE
-        assert list(ms.fresh) == mantissas[:FRESH_MEMO_SIZE]
-        for n in mantissas[FRESH_MEMO_SIZE:]:  # past the bound: built through the kernel again
-            first, second = from_real(float(n), ms, cfg), from_real(float(n), ms, cfg)
-            assert fields(first) == fields(second) == fields(make_hybrid(n, 0, ms))
-            assert first.mantissa is not second.mantissa
-        assert len(ms.fresh) == FRESH_MEMO_SIZE
-
-    def test_copies_build_their_own_memo(self):
-        moduli, cfg = SETS["default"]
-        ms = make_modulus_set(moduli)
-        xs = [0.3, -1.75, 1e-5, 2047.0]
-        for x in xs:
-            from_real(x, ms, cfg)
-        filled = dict(ms.fresh)
-        for twin in (pickle.loads(pickle.dumps(ms)), copy.deepcopy(ms), copy.copy(ms)):
-            assert twin == ms and twin is not ms
-            assert twin.fresh == {} and "kernels" not in vars(twin)
-            for x in xs:
-                got = from_real(x, twin, cfg)
-                assert fields(got) == fields(ref_from_real(x, ms, cfg))
-                assert got.set_ref is twin
-            assert all(entry[0].set_ref is twin for entry in twin.fresh.values())
-        assert ms.fresh == filled and all(entry[0].set_ref is ms for entry in filled.values())
-        # Each stored vector refers back to ms: only the cyclic collector frees it.
-        ref = weakref.ref(ms)
-        del ms, filled
-        gc.collect()
-        assert ref() is None
-
-
-class TestReverseTable:
-    """The oracles' reverse-conversion table (ModulusSet.kernels.reverse), one per set object.
-
-    Every entry is the reference reconstruction of its key folded to the
-    symmetric range, not the kernel's own output; the signed kernel runs once
-    per key, on its miss; the table stops at FRESH_MEMO_SIZE, is left out of
-    pickles and copies, and a cold and a warm table give the workloads
-    identical results.
-    """
-
-    @staticmethod
-    def assert_entries_are_the_reference(ms):
-        for r, n in ms.kernels.reverse.items():
-            assert n == ref_signed(ResidueVector(r, ms), ms)
-
-    def test_miss_then_hit(self, monkeypatch):
-        for name, (moduli, cfg) in sorted(SETS.items()):
-            ms = make_modulus_set(moduli)
-            validate_config(ms, cfg)
-            assert "kernels" not in vars(ms)
-            table, signed, calls = ms.kernels.reverse, ms.kernels.signed, []
-            assert not table  # made empty with the kernels
-            # A miss calls signed from the kernels' own namespace.
-            kernel_globals = type(table).__missing__.__globals__
-            monkeypatch.setitem(kernel_globals, "signed", lambda r: calls.append(r) or signed(r))
-            xs = [*TestFreshMemo.window_edges(cfg.operand_bound_bits), 0.1, -0.7, 3.25e-9, 2.5e12]
-            seen = []
-            for x in xs:
-                rv = from_real(x, ms, cfg).mantissa
-                hit = rv.residues in table
-                assert hit == (rv.residues in seen)  # a miss the first time a vector is met
-                assert table[rv.residues] == ref_signed(rv, ms)
-                if not hit:
-                    seen.append(rv.residues)
-            assert calls == seen == list(table)  # one kernel call per key, on its miss
-            self.assert_entries_are_the_reference(ms)
-
-    def test_oracle_leaves_are_the_reference(self):
-        for name, (moduli, cfg) in sorted(SETS.items()):
-            ms = make_modulus_set(moduli)
-            validate_config(ms, cfg)
-            mults, addends = mac_sequences(3, 300)
-            run_mac_chain(mults, addends, ms, cfg)
-            dot_product(addends, mults, ms, cfg)
-            leaves = {from_real(x, ms, cfg).mantissa.residues for x in [*mults, *addends]}
-            assert set(ms.kernels.reverse) == leaves
-            self.assert_entries_are_the_reference(ms)
-
-    def test_table_stops_at_its_bound(self):
-        moduli, cfg = SETS["default"]
-        sequences = mac_sequences(5, 2000)
-        cold = make_modulus_set(moduli)
-        want = run_mac_chain(*sequences, cold, cfg)
-        met = list(cold.kernels.reverse)
-        assert 100 < len(met) < FRESH_MEMO_SIZE
-        # A table with room for 100 more vectors. Mantissas at and above 2^(b-1)
-        # are never fresh, so the chain meets none of these keys.
-        ms = make_modulus_set(moduli)
-        table, top = ms.kernels.reverse, 1 << (cfg.operand_bound_bits - 1)
-        outside = [ms.kernels.encode(n) for n in range(top, top + FRESH_MEMO_SIZE - 100)]
-        for r in outside:
-            table[r]
-        assert list(table) == outside
-        assert run_mac_chain(*sequences, ms, cfg) == want  # runs past the bound
-        assert list(table) == outside + met[:100]
-        self.assert_entries_are_the_reference(ms)
-        # Past the bound a miss is reconstructed and not kept.
-        r = ms.kernels.encode(-top - 1)
-        assert r not in table and table[r] == ref_signed(ResidueVector(r, ms), ms)
-        assert r not in table and len(table) == FRESH_MEMO_SIZE
-        assert run_mac_chain(*sequences, ms, cfg) == want
-
-    def test_copies_leave_the_table_out(self):
-        ms = make_modulus_set(SETS["default"][0])
-        keys = [ms.kernels.encode(n) for n in (1024, -2047, 1500)]
-        for r in keys:
-            ms.kernels.reverse[r]
-        filled = dict(ms.kernels.reverse)
-        for twin in (pickle.loads(pickle.dumps(ms)), copy.deepcopy(ms), copy.copy(ms)):
-            assert twin == ms and twin is not ms
-            assert "kernels" not in vars(twin)
-            assert [twin.kernels.reverse[r] for r in keys] == [filled[r] for r in keys]
-            assert twin.kernels.reverse is not ms.kernels.reverse
-            assert list(twin.kernels.reverse) == keys
-        assert ms.kernels.reverse == filled
-        # The table refers to no vector and so not to ms: its reference count frees it.
-        ref = weakref.ref(ms)
-        del ms
-        assert ref() is None
-
-    def test_equal_sets_keep_separate_tables(self):
-        moduli, cfg = SETS["default"]
-        a, b = make_modulus_set(moduli), make_modulus_set(moduli)
-        assert a == b and hash(a) == hash(b)
-        r = a.kernels.encode(-1500)
-        assert a.kernels.reverse[r] == -1500
-        assert a.kernels.reverse is not b.kernels.reverse and not b.kernels.reverse
-        run_mac_chain(*mac_sequences(2, 50), b, cfg)
-        assert list(a.kernels.reverse) == [r] and r not in b.kernels.reverse
-
-    def test_cold_and_warm_runs_agree(self):
-        xs, ys = mac_sequences(4, 600)
-
-        def both(ms, cfg, dot_first):
-            validate_config(ms, cfg)
-            if dot_first:
-                acc, dot = dot_product(xs, ys, ms, cfg)
-            chain = chained_mac(4, 600, ms, cfg)
-            if not dot_first:
-                acc, dot = dot_product(xs, ys, ms, cfg)
-            assert acc.set_ref is ms
-            return chain, fields(acc), dot
-
-        for name, (moduli, cfg) in sorted(SETS.items()):
-            ms = make_modulus_set(moduli)
-            cold = both(ms, cfg, False)
-            assert ms.kernels.reverse
-            assert both(ms, cfg, False) == cold, name  # warm
-            assert both(make_modulus_set(moduli), cfg, True) == cold, name  # cold, other order

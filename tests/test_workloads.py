@@ -8,23 +8,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrfna import (
-    ALIGN_SCALE_UP,
     ALIGN_SHIFT_DOWN,
-    DEFAULT_MODULI,
     DriftBoundExceeded,
     ExactZero,
     HrfnaError,
     HybridConfig,
     LengthMismatch,
-    arithmetic,
     chained_mac,
     dot_product,
+    encode_signed,
     exact_value,
     from_real,
     hrfna_add,
     hrfna_mul,
     make_modulus_set,
+    rns,
     run_mac_chain,
+    signed_value,
     simulate,
     to_real,
     validate_config,
@@ -110,44 +110,33 @@ class TestChainedMac:
         with pytest.raises(LengthMismatch):
             run_mac_chain([1.0], [], default_ms, hcfg)
 
-    def test_fold_reconstructs_only_unknown_magnitudes(self, hcfg, monkeypatch):
-        # The fold's adds call the signed kernel only for a scale-up sum and for an
-        # absorbed add whose hi has no norm event. The oracle reads its operands
-        # through ms.kernels.reverse, which calls the kernel once per distinct
-        # fresh vector; the start and the result are reconstructed directly. A set
-        # of the test's own starts with an empty table, whatever ran before.
-        ms = make_modulus_set(DEFAULT_MODULI)
-        calls, needed, reused = [], [], []
-        signed, add = ms.kernels.signed, arithmetic.hrfna_add
-        top = ms.composite.bit_length()
+    def test_repr_of_a_long_chain_prints_floats(self, default_ms, hcfg):
+        # The exact rel_error of 10^4 steps has a numerator far past int's
+        # decimal digit limit; repr prints it, and the bound, as floats.
+        report = chained_mac(0, 10**4, default_ms, hcfg)
+        assert report.rel_error.numerator.bit_length() > 20_000
+        text = repr(report)
+        assert text.startswith("DriftReport(workload='chained_mac', seed=0, steps=10000, ")
+        assert f"rel_error={float(report.rel_error)!r}, bound={float(report.bound)!r})" in text
+        assert isinstance(report.rel_error, Fraction)
 
-        def counted_signed(r):
-            calls.append(r)
-            return signed(r)
+    def test_fold_and_oracles_reconstruct_nothing(self, default_ms, hcfg, monkeypatch):
+        # Every value carries its mantissa n: the ops compute on it and both
+        # oracles read it, so a workload runs no CRT at all.
+        calls, crt = [], rns.crt_reconstruct
 
-        def counted_add(x, y, ms, cfg):
-            before = len(calls)
-            z = add(x, y, ms, cfg)
-            hi, lo = (x, y) if x.exponent >= y.exponent else (y, x)
-            absorbed = z.align_strategy == ALIGN_SHIFT_DOWN and hi.exponent - lo.exponent >= top
-            needed.append(z.align_strategy == ALIGN_SCALE_UP or (absorbed and not hi.norm_events))
-            reused.append(absorbed and bool(hi.norm_events))
-            assert len(calls) - before == needed[-1]
-            return z
+        def counted(rv, ms):
+            calls.append(rv)
+            return crt(rv, ms)
 
-        monkeypatch.setattr(ms.kernels, "signed", counted_signed)
-        # A table miss calls signed from the kernels' own namespace.
-        kernel_globals = type(ms.kernels.reverse).__missing__.__globals__
-        monkeypatch.setitem(kernel_globals, "signed", counted_signed)
-        monkeypatch.setattr(arithmetic, "hrfna_add", counted_add)
-        report = chained_mac(0, 2000, ms, hcfg)
-        assert len(needed) == 2000 == sum(report.strategy_counts.values())
-        mults, addends = mac_sequences(0, 2000)
-        fresh = {from_real(x, ms, hcfg).mantissa.residues for x in [*mults, *addends]}
-        assert set(ms.kernels.reverse) == fresh
-        assert len(calls) == len(fresh) + 2 + sum(needed)
-        assert len(fresh) <= 1 << (hcfg.operand_bound_bits - 1)  # the window: under 4000
-        assert sum(reused) > 1800  # nearly every add absorbs into a product just drained
+        monkeypatch.setattr(rns, "crt_reconstruct", counted)
+        assert signed_value(encode_signed(-5, default_ms), default_ms) == -5
+        assert len(calls) == 1  # the counter sees a reconstruction
+        calls.clear()
+        report = chained_mac(0, 2000, default_ms, hcfg)
+        assert report.norm_events and report.strategy_counts[ALIGN_SHIFT_DOWN]
+        dot_product(*mac_sequences(0, 2000), default_ms, hcfg)
+        assert calls == []
 
 
 class TestDotProduct:
