@@ -12,7 +12,7 @@ recorded on the result.
 Every op computes on the mantissas n the values carry and reduces its
 result to the symmetric range mod M, so its residues are those the channel
 ops give on the operands' residues, wraps included (the CRT isomorphism;
-tests/test_isomorphism.py pins each op to its channel op).
+the tier-1 suite pins each op to its channel op).
 
 Operational envelope: a product is exact only while it stays inside the
 signed range (|N_x * N_y| < M/2). Keeping at least one newly encoded

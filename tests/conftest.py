@@ -3,8 +3,8 @@ from hypothesis import settings
 
 from hrfna import DEFAULT_CONFIG, DEFAULT_MODULI, DEFAULT_PIPELINE, make_modulus_set
 
-# CI runs the reference-op, isomorphism, relative-error and exact-oracle pins
-# (tests/test_reference_ops.py, tests/test_isomorphism.py,
+# CI runs the reference-op, kernel, relative-error and exact-oracle pins
+# (tests/test_reference_ops.py, tests/test_kernels.py,
 # tests/test_relative_error.py, tests/test_workloads.py::TestExactOracle)
 # harder with --hypothesis-profile=ci; those pins read their example count
 # from the active profile and run 400, 300, 500 and 200 examples under the

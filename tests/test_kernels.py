@@ -1,4 +1,4 @@
-"""The integer ops pinned to the map-based rns channel ops: the CRT isomorphism.
+"""The ops' integer kernels pinned to the map-based rns channel ops: the CRT isomorphism.
 
 A hybrid value carries its mantissa n, reduced to the symmetric range
 -M/2 <= n < M/2, and its residues are rns.encode(n). Z_M is isomorphic to
@@ -19,13 +19,20 @@ product and always scales up, +inf always shifts down. A sum may still
 normalize, since its mag_log2 is recomputed; its first event's value_in is
 the op's n. (3, 5, 7) is swept exhaustively.
 
+A set carries its moduli and the constants derived from them, nothing the
+ops leave behind: a pickle or copy is rebuilt from the moduli through the
+checked constructor, which admits only int moduli.
+
 The hypothesis pins run ISOMORPHISM_EXAMPLES examples each: 300, or more
 when the active profile asks for more (tests/conftest.py registers CI's
 "ci").
 """
 
+import copy
+import pickle
+from dataclasses import fields, replace
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,6 +45,7 @@ from hrfna import (
     DegenerateResult,
     HybridConfig,
     HybridNum,
+    ModulusSet,
     crt_reconstruct,
     encode_residues,
     encode_signed,
@@ -50,6 +58,7 @@ from hrfna import (
     shift_round_half_even,
     signed_value,
 )
+from hrfna.errors import InvariantViolation
 from hrfna.rns import encode
 
 TWELVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -125,7 +134,7 @@ def ties(d, half):
 @example((65535, 65534), None)
 @example(DEFAULT_MODULI, None)
 @example(TWELVE_PRIMES, None)
-def test_int_ops_match_channel_ops(moduli, data):
+def test_kernels_match_reference(moduli, data):
     ms, twin = make_modulus_set(moduli), make_modulus_set(moduli)
     M, half = ms.composite, (ms.composite - 1) // 2  # half: the largest |n| with 2|n| < M
     ns = [half, -half, 0, min(1, half), -min(1, half)]
@@ -189,3 +198,56 @@ def test_every_operand_pair_on_a_small_set():
     for a in range(-52, 53):
         for b in range(-52, 53):
             assert_ops_match_channel_ops(a, b, ms, cfg, (0, 1, 3, 6, 7))
+
+
+def forge(ms, **changes):
+    """A copy of ms built past the constructor, with changes its checks would refuse."""
+    forged = object.__new__(ModulusSet)
+    for name, value in {**vars(ms), **changes}.items():
+        object.__setattr__(forged, name, value)
+    return forged
+
+
+def test_only_int_constants_reach_the_generated_source():
+    # Every int op computes with the set's constants (M and its half), so no
+    # constructor admits a non-int modulus, and a set forged past the
+    # constructor is refused again by every copy of it.
+    ms = make_modulus_set((3, 5, 7))
+    injected = ("3, __import__('os')", 5, 7)
+    with pytest.raises(InvariantViolation, match="modulus-constants"):
+        replace(ms, moduli=injected)
+    forged = forge(ms, moduli=injected)
+    for rebuild in (copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))):
+        with pytest.raises(InvariantViolation, match="modulus-constants"):
+            rebuild(forged)
+
+
+def test_a_set_with_kernels_pickles_without_them():
+    # The ops keep nothing on the set: after they have run, it holds its fields
+    # alone, and a pickle of it is an equal set that computes the same.
+    ms = make_modulus_set(DEFAULT_MODULI)
+    cfg = loose(ms)
+    x = steered(-12345, ms, 0, -inf)
+    z = hrfna_add(hrfna_mul(x, x, ms, cfg), x, ms, cfg)
+    assert set(vars(ms)) == {f.name for f in fields(ModulusSet)}
+    twin = pickle.loads(pickle.dumps(ms))
+    assert twin == ms and twin is not ms and vars(twin) == vars(ms)
+    assert signed_value(encode_signed(-12345, twin), twin) == -12345
+    y = steered(-12345, twin, 0, -inf)
+    w = hrfna_add(hrfna_mul(y, y, twin, cfg), y, twin, cfg)
+    assert (w.n, w.exponent, w.mantissa.residues) == (z.n, z.exponent, z.mantissa.residues)
+
+
+def test_a_set_reduces_to_the_constructor_on_its_moduli():
+    ms = make_modulus_set(DEFAULT_MODULI)
+    assert ms.__reduce__() == (ModulusSet, (ms.moduli,))
+
+
+def test_copies_of_a_forged_set_are_rebuilt_from_the_moduli():
+    # Forged past the constructor with a wrong composite: every copy runs the
+    # checked constructor and derives its constants again.
+    ms = make_modulus_set((3, 5, 7))
+    forged = forge(ms, composite=12345)
+    for twin in (copy.copy(forged), copy.deepcopy(forged), pickle.loads(pickle.dumps(forged))):
+        assert twin.composite == prod(twin.moduli) == 105
+        assert twin == ms and twin is not ms
