@@ -48,6 +48,7 @@ from hrfna.pipeline import (
     PipelineConfig,
     SimResult,
     SimState,
+    Trace,
     TraceEvent,
     metrics_report,
     scheduler_step,

@@ -213,7 +213,7 @@ def program_text(ops) -> str:
 
 def trace_csv(trace) -> str:
     lines = [f"# {TRACE_FORMAT}", "cycle,unit,action,op_id,value_hex"]
-    for cycle, unit, action, op, value in trace:
+    for cycle, unit, action, op, value in tuple.__iter__(trace):  # rows, not records
         lines.append(f"{cycle},{unit},{action},{op or ''},{value or ''}")
     return "\n".join(lines) + "\n"
 

@@ -1,6 +1,8 @@
 """Timing model: latency, initiation interval, stalls, value/timing separation."""
 
+import gc
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from hrfna import (
     Op,
     PipelineConfig,
     SimState,
+    Trace,
     TraceEvent,
     make_modulus_set,
     metrics_report,
@@ -343,6 +346,22 @@ class TestValueTimingSeparation:
         b = simulate(program, pcfg, hcfg, default_ms)
         assert a.trace == b.trace
         assert a.metrics == b.metrics
+
+    def test_trace_rows_leave_the_collector(self, pcfg, hcfg, default_ms):
+        sim = simulate(self.random_program(random.Random(7), 15), pcfg, hcfg, default_ms)
+        rows = tuple.__iter__(sim.trace)  # the stored rows, not the records
+        gc.collect()
+        assert not any(map(gc.is_tracked, rows))
+        events = list(sim.trace)
+        assert all(type(e) is TraceEvent for e in events)
+        assert type(sim.trace[-1]) is TraceEvent and sim.trace[-1] == events[-1]
+        assert type(sim.trace[2:5]) is Trace and list(sim.trace[2:5]) == events[2:5]
+        assert sim.trace == tuple(events) and hash(sim.trace) == hash(Trace(events))
+        assert sim.trace != tuple(events[:-1])
+        again = pickle.loads(pickle.dumps(sim.trace))
+        assert type(again) is Trace and again == sim.trace
+        assert trace_csv(sim.trace) == trace_csv(tuple(events))
+        assert metrics_report(tuple(events)) == sim.metrics
 
 
 class TestProgramValidation:
