@@ -4,9 +4,9 @@ A HybridNum denotes n * 2^f. It carries the signed mantissa n itself,
 always in the symmetric range -M/2 <= n < M/2 of its modulus set, so the
 ops compute with ints and never reconstruct. The residue channels of the
 paper are a view of n: the mantissa property is encode(n), computed when an
-export or a test reads it, and exact by the CRT isomorphism (see rns).
-Alongside n a value carries an O(1) magnitude estimate (log2 |n|) and the
-sign, which drive threshold detection and most comparisons.
+export or a test reads it, and exact by the CRT isomorphism (see rns). The
+sign is derived from n too, and threshold detection and comparison decide
+on n and the exponent alone, in integers.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import frexp, ldexp, log2
+from math import frexp, ldexp
 from typing import NamedTuple
 
 from hrfna import rns
@@ -69,16 +69,16 @@ def tau_int(ms: ModulusSet, cfg: HybridConfig) -> int:
     return (cfg.alpha.numerator * ms.composite) // cfg.alpha.denominator
 
 
-def validate_config(ms: ModulusSet, cfg: HybridConfig) -> tuple[int, float, int]:
+def validate_config(ms: ModulusSet, cfg: HybridConfig) -> tuple[int, int, int]:
     """Check the cross invariants between a modulus set and a hybrid config, once per pair.
 
-    Returns (tau, log2(tau) - 1.0, M.bit_length()): the threshold, the fast
-    detector's limit, and the exponent gap from which a shift-down add
-    absorbs its addend. The invariants and the triple depend on the set only
-    through M, so the first call per M stores the triple in
-    cfg._thresholds[M] and later calls return the stored triple. The ops
-    read it from there with no call, and call this only on a miss, so no op
-    computes under a pair it refuses.
+    Returns (tau, (tau + 1) // 2, M.bit_length()): the threshold, the
+    detector limit (|n| >= limit exactly when 2|n| >= tau), and the exponent
+    gap from which a shift-down add absorbs its addend. The invariants and
+    the triple depend on the set only through M, so the first call per M
+    stores the triple in cfg._thresholds[M] and later calls return the
+    stored triple. The ops read it from there with no call, and call this
+    only on a miss, so no op computes under a pair it refuses.
     Raises InvariantViolation naming the failed invariant:
       operand-bound: 2^(2b) < alpha*M so in-bound operands multiply without wrap
       shift-bound:   k < b so normalization keeps a nonzero mantissa above threshold
@@ -86,32 +86,32 @@ def validate_config(ms: ModulusSet, cfg: HybridConfig) -> tuple[int, float, int]
     limits = cfg._thresholds.get(ms.composite)
     if limits is not None:
         return limits
-    b, k, limit = cfg.operand_bound_bits, cfg.scale_shift_k, cfg.alpha * ms.composite
+    b, k, tau = cfg.operand_bound_bits, cfg.scale_shift_k, tau_int(ms, cfg)
     # Past M's bit length 2^(2b) > M without being built (b may come from a file).
-    if 2 * b > ms.composite.bit_length() or 2 ** (2 * b) >= limit:
-        raise InvariantViolation("operand-bound", f"2^{2 * b} >= alpha*M = {float(limit):g}")
+    # alpha*M is sized by tau's bit length: on a wide set it is past binary64's range.
+    if 2 * b > ms.composite.bit_length() or 2 ** (2 * b) >= cfg.alpha * ms.composite:
+        raise InvariantViolation(
+            "operand-bound", f"2^{2 * b} >= alpha*M, which is below 2^{tau.bit_length()}"
+        )
     if k >= b:
         raise InvariantViolation("shift-bound", f"k = {k} >= b = {b}")
-    tau = tau_int(ms, cfg)
-    limits = cfg._thresholds[ms.composite] = tau, math.log2(tau) - 1.0, ms.composite.bit_length()
+    limits = cfg._thresholds[ms.composite] = tau, (tau + 1) // 2, ms.composite.bit_length()
     return limits
 
 
 class HybridNum(NamedTuple):
-    """Immutable hybrid value: signed mantissa, its set, exponent, and estimator channels.
+    """Immutable hybrid value: signed mantissa, its set and exponent, and provenance.
 
-    n is the mantissa reduced to the symmetric range of set_ref, and
-    mantissa its residues. align_strategy and norm_events describe only the
-    operation that produced this value (provenance for tests and event
-    export); they are excluded from equality, which compares n, exponent,
+    n is the mantissa reduced to the symmetric range of set_ref; mantissa
+    (its residues) and sign are derived from it. align_strategy and
+    norm_events describe only the operation that produced this value
+    (provenance for tests and event export); they are excluded from equality, which compares n, exponent,
     and the set's moduli.
     """
 
     n: int
     set_ref: ModulusSet
     exponent: int
-    mag_log2: float
-    sign: int
     align_strategy: str | None = None
     norm_events: tuple = ()
 
@@ -119,6 +119,11 @@ class HybridNum(NamedTuple):
     def mantissa(self) -> ResidueVector:
         """The residues of n under set_ref, derived on each read."""
         return rns.encode(self.n, self.set_ref)
+
+    @property
+    def sign(self) -> int:
+        """-1, 0 or 1, the sign of n."""
+        return (self.n > 0) - (self.n < 0)
 
     def _key(self):
         return (self.n, self.set_ref.moduli, self.exponent)
@@ -154,9 +159,7 @@ def make_hybrid(n: int, exponent: int, ms: ModulusSet) -> HybridNum:
     rns.check_signed refuses an n outside (-M/2, M/2) (OutOfRange). The
     value has no provenance: no align_strategy and no norm_events.
     """
-    mag = math.log2(abs(n)) if n else -math.inf
-    sign = (n > 0) - (n < 0)
-    return _new(HybridNum, (rns.check_signed(n, ms), ms, exponent, mag, sign, None, ()))
+    return _new(HybridNum, (rns.check_signed(n, ms), ms, exponent, None, ()))
 
 
 def from_real(x: float, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
@@ -184,8 +187,8 @@ def from_real(x: float, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
         # lies within 1/4 below 2^(b-2), so it rounds to N / 2.
         n, a, f = n >> 1, a >> 1, f + 1
     if 2 * a >= ms.composite:
-        raise rns.OutOfRange(f"|{n}| not below M/2 = {ms.composite / 2}")
-    return _new(HybridNum, (n, ms, f, log2(a), 1 if n > 0 else -1, None, ()))
+        raise rns._outside_signed_range(n, ms)
+    return _new(HybridNum, (n, ms, f, None, ()))
 
 
 def to_real(h: HybridNum) -> float:
@@ -216,20 +219,20 @@ def exact_value(h: HybridNum) -> Fraction:
 def hybrid_compare(x: HybridNum, y: HybridNum, ms: ModulusSet) -> int:
     """Total order on hybrid values: LESS, EQUAL, or GREATER.
 
-    Fast path: differing signs, or same-sign magnitude windows
-    (mag_log2 + f) +- 1.0 that do not overlap, decide from the estimates.
-    Otherwise the operands' sets are checked against ms (MismatchedSet for
-    other moduli) and their mantissas compared by cross-shifted integers,
-    with no floating point.
+    Fast path: differing signs, or same-sign values whose magnitude bounds
+    2^(n.bit_length() + f) differ, decide exactly: 2^(L - 1 + f) <= |n| * 2^f
+    < 2^(L + f) for L = n.bit_length(). Otherwise the operands' sets are
+    checked against ms (MismatchedSet for other moduli) and their mantissas
+    compared by cross-shifted integers.
     """
     if x.sign != y.sign:
         return GREATER if x.sign > y.sign else LESS
     if x.sign == 0:
         return EQUAL
 
-    wx = x.mag_log2 + x.exponent
-    wy = y.mag_log2 + y.exponent
-    if abs(wx - wy) > 2.0:  # windows of width +-1.0 are disjoint
+    wx = x.n.bit_length() + x.exponent
+    wy = y.n.bit_length() + y.exponent
+    if wx != wy:
         bigger_mag = GREATER if wx > wy else LESS
         return bigger_mag if x.sign > 0 else -bigger_mag
 

@@ -3,21 +3,21 @@
 normalize divides the signed mantissa n by 2^k with round half to even
 and raises the exponent by k, so the value moves by at most 2^(f+k-1). It
 rounds with a floor shift and a carry, on the int the value carries;
-shift_round_half_even is the reference it is pinned to. Detection has a
-fast mode driven by the magnitude estimator and an exact mode that
-reconstructs the mantissa from its residues; fast mode is one-sided safe
-(it never misses a true crossing). normalize refuses a value under a set
+shift_round_half_even is the reference it is pinned to. Detection is one
+exact integer test on n: 2|n| >= tau. normalize refuses a value under a set
 with other moduli (MismatchedSet, raised by rns).
 """
 
 from __future__ import annotations
 
-from math import inf, log2
 from typing import NamedTuple
 
 from hrfna import rns
 from hrfna.errors import HrfnaError
-from hrfna.hybrid import HybridConfig, HybridNum, signed_value, validate_config
+from hrfna.hybrid import HybridConfig, HybridNum, validate_config
+# Unused here since the detector reads n; perfbench/test_perfbench.py checks
+# the wrapper on this binding until the bench revision (ROADMAP item 1).
+from hrfna.hybrid import signed_value  # noqa: F401
 from hrfna.rns import ModulusSet, _new
 
 
@@ -49,34 +49,26 @@ def shift_round_half_even(n: int, s: int) -> int:
     return q
 
 
-def needs_normalization(
-    h: HybridNum, ms: ModulusSet, cfg: HybridConfig, exact: bool = False
-) -> bool:
-    """Whether the mantissa magnitude has reached the threshold tau.
+def needs_normalization(h: HybridNum, ms: ModulusSet, cfg: HybridConfig) -> bool:
+    """Whether the mantissa has reached half the threshold: 2|n| >= tau.
 
-    Fast mode fires when mag_log2 >= log2(tau) - 1.0; exact mode
-    reconstructs and tests |N| >= tau. The - 1.0 is not a margin for the
-    estimator's error: fast mode fires from about tau/2, so the mantissa an
-    op returns after draining stays below about tau/2. That is half of the
-    operational envelope. A survivor times a newly encoded operand stays inside
-    M/2 because of it, and a wider limit lets such products wrap.
+    The test is |n| >= validate_config(ms, cfg)[1], the integer (tau + 1) // 2.
+    Firing from tau/2, not tau, keeps the mantissa an op returns after
+    draining below tau/2. That is half of the operational envelope: a
+    survivor times a newly encoded operand stays inside M/2 because of it,
+    and a wider limit lets such products wrap.
     """
-    tau, limit, _ = validate_config(ms, cfg)
-    if exact:
-        return abs(signed_value(h.mantissa, ms)) >= tau
-    return h.mag_log2 >= limit
+    return abs(h.n) >= validate_config(ms, cfg)[1]
 
 
 def normalize(h: HybridNum, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
     """Scale the mantissa down by 2^k and bump the exponent by k.
 
     Callable below threshold as well; hrfna_mul and hrfna_add call it while
-    mag_log2 >= validate_config(ms, cfg)[1], the fast detector. The result keeps
-    h's align_strategy, carries h's norm_events followed by its own
-    NormalizationEvent (so repeated passes over one operation's result
-    accumulate), and has a mag_log2 recomputed exactly from the scaled
-    mantissa. The result is under ms even when h is under an equal set
-    built apart.
+    needs_normalization holds. The result keeps h's align_strategy and
+    carries h's norm_events followed by its own NormalizationEvent (so
+    repeated passes over one operation's result accumulate). The result is
+    under ms even when h is under an equal set built apart.
     """
     k = cfg.scale_shift_k
     if h.set_ref is not ms:
@@ -89,7 +81,4 @@ def normalize(h: HybridNum, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
         raise DegenerateResult(f"mantissa {n} vanished under shift {k}")
     exponent = h.exponent + k
     event = _new(NormalizationEvent, (n, n_out, k, h.exponent, exponent))
-    mag, sign = (log2(abs(n_out)) if n_out else -inf), (n_out > 0) - (n_out < 0)
-    return _new(
-        HybridNum, (n_out, ms, exponent, mag, sign, h.align_strategy, h.norm_events + (event,))
-    )
+    return _new(HybridNum, (n_out, ms, exponent, h.align_strategy, h.norm_events + (event,)))

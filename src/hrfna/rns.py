@@ -144,10 +144,21 @@ def encode_residues(n: int, ms: ModulusSet) -> ResidueVector:
     return encode(n, ms)
 
 
+def _outside_signed_range(n: int, ms: ModulusSet) -> OutOfRange:
+    """check_signed's OutOfRange, with n and M sized by bit length.
+
+    On a wide set n has more decimal digits than int prints, and M/2 is past
+    binary64's range.
+    """
+    return OutOfRange(
+        f"|n| not below M/2: n has {n.bit_length()} bits, M has {ms.composite.bit_length()}"
+    )
+
+
 def check_signed(n: int, ms: ModulusSet) -> int:
     """n itself if it lies in (-M/2, M/2), the range encode_signed accepts; else OutOfRange."""
     if 2 * abs(n) >= ms.composite:
-        raise OutOfRange(f"|{n}| not below M/2 = {ms.composite / 2}")
+        raise _outside_signed_range(n, ms)
     return n
 
 

@@ -14,11 +14,11 @@ from hrfna import (
     AuditFailure,
     HrfnaError,
     HybridConfig,
-    HybridNum,
     from_real,
     hrfna_add,
     hrfna_mul,
     make_hybrid,
+    make_modulus_set,
     signed_value,
     tau_int,
     to_real,
@@ -66,11 +66,14 @@ class TestMul:
             hrfna_mul(x, x, default_ms, hcfg, debug=True)
         assert issubclass(AuditFailure, HrfnaError)
 
-    def test_debug_audit_reports_missed_crossing(self, default_ms, hcfg):
-        # An estimate of log2 |N| = 0 for N = 2^13 hides a product above tau.
-        x = HybridNum(2**13, default_ms, 0, 0.0, 1)
-        with pytest.raises(AuditFailure, match="missed a threshold crossing"):
-            hrfna_mul(x, x, default_ms, hcfg, debug=True)
+    def test_product_at_half_tau_normalizes(self):
+        # (7, 9, 11), alpha 23/32: tau = 498, and 83 * 3 = 249 = tau/2 fires.
+        # log2(83) + log2(3) falls one ulp short of log2(498) - 1.0.
+        ms = make_modulus_set((7, 9, 11))
+        cfg = HybridConfig(alpha=Fraction(23, 32), scale_shift_k=1, operand_bound_bits=3)
+        z = hrfna_mul(make_hybrid(83, 0, ms), make_hybrid(3, 0, ms), ms, cfg)
+        (event,) = z.norm_events
+        assert (event.value_in, event.value_out, z.n, z.exponent) == (249, 124, 124, 1)
 
     def test_two_pass_drain_keeps_both_events(self, default_ms, hcfg):
         # 180000^2 is about 2^34.9: one k-bit shift leaves it above the

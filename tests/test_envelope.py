@@ -1,10 +1,10 @@
 """The operational envelope over the accepted config space, and its open defects.
 
-A product is exact only while it stays below M/2. The fast detector lets a
-value grow to just under tau/2 before it normalizes, so the widest product
-a chain forms is the largest such survivor times the largest fresh
-mantissa, 2^(b-1) - 1. It stays below M/2 whenever tau * 2^(b-1) < M, the
-chain-envelope invariant that validate_config does not check yet (ROADMAP
+A product is exact only while it stays below M/2. The detector normalizes
+from 2|n| >= tau on, so a value survives up to limit - 1, for the integer
+limit = (tau + 1) // 2, and the widest product a chain forms is that
+survivor times the largest fresh mantissa, 2^(b-1) - 1. It stays below M/2
+whenever tau * 2^(b-1) < M, the chain-envelope invariant that validate_config does not check yet (ROADMAP
 item 2), so most accepted configs on small sets wrap. The sweep covers
 every config that validate_config accepts on four small sets, with
 alpha = n/d for odd n < d and d from 16 to 256 in powers of two, and b
@@ -15,11 +15,10 @@ a wrap. The add sweep runs the largest survivor plus itself, with signs
 (+, +), (+, -) and (-, -), at every exponent gap from 0 to
 M.bit_length() + 2, so through scale-up, shift-down and absorbed adds:
 32,322 sums inside the invariant, none of which wraps, and 476,607 over
-every accepted config, 29,806 of which wrap (the first at gap 0 on
+every accepted config, 29,796 of which wrap (the first at gap 0 on
 (7, 9, 11) with alpha = 9/16, k = 1, b = 3).
 """
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -47,16 +46,6 @@ ITEM_2_CONFIGS = "ROADMAP item 2: validate_config does not check tau * 2^(b-1) <
 ITEM_2_PROGRAMS = "ROADMAP item 2: hrfna_mul lets a survivor times a survivor wrap"
 
 
-def largest_survivor(limit: float) -> int:
-    """The largest n that the fast detector leaves unnormalized: log2(n) < limit."""
-    n = int(2**limit)
-    while math.log2(n + 1) < limit:
-        n += 1
-    while math.log2(n) >= limit:
-        n -= 1
-    return n
-
-
 def accepted_configs():
     """(ms, cfg, config key, detector limit, meets tau * 2^(b-1) < M) for every accepted config."""
     for moduli in SMALL_SETS:
@@ -79,7 +68,7 @@ def sweep() -> list:
     """(config, meets tau * 2^(b-1) < M, AuditFailure text or None), one per accepted config."""
     rows = []
     for ms, cfg, key, limit, inside in accepted_configs():
-        x = make_hybrid(largest_survivor(limit), 0, ms)
+        x = make_hybrid(limit - 1, 0, ms)
         y = make_hybrid(2 ** (cfg.operand_bound_bits - 1) - 1, 0, ms)
         try:
             hrfna_mul(x, y, ms, cfg, debug=True)
@@ -94,7 +83,7 @@ def survivor_sums(configs):
     """Every config's largest survivor plus itself, signs (+, +), (+, -) and (-, -),
     at each exponent gap from 0 to M.bit_length() + 2: (config, gap, signs, x, y)."""
     for ms, cfg, key, limit, _ in configs:
-        s = largest_survivor(limit)
+        s = limit - 1  # the largest survivor
         for gap in range(ms.composite.bit_length() + 3):
             for signs in ((1, 1), (1, -1), (-1, -1)):
                 x, y = make_hybrid(signs[0] * s, gap, ms), make_hybrid(signs[1] * s, 0, ms)

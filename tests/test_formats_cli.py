@@ -25,6 +25,7 @@ from hrfna.formats import (
     save_config,
     vectors_text,
 )
+from hrfna.arithmetic import AuditFailure, hrfna_mul
 from hrfna.hybrid import HybridConfig, from_real, make_hybrid, to_real, validate_config
 from hrfna.pipeline import DEFAULT_PIPELINE, MAX_STAGE_DEPTH, InvalidProgram, Op, PipelineConfig
 from hrfna.rns import DEFAULT_MODULI, OutOfRange, make_modulus_set
@@ -299,6 +300,30 @@ class TestHybridRecords:
         parsed = parse_hybrid_record(line, ms)
         assert parsed == h and to_real(parsed) == 1.5 and hybrid_record(parsed) == line
 
+    def test_errors_on_a_wide_set_stay_typed(self, tmp_path, capsys):
+        # On the same 1,000-prime set n, a product and alpha*M pass int's
+        # decimal digit limit and M/2 passes binary64's range, so each message
+        # sizes them by bit length.
+        primes = [n for n in range(30_001, 42_000) if all(n % q for q in range(2, 206))]
+        ms = make_modulus_set(primes[:1000])
+        cfg = HybridConfig(alpha=Fraction(1, 4), scale_shift_k=3, operand_bound_bits=10**5)
+        with pytest.raises(InvariantViolation, match="^operand-bound: "):
+            validate_config(ms, cfg)
+        data = config_to_dict(ms, cfg, DEFAULT_PIPELINE)
+        assert_cli_rejects(tmp_path, capsys, data, "error: InvariantViolation: operand-bound")
+        with pytest.raises(OutOfRange) as want:
+            make_hybrid(1 << 15_098, 0, ms)
+        assert want.traceback[-1].name == "check_signed"  # raised in the rns layer
+        # b past M's bit length, unvalidated: 1.0's window mantissa is 2^15098 > M/2.
+        past = HybridConfig(alpha=Fraction(1, 4), scale_shift_k=3, operand_bound_bits=15_100)
+        with pytest.raises(OutOfRange) as got:
+            from_real(1.0, ms, past)
+        assert str(got.value) == str(want.value)
+        # The debug audit of a wrapped product of two 15,097-bit mantissas.
+        x = make_hybrid((ms.composite - 1) // 2, 0, ms)
+        with pytest.raises(AuditFailure, match="wrapped"):
+            hrfna_mul(x, x, ms, HybridConfig(Fraction(1, 4), 3, 12), debug=True)
+
     def test_residues_are_fixed_width_hex(self, default_ms, hcfg):
         line = hybrid_record(from_real(1.5, default_ms, hcfg))
         fields = line.split()
@@ -344,12 +369,11 @@ class TestHybridRecords:
     @given(st.sampled_from(RECORD_SETS), st.data(), st.integers(-(2**40), 2**40))
     @settings(max_examples=300, deadline=None)
     def test_parsed_record_matches_its_constructor(self, ms, data, f):
-        # HybridNum equality ignores mag_log2 and sign, so compare them directly.
         half = (ms.composite - 1) // 2
         h = make_hybrid(data.draw(st.integers(-half, half)), f, ms)
         parsed = parse_hybrid_record(hybrid_record(h), ms)
         assert parsed.mantissa.residues == h.mantissa.residues
-        assert (parsed.exponent, parsed.mag_log2, parsed.sign) == (h.exponent, h.mag_log2, h.sign)
+        assert (parsed.exponent, parsed.sign) == (h.exponent, h.sign)
 
     def test_half_modulus_record_out_of_range(self, tmp_path, capsys):
         ms = RECORD_SETS[1]

@@ -13,11 +13,14 @@ Sets are drawn pairwise coprime with 1 to 12 channels of at most 16 bits,
 and the edges are pinned as examples: one channel, the 65535/65534 pair,
 and signed values at +-(M/2 - 1) and, on an even M, -M/2. The library's
 ops need a config that validates on the set, so they run on every set with
-M > 65, under loose(ms), whose detector fires only near M/2. Operands are
-steered onto each path through their mag_log2: -inf never normalizes a
-product and always scales up, +inf always shifts down. A sum may still
-normalize, since its mag_log2 is recomputed; its first event's value_in is
-the op's n. (3, 5, 7) is swept exhaustively.
+M > 65, under loose(ms), whose detector fires only near M/2. An op picks
+its path from n and the exponent gap alone, so the pins compute the path
+each operand pair takes by the ops' rules (scale up at gap 0 or while
+2|n_hi| * 2^d < tau, else shift down, absorbed from the gap M.bit_length()
+on) and check the op took it. A result may normalize; its first event's
+value_in is the op's n. (3, 5, 7) is swept exhaustively, and reaches every
+path: a product with and without normalization, and the scale-up,
+shift-down and absorbed adds, wraps included.
 
 A set carries its moduli and the constants derived from them, nothing the
 ops leave behind: a pickle or copy is rebuilt from the moduli through the
@@ -32,7 +35,7 @@ import copy
 import pickle
 from dataclasses import fields, replace
 from fractions import Fraction
-from math import gcd, inf, prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -57,6 +60,7 @@ from hrfna import (
     normalize,
     shift_round_half_even,
     signed_value,
+    validate_config,
 )
 from hrfna.errors import InvariantViolation
 from hrfna.rns import encode
@@ -89,35 +93,36 @@ def loose(ms):
     return HybridConfig(Fraction(ms.composite - 1, ms.composite), 1, 3)
 
 
-def steered(n, ms, exponent, mag):
-    """The value n * 2^exponent whose magnitude estimate is mag, to pick an op's path."""
-    return HybridNum(n, ms, exponent, mag, (n > 0) - (n < 0))
-
-
 def op_n(z):
     """An op's reduced n before any normalization pass."""
     return z.norm_events[0].value_in if z.norm_events else z.n
 
 
 def assert_ops_match_channel_ops(a, b, ms, cfg, deltas):
-    """hrfna_mul and hrfna_add on a and b against mod_mul and mod_add on their residues."""
+    """hrfna_mul and hrfna_add on a and b against mod_mul and mod_add on their residues.
+
+    a * 2^d is the add's hi for each gap d. Returns the paths the ops took.
+    """
     ra, rb = encode(a, ms), encode(b, ms)
-    z = hrfna_mul(steered(a, ms, 0, -inf), steered(b, ms, 0, -inf), ms, cfg)
-    assert not z.norm_events and z.n == sym(a * b, ms)
-    assert z.mantissa == mod_mul(ra, rb, ms)
+    z = hrfna_mul(HybridNum(a, ms, 0), HybridNum(b, ms, 0), ms, cfg)
+    assert op_n(z) == sym(a * b, ms)
+    assert encode(op_n(z), ms) == mod_mul(ra, rb, ms)
+    paths = {"normalized product" if z.norm_events else "product"}
     if not a or not b:
-        return  # a zero takes the identity path
-    gap = ms.composite.bit_length()
+        return paths  # a zero takes the identity path
+    tau, _, gap = validate_config(ms, cfg)
     for d in deltas:
-        z = hrfna_add(steered(a, ms, d, -inf), steered(b, ms, 0, -inf), ms, cfg)
-        assert z.align_strategy == ALIGN_SCALE_UP and op_n(z) == sym((a << d) + b, ms)
-        assert encode(op_n(z), ms) == mod_add(mod_mul(ra, encode(1 << d, ms), ms), rb, ms)
-        if d == 0:
-            continue  # no gap to shift down over
-        z = hrfna_add(steered(a, ms, d, inf), steered(b, ms, 0, -inf), ms, cfg)
+        z = hrfna_add(HybridNum(a, ms, d), HybridNum(b, ms, 0), ms, cfg)
+        if d == 0 or 2 * abs(a) << d < tau:
+            assert z.align_strategy == ALIGN_SCALE_UP and op_n(z) == sym((a << d) + b, ms)
+            assert encode(op_n(z), ms) == mod_add(mod_mul(ra, encode(1 << d, ms), ms), rb, ms)
+            paths.add("scale-up")
+            continue
         q = shift_round_half_even(b, d) if d < gap else 0  # from the gap on, b is absorbed
         assert z.align_strategy == ALIGN_SHIFT_DOWN and op_n(z) == sym(a + q, ms)
         assert encode(op_n(z), ms) == mod_add(ra, encode_signed(q, ms), ms)
+        paths.add("shift-down" if d < gap else "absorbed")
+    return paths
 
 
 def ties(d, half):
@@ -173,7 +178,7 @@ def test_kernels_match_reference(moduli, data):
         for a in ns:
             for b in ns:
                 assert_ops_match_channel_ops(a, b, ms, cfg, deltas)
-                x, y = steered(a, ms, 0, -inf), steered(b, ms, 0, -inf)
+                x, y = HybridNum(a, ms, 0), HybridNum(b, ms, 0)
                 z = tuple(hrfna_mul(x, y, ms, cfg))
                 assert tuple(hrfna_mul(x._replace(set_ref=twin), y, ms, cfg)) == z
 
@@ -184,9 +189,9 @@ def test_kernels_match_reference(moduli, data):
             q = shift_round_half_even(n, k)
             if q == 0 and n != 0:
                 with pytest.raises(DegenerateResult):
-                    normalize(steered(n, ms, 0, 0.0), ms, cfg)
+                    normalize(HybridNum(n, ms, 0), ms, cfg)
                 continue
-            z = normalize(steered(n, twin, 0, 0.0), ms, cfg)
+            z = normalize(HybridNum(n, twin, 0), ms, cfg)
             assert (z.n, z.exponent, z.set_ref) == (q, k, ms)
             assert z.mantissa == encode_signed(q, ms)
 
@@ -195,9 +200,11 @@ def test_every_operand_pair_on_a_small_set():
     """(3, 5, 7): every pair of mantissas, wraps included, through every op path."""
     ms = make_modulus_set((3, 5, 7))
     cfg = loose(ms)
+    paths = set()
     for a in range(-52, 53):
         for b in range(-52, 53):
-            assert_ops_match_channel_ops(a, b, ms, cfg, (0, 1, 3, 6, 7))
+            paths |= assert_ops_match_channel_ops(a, b, ms, cfg, (0, 1, 3, 6, 7))
+    assert paths == {"product", "normalized product", "scale-up", "shift-down", "absorbed"}
 
 
 def forge(ms, **changes):
@@ -227,13 +234,13 @@ def test_a_set_with_kernels_pickles_without_them():
     # alone, and a pickle of it is an equal set that computes the same.
     ms = make_modulus_set(DEFAULT_MODULI)
     cfg = loose(ms)
-    x = steered(-12345, ms, 0, -inf)
+    x = HybridNum(-12345, ms, 0)
     z = hrfna_add(hrfna_mul(x, x, ms, cfg), x, ms, cfg)
     assert set(vars(ms)) == {f.name for f in fields(ModulusSet)}
     twin = pickle.loads(pickle.dumps(ms))
     assert twin == ms and twin is not ms and vars(twin) == vars(ms)
     assert signed_value(encode_signed(-12345, twin), twin) == -12345
-    y = steered(-12345, twin, 0, -inf)
+    y = HybridNum(-12345, twin, 0)
     w = hrfna_add(hrfna_mul(y, y, twin, cfg), y, twin, cfg)
     assert (w.n, w.exponent, w.mantissa.residues) == (z.n, z.exponent, z.mantissa.residues)
 

@@ -1,4 +1,4 @@
-"""Normalization engine: rounding rule, error bound, detection soundness.
+"""Normalization engine: rounding rule, error bound, exact detection.
 
 The rounding oracle is Python's round() on exact Fractions, which
 implements round half to even independently of the bit-level shift.
@@ -110,21 +110,31 @@ class TestNormalize:
 
 
 class TestDetection:
+    """The detector fires exactly where 2|n| >= tau, on n alone."""
+
     def test_zero_mantissa(self, default_ms, hcfg):
         h = make_hybrid(0, 0, default_ms)
         assert not needs_normalization(h, default_ms, hcfg)
-        assert not needs_normalization(h, default_ms, hcfg, exact=True)
 
     def test_exact_boundary(self, default_ms, hcfg):
         tau = tau_int(default_ms, hcfg)
-        at = make_hybrid(tau, 0, default_ms)
-        below = make_hybrid(tau - 1, 0, default_ms)
-        assert needs_normalization(at, default_ms, hcfg, exact=True)
-        assert not needs_normalization(below, default_ms, hcfg, exact=True)
-        assert needs_normalization(make_hybrid(-tau, 0, default_ms), default_ms, hcfg, exact=True)
+        at = (tau + 1) // 2  # the least n with 2n >= tau
+        assert needs_normalization(make_hybrid(at, 0, default_ms), default_ms, hcfg)
+        assert needs_normalization(make_hybrid(-at, 0, default_ms), default_ms, hcfg)
+        assert not needs_normalization(make_hybrid(at - 1, 0, default_ms), default_ms, hcfg)
+        assert not needs_normalization(make_hybrid(1 - at, 0, default_ms), default_ms, hcfg)
+
+    def test_boundary_at_half_an_even_tau(self):
+        # (7, 9, 11, 13), alpha 3/64: tau = 422, inside tau * 2^(b-1) < M. 211 is
+        # tau/2, where the float test log2(n) >= log2(tau) - 1.0 stayed silent.
+        ms = make_modulus_set([7, 9, 11, 13])
+        cfg = HybridConfig(alpha=Fraction(3, 64), scale_shift_k=1, operand_bound_bits=3)
+        assert tau_int(ms, cfg) == 422 and 422 << 2 < ms.composite
+        assert needs_normalization(make_hybrid(211, 0, ms), ms, cfg)
+        assert not needs_normalization(make_hybrid(210, 0, ms), ms, cfg)
 
     def test_fast_mode_never_misses(self, default_ms, hcfg):
-        # Sweep across [tau/4, 4*tau]: zero false negatives for fast mode.
+        # Sweep across [tau/4, 4*tau]: the detector fires exactly where 2|n| >= tau.
         tau = tau_int(default_ms, hcfg)
         rng = random.Random(99)
         for _ in range(2000):
@@ -132,23 +142,21 @@ class TestDetection:
             if rng.random() < 0.5:
                 n = -n
             h = make_hybrid(n, 0, default_ms)
-            if needs_normalization(h, default_ms, hcfg, exact=True):
-                assert needs_normalization(h, default_ms, hcfg)
+            assert needs_normalization(h, default_ms, hcfg) == (2 * abs(n) >= tau)
 
     def test_fast_mode_never_misses_exhaustive_small(self):
         # Small-scale exhaustive sweep: every representable signed mantissa,
-        # with tau = 288 inside the +-577 range so both modes can fire.
+        # with tau = 288 inside the +-577 range, so the detector fires from 144.
         ms = make_modulus_set([3, 5, 7, 11])
         cfg = HybridConfig(alpha=Fraction(1, 4), scale_shift_k=2, operand_bound_bits=3)
         tau = tau_int(ms, cfg)
         assert tau == 288
-        fired_exact = 0
+        fired = 0
         for n in range(-577, 578):
             h = make_hybrid(n, 0, ms)
-            if needs_normalization(h, ms, cfg, exact=True):
-                fired_exact += 1
-                assert needs_normalization(h, ms, cfg)
-        assert fired_exact == 2 * (577 - 288 + 1) == 580
+            assert needs_normalization(h, ms, cfg) == (2 * abs(n) >= tau)
+            fired += needs_normalization(h, ms, cfg)
+        assert fired == 2 * (577 - 144 + 1) == 868
 
     def test_drift_chain_error_linear_in_events(self, default_ms, hcfg):
         # Multiply-then-normalize chain: accumulated drift stays within the

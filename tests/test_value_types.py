@@ -22,7 +22,7 @@ from hrfna import (
 from hrfna.workloads import DriftReport
 
 RESIDUE_FIELDS = ("residues", "set_ref")
-HYBRID_FIELDS = ("mantissa", "exponent", "mag_log2", "sign", "align_strategy", "norm_events")
+HYBRID_FIELDS = ("mantissa", "exponent", "sign", "align_strategy", "norm_events")
 EVENT_FIELDS = ("value_in", "value_out", "shift", "exponent_before", "exponent_after")
 TRACE_FIELDS = ("cycle", "unit", "action", "op", "value")
 OP_FIELDS = ("kind", "args", "name", "value")
