@@ -94,20 +94,23 @@ def hrfna_add(
     symmetric range mod M. Strategy selection depends only on which operand
     holds the larger exponent, so it is symmetric in (x, y) and the aligned
     mantissa addition is commutative. The result is normalized while it
-    reaches threshold.
+    reaches threshold. A zero operand makes the sum the other operand
+    (ALIGN_IDENTITY), after the thresholds are read, so a refused (set,
+    config) pair raises its InvariantViolation on that path too.
     With debug=True the sum is audited against the exact aligned integer
     sum: a wrap modulo M raises AuditFailure.
     """
     if x.set_ref is not ms or y.set_ref is not ms:
         rns._check_set(ms, x, y)
+    M = ms.composite
+    _, limit, gap = cfg._thresholds.get(M) or validate_config(ms, cfg)
     if not x.n or not y.n:
         # A zero's n is 0, so the sum is the other operand's n.
         h = x if x.n else y
         return _new(HybridNum, (h.n, ms, h.exponent, ALIGN_IDENTITY, ()))
 
     hi, lo = (x, y) if x.exponent >= y.exponent else (y, x)
-    delta, M = hi.exponent - lo.exponent, ms.composite
-    _, limit, gap = cfg._thresholds.get(M) or validate_config(ms, cfg)
+    delta = hi.exponent - lo.exponent
     if delta == 0 or (delta < gap and abs(hi.n) << delta < limit):
         n = ((hi.n << delta) + lo.n) % M
         exponent, strategy = lo.exponent, ALIGN_SCALE_UP

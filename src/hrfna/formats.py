@@ -212,10 +212,14 @@ def program_text(ops) -> str:
 
 
 def trace_csv(trace) -> str:
-    lines = [f"# {TRACE_FORMAT}", "cycle,unit,action,op_id,value_hex"]
-    for cycle, unit, action, op, value in tuple.__iter__(trace):  # rows, not records
-        lines.append(f"{cycle},{unit},{action},{op or ''},{value or ''}")
-    return "\n".join(lines) + "\n"
+    """The trace CSV: two header lines, then one row per event, each line ending in a newline.
+
+    trace is a Trace or a tuple of events; a row is its event's five fields
+    joined by commas, as the Trace stores them.
+    """
+    fields = iter(pipeline.Trace(trace).fields)
+    rows = map(",".join, zip(fields, fields, fields, fields, fields))
+    return "\n".join([f"# {TRACE_FORMAT}", "cycle,unit,action,op_id,value_hex", *rows, ""])
 
 
 def _tagged_json(fmt: str, record) -> str:

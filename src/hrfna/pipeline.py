@@ -16,8 +16,9 @@ perfbench's tracer counts cycles and stalls from the one and events from
 the other; a closed form that skips cycles must first decouple the tracer.
 """
 
-from __future__ import annotations
-
+# No `from __future__ import annotations`: with string annotations,
+# typing.NamedTuple compiles a ForwardRef for every field of the five named
+# tuples below at each import; evaluated ones cost nothing extra.
 import enum
 import statistics
 from dataclasses import dataclass, fields
@@ -124,28 +125,52 @@ class TraceEvent(NamedTuple):
     value: str | None = None
 
 
-class Trace(tuple):
-    """A simulation's events in trace order: a tuple of plain rows, read as TraceEvents.
+class Trace:
+    """A simulation's events in trace order, stored as the fields of their CSV rows.
 
-    Each row is a plain tuple of ints, strings and None, which the cyclic
-    garbage collector stops tracking at its first collection; a TraceEvent,
-    a tuple subclass, stays tracked. So a live trace is not rescanned by
-    every later collection. With three 300-step traces (about 19,000
-    events) live, full collections averaged 9.4 ms with TraceEvent rows and
-    5.5 ms with plain ones (CPython 3.11.7, a shared 2-core x86-64 VM).
-    Indexing and iteration make the records on read; length, equality and
-    hashing are the tuple's, over the rows. metrics_report and
-    formats.trace_csv read the rows.
+    fields is one flat tuple of str, five per event, exactly as the event's
+    formats.trace_csv row prints them: the cycle in decimal, unit, action,
+    then op and value with '' for None. No event is an object of its own,
+    and a tuple of str leaves the cyclic garbage collector at its first
+    collection, so a live trace adds one tracked object and is not rescanned.
+    Trace(events) takes any iterable of 5-field events, or a Trace, whose
+    fields it shares. Indexing and slicing read TraceEvent records back,
+    with '' as None, and iteration goes through indexing until range
+    indexing raises IndexError past the end; equality holds with another
+    Trace or with a tuple of the same records, and the hash is that tuple's.
+    metrics_report and formats.trace_csv read the fields.
     """
 
-    __slots__ = ()
+    __slots__ = ("fields",)
+
+    def __init__(self, events=()):
+        if isinstance(events, Trace):
+            self.fields = events.fields
+            return
+        fields: list[str] = []
+        for cycle, unit, action, op, value in events:
+            fields += map(str, (cycle, unit, action, op or "", value or ""))
+        self.fields = tuple(fields)
+
+    def __len__(self):
+        return len(self.fields) // 5
 
     def __getitem__(self, index):
-        row = tuple.__getitem__(self, index)
-        return Trace(row) if isinstance(index, slice) else _new(TraceEvent, row)
+        if isinstance(index, slice):
+            return Trace(map(self.__getitem__, range(len(self))[index]))
+        i = 5 * range(len(self))[index]  # range indexing raises for an index out of range
+        cycle, unit, action, op, value = self.fields[i : i + 5]
+        return _new(TraceEvent, (int(cycle), unit, action, op or None, value or None))
 
-    def __iter__(self):
-        return map(TraceEvent._make, tuple.__iter__(self))
+    def __eq__(self, other):
+        if isinstance(other, Trace):
+            return self.fields == other.fields
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
 
 
 class SimState(NamedTuple):
@@ -219,31 +244,31 @@ def run_program(program, ms: ModulusSet, hcfg: HybridConfig):
     """
     env: dict[str, HybridNum] = {}
     issued = 0
-    for op in program:
-        if op.kind == "lit":
-            if not op.name:
+    for kind, args, name, literal in program:
+        if kind == "lit":
+            if not name:
                 raise InvalidProgram("literal without a name")
-            if op.name in env:
-                raise InvalidProgram(f"name {op.name!r} defined twice")
-            env[op.name] = value = hybrid.from_real(op.value, ms, hcfg)
-            yield op.name, "lit", (), value
+            if name in env:
+                raise InvalidProgram(f"name {name!r} defined twice")
+            env[name] = value = hybrid.from_real(literal, ms, hcfg)
+            yield name, "lit", (), value
             continue
-        if op.kind not in ("mul", "add"):
-            raise InvalidProgram(f"unknown op kind {op.kind!r}")
+        if kind not in ("mul", "add"):
+            raise InvalidProgram(f"unknown op kind {kind!r}")
         try:
-            a, b = operands = tuple(map(env.__getitem__, op.args))
+            a, b = operands = tuple(map(env.__getitem__, args))
         except KeyError as exc:
             raise InvalidProgram(f"undefined operand {exc.args[0]!r}") from None
         except ValueError:
-            raise InvalidProgram(f"{op.kind} takes 2 operands, got {len(op.args)}") from None
-        fn = arithmetic.hrfna_mul if op.kind == "mul" else arithmetic.hrfna_add
+            raise InvalidProgram(f"{kind} takes 2 operands, got {len(args)}") from None
+        fn = arithmetic.hrfna_mul if kind == "mul" else arithmetic.hrfna_add
         value = fn(a, b, ms, hcfg)
-        name = op.name or f"t{issued}"
+        name = name or f"t{issued}"
         if name in env:
             raise InvalidProgram(f"name {name!r} defined twice")
         env[name] = value
         issued += 1
-        yield name, op.kind, operands, value
+        yield name, kind, operands, value
 
 
 def evaluate_program(program, ms: ModulusSet, hcfg: HybridConfig):
@@ -264,9 +289,11 @@ def simulate(program, cfg: PipelineConfig, hcfg: HybridConfig, ms: ModulusSet) -
     full trace from first issue to last retire, and the metrics summary.
     Events are emitted in trace order, so the trace is never sorted: by
     cycle, then scheduler, norm, exponent and the lanes (by name), and
-    within a unit by action. One scheduler_step call per cycle, stalls
-    included, and one metrics_report scan: perfbench's tracer counts both
-    (see the module docstring).
+    within a unit by action. Each event goes straight into the trace's flat
+    fields: each cycle is formatted once, and each retire's value_hex once,
+    from n by one % template, with no residue vector. One scheduler_step
+    call per cycle, stalls included, and one metrics_report scan:
+    perfbench's tracer counts both (see the module docstring).
     """
     names, results, norms = evaluate_program(program, ms, hcfg)
     if not names:
@@ -276,8 +303,9 @@ def simulate(program, cfg: PipelineConfig, hcfg: HybridConfig, ms: ModulusSet) -
     detect, last = cfg.detect_stage, cfg.total_stages - 1
     units = ("exponent", *sorted(f"lane{lane}" for lane in range(len(ms.moduli))))
     hex_residues = "%" + "%".join(ms.hex_formats)  # each residue as zero-padded hex
-    events: list[tuple] = []
-    emit = events.append
+    moduli = ms.moduli
+    fields: list[str] = []
+    add = fields.extend
     state = SimState(0, IDLE, 0, norms, cfg.total_stages)
     cycle, fsm, ticks, _, _, remaining = state
     # The pipe holds op ticks - 1 - s in stage s. The last op reaches the
@@ -288,33 +316,36 @@ def simulate(program, cfg: PipelineConfig, hcfg: HybridConfig, ms: ModulusSet) -
             # countdown and ends on the cycle after its last stall.
             op, total = names[ticks - 1 - detect], remaining
             while fsm is NORMALIZE:
-                emit((cycle, "scheduler", "stall", None, None))
+                c = str(cycle)
+                add((c, "scheduler", "stall", "", ""))
                 if remaining % latency == 0:
-                    emit((cycle, "norm", "norm-begin", op, None))
+                    add((c, "norm", "norm-begin", op, ""))
                     if remaining < total:
-                        emit((cycle, "norm", "norm-end", op, None))
+                        add((c, "norm", "norm-end", op, ""))
                 state = scheduler_step(state, cfg)
                 cycle, fsm, _, _, _, remaining = state
         # Advancing cycle: op ticks issues, op ticks - detect enters the
         # detect stage (its exponent and lanes retire), op ticks - 1 - last leaves.
-        emit((cycle, "scheduler", "advance", None, None))
+        c = str(cycle)
+        add((c, "scheduler", "advance", "", ""))
         if ticks < n:
-            emit((cycle, "scheduler", "issue", names[ticks], None))
+            add((c, "scheduler", "issue", names[ticks], ""))
         leaving = ticks - 1 - last
         if leaving >= 0:
-            value = hex_residues % results[leaving].mantissa.residues
-            emit((cycle, "scheduler", "retire", names[leaving], value))
+            value = hex_residues % tuple(map(results[leaving].n.__mod__, moduli))
+            add((c, "scheduler", "retire", names[leaving], value))
         if fsm is RESUME:
-            emit((cycle, "norm", "norm-end", names[ticks - 1 - detect], None))
+            add((c, "norm", "norm-end", names[ticks - 1 - detect], ""))
         entered = ticks - detect
         if 0 <= entered < n:
             op = names[entered]
             for unit in units:
-                emit((cycle, unit, "retire", op, None))
+                add((c, unit, "retire", op, ""))
         state = scheduler_step(state, cfg)
         cycle, fsm, ticks, _, _, remaining = state
 
-    trace = Trace(events)
+    trace = object.__new__(Trace)  # the fields are already in stored form
+    trace.fields = tuple(fields)
     return SimResult(results, trace, metrics_report(trace), names)
 
 
@@ -323,22 +354,21 @@ def metrics_report(trace) -> MetricsSummary:
 
     trace is a Trace or a tuple of events. Deterministic over a given
     trace; raises IncompleteTrace when a scheduler issue has no matching
-    retire.
+    retire. Stalls and window begins are counts of the action column; only
+    the scheduler's issue and retire cycles are read back as ints.
     """
+    fields = Trace(trace).fields
     issues: dict[str, int] = {}
     retires: dict[str, int] = {}
-    stalls = 0
-    norm_begins = 0
-    for cycle, unit, action, op, _ in tuple.__iter__(trace):  # rows, not records
-        if unit == "scheduler" and action == "issue":
-            issues[op] = cycle
-        elif unit == "scheduler" and action == "retire":
-            retires[op] = cycle
-        elif action == "stall":
-            stalls += 1
-        elif action == "norm-begin":
-            norm_begins += 1
-
+    events = iter(fields)
+    for cycle, unit, action, op, _ in zip(events, events, events, events, events):
+        if unit == "scheduler":
+            if action == "issue":
+                issues[op] = int(cycle)
+            elif action == "retire":
+                retires[op] = int(cycle)
+    actions = fields[2::5]
+    stalls, norm_begins = actions.count("stall"), actions.count("norm-begin")
     missing = set(issues) - set(retires)
     if missing:
         raise IncompleteTrace(f"no retire for issued ops: {sorted(missing)}")

@@ -73,14 +73,18 @@ class TestConfig:
         "alpha, k, b, invariant",
         [(Fraction(1, 2), 9, 18, "operand-bound"), (Fraction(3, 8192), 12, 12, "shift-bound")],
     )
-    @pytest.mark.parametrize("use", ["mul", "add", "detect"])
+    @pytest.mark.parametrize("use", ["mul", "add", "add-zero-left", "add-zero-right", "detect"])
     def test_every_op_gates_its_config(self, default_ms, alpha, k, b, invariant, use):
         # A config built in code passes validate_config on its first use, as a loaded one does.
         bad = HybridConfig(alpha=alpha, scale_shift_k=k, operand_bound_bits=b)
         x, y = make_hybrid(3, 0, default_ms), make_hybrid(5, 2, default_ms)
+        zero = make_hybrid(0, 0, default_ms)
         ops = {
             "mul": lambda: hrfna_mul(x, y, default_ms, bad),
             "add": lambda: hrfna_add(x, y, default_ms, bad),
+            # A zero operand takes the identity path, after the same gate.
+            "add-zero-left": lambda: hrfna_add(zero, y, default_ms, bad),
+            "add-zero-right": lambda: hrfna_add(x, zero, default_ms, bad),
             "detect": lambda: needs_normalization(x, default_ms, bad),
         }
         with pytest.raises(InvariantViolation) as exc:

@@ -312,7 +312,8 @@ class TestRetirementAlignment:
 
 
 class TestValueTimingSeparation:
-    def random_program(self, rng, n_ops):
+    @staticmethod
+    def random_program(rng, n_ops):
         ops = [
             Op("lit", name="x0", value=rng.uniform(-2.0, 2.0)),
             Op("lit", name="x1", value=rng.uniform(0.5, 2.0)),
@@ -349,19 +350,35 @@ class TestValueTimingSeparation:
 
     def test_trace_rows_leave_the_collector(self, pcfg, hcfg, default_ms):
         sim = simulate(self.random_program(random.Random(7), 15), pcfg, hcfg, default_ms)
-        rows = tuple.__iter__(sim.trace)  # the stored rows, not the records
-        gc.collect()
-        assert not any(map(gc.is_tracked, rows))
-        events = list(sim.trace)
-        assert all(type(e) is TraceEvent for e in events)
-        assert type(sim.trace[-1]) is TraceEvent and sim.trace[-1] == events[-1]
-        assert type(sim.trace[2:5]) is Trace and list(sim.trace[2:5]) == events[2:5]
-        assert sim.trace == tuple(events) and hash(sim.trace) == hash(Trace(events))
-        assert sim.trace != tuple(events[:-1])
-        again = pickle.loads(pickle.dumps(sim.trace))
-        assert type(again) is Trace and again == sim.trace
-        assert trace_csv(sim.trace) == trace_csv(tuple(events))
-        assert metrics_report(tuple(events)) == sim.metrics
+        check_record_view(sim)
+
+
+def check_record_view(sim):
+    """sim.trace stores only untracked strs and reads back as TraceEvents, losslessly."""
+    trace, fields = sim.trace, sim.trace.fields
+    # No gc.collect() first: a str is never tracked, whenever it was made.
+    assert type(fields) is tuple and len(fields) == 5 * len(trace)
+    assert all(type(f) is str for f in fields)
+    assert not any(map(gc.is_tracked, fields))
+    events = list(trace)
+    assert all(type(e) is TraceEvent and type(e.cycle) is int for e in events)
+    assert all(e.op != "" and e.value != "" for e in events)  # '' reads back as None
+    assert Trace(events) == trace and Trace(list(trace)) == trace
+    assert Trace(trace).fields is fields
+    assert trace == tuple(events) and tuple(events) == trace
+    assert hash(trace) == hash(Trace(events)) == hash(tuple(events))
+    assert trace != tuple(events[:-1]) and trace[:-1] != trace
+    assert trace_csv(tuple(trace)) == trace_csv(trace)
+    assert metrics_report(tuple(trace)) == sim.metrics
+    again = pickle.loads(pickle.dumps(trace))
+    assert type(again) is Trace and again == trace and again.fields == fields
+    for i in (0, 1, len(trace) // 2, -2, -1):
+        assert type(trace[i]) is TraceEvent and trace[i] == events[i]
+    for part in (slice(2, 5), slice(-5, None), slice(None, None, 7), slice(-1, -9, -3)):
+        assert type(trace[part]) is Trace and list(trace[part]) == events[part]
+    for i in (len(trace), -len(trace) - 1):
+        with pytest.raises(IndexError):
+            trace[i]
 
 
 class TestProgramValidation:
@@ -415,6 +432,13 @@ class TestMetricsReport:
             "stall_cycles": 0,
             "norm_events": 0,
         }
+
+    def test_empty_trace_exports_the_header_alone(self, pcfg, hcfg, default_ms):
+        # A lit-only program issues nothing: its trace CSV is the two header lines.
+        sim = simulate([Op("lit", name="a", value=1.0)], pcfg, hcfg, default_ms)
+        header = "# hrfna-trace v1\ncycle,unit,action,op_id,value_hex\n"
+        assert trace_csv(sim.trace) == trace_csv(()) == trace_csv(Trace()) == header
+        assert metrics_report(sim.trace) == metrics_report(()) == sim.metrics
 
     def test_incomplete_trace_rejected(self):
         trace = (TraceEvent(0, "scheduler", "issue", "t0"),)
@@ -571,3 +595,22 @@ class TestExportPins:
         ms = make_modulus_set(DEFAULT_MODULI)
         _, _, norms = evaluate_program(chained_mac_program(0, 300), ms, self.NARROW)
         assert max(norms) == 4
+
+
+class TestTraceRecords:
+    """The record view of a trace is lossless on random programs and on every export pin."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_programs_round_trip(self, seed, pcfg, hcfg, default_ms):
+        rng = random.Random(seed)
+        program = TestValueTimingSeparation.random_program(rng, rng.randrange(1, 40))
+        check_record_view(simulate(program, pcfg, hcfg, default_ms))
+
+    @pytest.mark.parametrize("case", sorted(TestExportPins.CASES))
+    def test_export_pin_configs_round_trip(self, case):
+        moduli, hcfg, pcfg, events, _, _ = TestExportPins.CASES[case]
+        ms = make_modulus_set(moduli)
+        validate_config(ms, hcfg)
+        sim = simulate(chained_mac_program(0, 300), pcfg, hcfg, ms)
+        assert len(sim.trace) == events
+        check_record_view(sim)
