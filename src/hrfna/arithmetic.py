@@ -16,8 +16,9 @@ the tier-1 suite pins each op to its channel op).
 
 Operational envelope: a product is exact only while it stays inside the
 signed range (|N_x * N_y| < M/2). Keeping at least one newly encoded
-operand (|N| < 2^b) per multiplication guarantees that; debug mode audits
-it by reconstruction.
+operand (|N| < 2^b) per multiplication guarantees that. Each op forms its
+exact integer once and reduces it once; with debug=True it first checks
+that integer: one at or past M/2, which would wrap, raises AuditFailure.
 
 Each op reads the detector limit (and an add the absorb gap) once, from
 cfg._thresholds[ms.composite] with no Python-level call; only a pair's
@@ -30,12 +31,10 @@ arithmetic, and an equal set built apart gives the same result bit for
 bit.
 """
 
-from __future__ import annotations
-
 from hrfna import rns
 from hrfna.errors import HrfnaError
-from hrfna.hybrid import HybridConfig, HybridNum, signed_value, validate_config
-from hrfna.normalization import normalize, shift_round_half_even
+from hrfna.hybrid import HybridConfig, HybridNum, validate_config
+from hrfna.normalization import normalize
 from hrfna.rns import ModulusSet, _new
 
 # align_strategy values recorded on addition results
@@ -45,15 +44,7 @@ ALIGN_IDENTITY = "identity"  # one operand was zero
 
 
 class AuditFailure(HrfnaError):
-    """A debug-mode audit caught a wrapped product or sum, or a residue mismatch."""
-
-
-def _audit(kind: str, exact: int, out: HybridNum, ms: ModulusSet, cause: str):
-    """Audit unnormalized out against its exact mantissa: no wrap, and its residues agree."""
-    if 2 * abs(exact) >= ms.composite:
-        raise AuditFailure(f"{kind} of {exact.bit_length()} bits wrapped modulo M; {cause}")
-    if signed_value(out.mantissa, ms) != exact:
-        raise AuditFailure(f"residue {kind} disagrees with reconstruction")
+    """A debug-mode audit caught a product or sum at or past M/2, which wraps modulo M."""
 
 
 def hrfna_mul(
@@ -63,19 +54,22 @@ def hrfna_mul(
 
     While the product reaches the threshold (needs_normalization) it is
     normalized before returning; each pass adds k to the exponent and
-    appends its event to the ones before. With debug=True the product is
-    audited by reconstruction: a wrap modulo M raises AuditFailure.
+    appends its event to the ones before. With debug=True a product at or
+    past M/2, which wraps modulo M, raises AuditFailure.
     """
     if x.set_ref is not ms or y.set_ref is not ms:
         rns._check_set(ms, x, y)
     M = ms.composite
     limit = (cfg._thresholds.get(M) or validate_config(ms, cfg))[1]
-    n = x.n * y.n % M
+    n = x.n * y.n
+    if debug and 2 * abs(n) >= M:
+        raise AuditFailure(
+            f"product of {n.bit_length()} bits wrapped modulo M; operand bounds misconfigured"
+        )
+    n %= M
     if 2 * n >= M:
         n -= M
     h = _new(HybridNum, (n, ms, x.exponent + y.exponent, None, ()))
-    if debug:
-        _audit("product", x.n * y.n, h, ms, "operand bounds misconfigured")
     while abs(h.n) >= limit:  # needs_normalization
         h = normalize(h, ms, cfg)
     return h
@@ -97,8 +91,8 @@ def hrfna_add(
     reaches threshold. A zero operand makes the sum the other operand
     (ALIGN_IDENTITY), after the thresholds are read, so a refused (set,
     config) pair raises its InvariantViolation on that path too.
-    With debug=True the sum is audited against the exact aligned integer
-    sum: a wrap modulo M raises AuditFailure.
+    With debug=True an aligned sum at or past M/2, which wraps modulo M,
+    raises AuditFailure.
     """
     if x.set_ref is not ms or y.set_ref is not ms:
         rns._check_set(ms, x, y)
@@ -112,7 +106,7 @@ def hrfna_add(
     hi, lo = (x, y) if x.exponent >= y.exponent else (y, x)
     delta = hi.exponent - lo.exponent
     if delta == 0 or (delta < gap and abs(hi.n) << delta < limit):
-        n = ((hi.n << delta) + lo.n) % M
+        n = (hi.n << delta) + lo.n
         exponent, strategy = lo.exponent, ALIGN_SCALE_UP
     else:
         exponent, strategy = hi.exponent, ALIGN_SHIFT_DOWN
@@ -120,19 +114,18 @@ def hrfna_add(
             # lo rounded half to even by 2^delta, 1 <= delta < M.bit_length(), as
             # normalize rounds: a floor shift with a carry.
             n_lo = lo.n
-            n = (hi.n + ((n_lo + (1 << (delta - 1)) - 1 + ((n_lo >> delta) & 1)) >> delta)) % M
+            n = hi.n + ((n_lo + (1 << (delta - 1)) - 1 + ((n_lo >> delta) & 1)) >> delta)
         else:
             # Absorbed: |n_lo| <= M/2 < 2^(delta-1) rounds to 0, so hi's n stands.
             n = hi.n
+    if debug and 2 * abs(n) >= M:
+        raise AuditFailure(
+            f"sum of {n.bit_length()} bits wrapped modulo M; operands too large for M"
+        )
+    n %= M
     if 2 * n >= M:
         n -= M
     out = _new(HybridNum, (n, ms, exponent, strategy, ()))
-    if debug:
-        if strategy == ALIGN_SHIFT_DOWN:
-            total = hi.n + shift_round_half_even(lo.n, delta)
-        else:
-            total = (hi.n << delta) + lo.n
-        _audit("sum", total, out, ms, "operands too large for M")
     while abs(out.n) >= limit:  # needs_normalization
         out = normalize(out, ms, cfg)
     return out

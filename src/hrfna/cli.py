@@ -4,8 +4,6 @@ Exit codes: 0 success, 1 data error (one-line diagnostic on stderr),
 2 usage error (argparse).
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 

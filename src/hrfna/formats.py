@@ -6,8 +6,6 @@ File writes go through a temp-file rename so readers never observe a
 partial file.
 """
 
-from __future__ import annotations
-
 import json
 import os
 import tempfile

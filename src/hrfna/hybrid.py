@@ -9,8 +9,6 @@ sign is derived from n too, and threshold detection and comparison decide
 on n and the exponent alone, in integers.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction

@@ -8,8 +8,6 @@ exact integer test on n: 2|n| >= tau. normalize refuses a value under a set
 with other moduli (MismatchedSet, raised by rns).
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from hrfna import rns

@@ -16,9 +16,6 @@ perfbench's tracer counts cycles and stalls from the one and events from
 the other; a closed form that skips cycles must first decouple the tracer.
 """
 
-# No `from __future__ import annotations`: with string annotations,
-# typing.NamedTuple compiles a ForwardRef for every field of the five named
-# tuples below at each import; evaluated ones cost nothing extra.
 import enum
 import statistics
 from dataclasses import dataclass, fields
@@ -187,7 +184,6 @@ class SimState(NamedTuple):
     fsm: Fsm
     ticks: int
     norms: tuple
-    stages: int
     norm_remaining: int = 0
 
 
@@ -200,21 +196,21 @@ def scheduler_step(state: SimState, cfg: PipelineConfig) -> SimState:
     windows being one Normalize run; Resume->Execute the following cycle.
     Nothing advances and nothing issues while the FSM is in Normalize.
     """
-    cycle, fsm, ticks, norms, stages, remaining = state
+    cycle, fsm, ticks, norms, remaining = state
     if fsm is NORMALIZE:
         if remaining > 1:
-            return _new(SimState, (cycle + 1, fsm, ticks, norms, stages, remaining - 1))
-        return _new(SimState, (cycle + 1, RESUME, ticks, norms, stages, 0))
+            return _new(SimState, (cycle + 1, fsm, ticks, norms, remaining - 1))
+        return _new(SimState, (cycle + 1, RESUME, ticks, norms, 0))
 
     # Advancing cycle: every stage shifts and the next op (if any) issues,
     # so the op in the stage before detect moves into it.
     entered = ticks - cfg.detect_stage
     if 0 <= entered < len(norms) and norms[entered] > 0:
         stall = norms[entered] * cfg.norm_latency
-        return _new(SimState, (cycle + 1, NORMALIZE, ticks + 1, norms, stages, stall))
+        return _new(SimState, (cycle + 1, NORMALIZE, ticks + 1, norms, stall))
     if fsm is not IDLE or ticks < len(norms):
         fsm = EXECUTE
-    return _new(SimState, (cycle + 1, fsm, ticks + 1, norms, stages, 0))
+    return _new(SimState, (cycle + 1, fsm, ticks + 1, norms, 0))
 
 
 class MetricsSummary(NamedTuple):
@@ -306,8 +302,8 @@ def simulate(program, cfg: PipelineConfig, hcfg: HybridConfig, ms: ModulusSet) -
     moduli = ms.moduli
     fields: list[str] = []
     add = fields.extend
-    state = SimState(0, IDLE, 0, norms, cfg.total_stages)
-    cycle, fsm, ticks, _, _, remaining = state
+    state = SimState(0, IDLE, 0, norms)
+    cycle, fsm, ticks, _, remaining = state
     # The pipe holds op ticks - 1 - s in stage s. The last op reaches the
     # last stage after n + last ticks and leaves the pipe on the next one.
     while ticks <= n + last:
@@ -323,7 +319,7 @@ def simulate(program, cfg: PipelineConfig, hcfg: HybridConfig, ms: ModulusSet) -
                     if remaining < total:
                         add((c, "norm", "norm-end", op, ""))
                 state = scheduler_step(state, cfg)
-                cycle, fsm, _, _, _, remaining = state
+                cycle, fsm, _, _, remaining = state
         # Advancing cycle: op ticks issues, op ticks - detect enters the
         # detect stage (its exponent and lanes retire), op ticks - 1 - last leaves.
         c = str(cycle)
@@ -342,7 +338,7 @@ def simulate(program, cfg: PipelineConfig, hcfg: HybridConfig, ms: ModulusSet) -
             for unit in units:
                 add((c, unit, "retire", op, ""))
         state = scheduler_step(state, cfg)
-        cycle, fsm, ticks, _, _, remaining = state
+        cycle, fsm, ticks, _, remaining = state
 
     trace = object.__new__(Trace)  # the fields are already in stored form
     trace.fields = tuple(fields)

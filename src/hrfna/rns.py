@@ -19,8 +19,6 @@ A copy or pickle of a set is rebuilt from its moduli through the checked
 constructor (ModulusSet.__reduce__).
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field, fields
 from math import gcd
 from operator import add, index, mod, mul, sub

@@ -9,8 +9,6 @@ oracle is one fold of affine maps x -> m*x + a whose first map is the
 constant start value.
 """
 
-from __future__ import annotations
-
 import random
 from collections import Counter
 from fractions import Fraction

@@ -1,5 +1,6 @@
 """Hybrid multiplication and addition against big-int / Fraction oracles."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hrfna import (
     ALIGN_IDENTITY,
     ALIGN_SCALE_UP,
     ALIGN_SHIFT_DOWN,
+    DEFAULT_MODULI,
     AuditFailure,
     HrfnaError,
     HybridConfig,
@@ -243,3 +245,42 @@ class TestAdd:
                 z.exponent - 1
             )
             assert abs(exact_value(z) - exact) <= ulp + norm_err
+
+
+class TestWrapAudit:
+    """debug=True checks the exact integer an op forms, on every path, before reducing it.
+
+    On the default set, with H = (M - 1) // 2 the largest mantissa: each
+    case's operands as (n, exponent), the exact AuditFailure text (None: the
+    op never wraps) and the debug=False result as (n, exponent,
+    align_strategy, normalization count), which the audit leaves alone.
+    """
+
+    H = (math.prod(DEFAULT_MODULI) - 1) // 2
+    PRODUCT = "wrapped modulo M; operand bounds misconfigured"
+    SUM = "wrapped modulo M; operands too large for M"
+    CASES = {
+        "mul": (hrfna_mul, (2**18, 0), (2**18, 0), f"product of 37 bits {PRODUCT}",
+                (73682, 11, None, 1)),
+        "scale-up at gap 0": (hrfna_add, (H - 5, 0), (H - 5, 0), f"sum of 36 bits {SUM}",
+                              (-11, 0, ALIGN_SCALE_UP, 0)),
+        "scale-up at gap 2": (hrfna_add, (3, 2), (H - 5, 0), f"sum of 35 bits {SUM}",
+                              (-8174, 22, ALIGN_SCALE_UP, 2)),
+        "shift-down at gap 1": (hrfna_add, (H - 5, 1), (H - 5, 0), f"sum of 36 bits {SUM}",
+                                (-8370188, 12, ALIGN_SHIFT_DOWN, 1)),
+        "absorbed at gap 40": (hrfna_add, (H - 5, 40), (H - 5, 0), None,
+                               (8174, 62, ALIGN_SHIFT_DOWN, 2)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_message_and_result(self, case, default_ms, hcfg):
+        op, x, y, message, result = self.CASES[case]
+        x, y = make_hybrid(*x, default_ms), make_hybrid(*y, default_ms)
+        z = op(x, y, default_ms, hcfg)
+        assert (z.n, z.exponent, z.align_strategy, len(z.norm_events)) == result
+        if message is None:
+            assert op(x, y, default_ms, hcfg, debug=True) == z
+        else:
+            with pytest.raises(AuditFailure) as exc:
+                op(x, y, default_ms, hcfg, debug=True)
+            assert str(exc.value) == message

@@ -43,9 +43,9 @@ def retire_cycles(trace):
 
 
 # Scheduler-state oracles: what a SimState implies about the pipe, derived
-# from its fields alone (the op in stage s is ticks - 1 - s).
-def initial_state(op_norms, cfg):
-    return SimState(0, Fsm.IDLE, 0, tuple(op_norms), cfg.total_stages)
+# from its fields and the pipe's depth (the op in stage s is ticks - 1 - s).
+def initial_state(op_norms):
+    return SimState(0, Fsm.IDLE, 0, tuple(op_norms))
 
 
 def at(state, stage):
@@ -54,8 +54,8 @@ def at(state, stage):
     return op if 0 <= op < len(state.norms) else None
 
 
-def occupancy(state):
-    return tuple(at(state, s) for s in range(state.stages))
+def occupancy(state, cfg):
+    return tuple(at(state, s) for s in range(cfg.total_stages))
 
 
 def next_issue(state):
@@ -195,21 +195,21 @@ class TestLatency:
 
 class TestSchedulerFsm:
     def test_idle_to_execute_on_first_issue(self, pcfg):
-        state = initial_state((0,), pcfg)
+        state = initial_state((0,))
         assert state.fsm is Fsm.IDLE
         nxt = scheduler_step(state, pcfg)
         assert nxt.fsm is Fsm.EXECUTE
-        assert occupancy(nxt)[0] == 0
+        assert occupancy(nxt, pcfg)[0] == 0
 
     def test_idle_persists_without_issues(self, pcfg):
-        state = initial_state((), pcfg)
+        state = initial_state(())
         for _ in range(5):
             state = scheduler_step(state, pcfg)
             assert state.fsm is Fsm.IDLE
-            assert not any(occupancy(state))
+            assert not any(occupancy(state, pcfg))
 
     def test_normalize_to_resume_after_six_cycles(self, pcfg):
-        state = initial_state((1,), pcfg)
+        state = initial_state((1,))
         entered = None
         for _ in range(40):
             state = scheduler_step(state, pcfg)
@@ -222,7 +222,7 @@ class TestSchedulerFsm:
             pytest.fail("scheduler never reached Resume")
 
     def test_resume_to_execute_next_cycle(self, pcfg):
-        state = initial_state((1,), pcfg)
+        state = initial_state((1,))
         for _ in range(40):
             prev = state
             state = scheduler_step(state, pcfg)
@@ -241,7 +241,7 @@ class TestSchedulerFsm:
             validate_config(ms, hcfg)
             sim = simulate(chained_mac_program(0, 300), pcfg, hcfg, ms)
             stalls = [e.cycle for e in sim.trace if (e.unit, e.action) == ("scheduler", "stall")]
-            state, asserted = initial_state([len(v.norm_events) for v in sim.results], pcfg), []
+            state, asserted = initial_state([len(v.norm_events) for v in sim.results]), []
             while state.cycle <= sim.trace[-1].cycle:
                 if stall_asserted(state):
                     asserted.append(state.cycle)
@@ -273,15 +273,15 @@ class TestClosedForm:
             return sum(c for i, c in enumerate(norms) if i + D < t)
 
         issue, retire = {}, {}
-        state = initial_state(norms, cfg)
+        state = initial_state(norms)
         # The last op retires at cycle n - 1 + L + S*sum(norms), the last one run.
         for _ in range(len(norms) + L + S * sum(norms)):
             nxt = scheduler_step(state, cfg)
             if state.fsm is not Fsm.NORMALIZE:
                 if next_issue(nxt) > next_issue(state):
                     issue[next_issue(state)] = state.cycle
-                if occupancy(state)[-1] is not None:
-                    retire[occupancy(state)[-1]] = state.cycle
+                if occupancy(state, cfg)[-1] is not None:
+                    retire[occupancy(state, cfg)[-1]] = state.cycle
             state = nxt
         assert issue == {j: j + S * P(j) for j in range(len(norms))}
         assert retire == {j: j + L + S * P(j + L) for j in range(len(norms))}
@@ -515,33 +515,33 @@ class TestTraceOrder:
 
 def reference_step(state, cfg):
     """The scheduler transition written plainly: SimState(...) and at(state, stage)."""
-    cycle, fsm, ticks, norms, stages, remaining = state
+    cycle, fsm, ticks, norms, remaining = state
     if fsm is Fsm.NORMALIZE:
         if remaining > 1:
-            return SimState(cycle + 1, fsm, ticks, norms, stages, remaining - 1)
-        return SimState(cycle + 1, Fsm.RESUME, ticks, norms, stages)
+            return SimState(cycle + 1, fsm, ticks, norms, remaining - 1)
+        return SimState(cycle + 1, Fsm.RESUME, ticks, norms)
     entered = at(state, cfg.detect_stage - 1)
     if entered is not None and norms[entered] > 0:
         stall = norms[entered] * cfg.norm_latency
-        return SimState(cycle + 1, Fsm.NORMALIZE, ticks + 1, norms, stages, stall)
+        return SimState(cycle + 1, Fsm.NORMALIZE, ticks + 1, norms, stall)
     if fsm is not Fsm.IDLE or ticks < len(norms):
         fsm = Fsm.EXECUTE
-    return SimState(cycle + 1, fsm, ticks + 1, norms, stages)
+    return SimState(cycle + 1, fsm, ticks + 1, norms)
 
 
 class TestSchedulerReference:
     @given(st.lists(st.integers(0, 4), max_size=40), st.sampled_from(TestClosedForm.CONFIGS))
     @settings(max_examples=300, deadline=None)
     def test_step_matches_reference_state_for_state(self, norms, cfg):
-        state = initial_state(norms, cfg)
+        state = initial_state(norms)
         # simulate's loop bound: the last op leaves the pipe on this tick.
         while state.ticks <= len(norms) + cfg.total_stages - 1:
             got, want = scheduler_step(state, cfg), reference_step(state, cfg)
             assert type(got) is SimState
             assert tuple(got) == tuple(want)
             assert got.fsm is want.fsm
-            assert (occupancy(got), next_issue(got), stall_asserted(got)) == (
-                occupancy(want), next_issue(want), stall_asserted(want))
+            assert (occupancy(got, cfg), next_issue(got), stall_asserted(got)) == (
+                occupancy(want, cfg), next_issue(want), stall_asserted(want))
             state = got
 
 

@@ -1,5 +1,8 @@
 """Value types: every field is read-only, and hybrid equality ignores provenance."""
 
+import subprocess
+import sys
+
 import pytest
 
 from hrfna import (
@@ -155,3 +158,21 @@ class TestRecords:
         assert five._replace(residues=seven.residues) == seven
         assert ResidueVector._make([five.residues, ms]) == five
         assert len(five) == 2
+
+
+def test_import_compiles_no_forward_refs():
+    """The package's annotations are evaluated, so its named tuples hold no typing.ForwardRef.
+
+    Under string annotations typing.NamedTuple compiles one ForwardRef per
+    field at every import (21 for the package's named tuples).
+    """
+    code = (
+        "import gc, typing\n"
+        "def refs():\n"
+        "    return sum(isinstance(o, typing.ForwardRef) for o in gc.get_objects())\n"
+        "before = refs()\n"
+        "import hrfna, hrfna.formats, hrfna.cli\n"
+        "print(refs() - before)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "0\n"
