@@ -10,7 +10,7 @@ from hrfna.arithmetic import (
     ALIGN_IDENTITY,
     ALIGN_SCALE_UP,
     ALIGN_SHIFT_DOWN,
-    AuditFailure,
+    WrapDetected,
     hrfna_add,
     hrfna_mul,
 )

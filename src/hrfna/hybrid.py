@@ -1,7 +1,7 @@
 """Hybrid numbers: an integer mantissa paired with a power-of-two exponent.
 
 A HybridNum denotes n * 2^f. It carries the signed mantissa n itself,
-always in the symmetric range -M/2 <= n < M/2 of its modulus set, so the
+always in the symmetric range -M/2 < n < M/2 of its modulus set, so the
 ops compute with ints and never reconstruct. The residue channels of the
 paper are a view of n: the mantissa property is encode(n), computed when an
 export or a test reads it, and exact by the CRT isomorphism (see rns). The
@@ -100,7 +100,7 @@ def validate_config(ms: ModulusSet, cfg: HybridConfig) -> tuple[int, int, int]:
 class HybridNum(NamedTuple):
     """Immutable hybrid value: signed mantissa, its set and exponent, and provenance.
 
-    n is the mantissa reduced to the symmetric range of set_ref; mantissa
+    n is the mantissa, in the symmetric range -M/2 < n < M/2 of set_ref; mantissa
     (its residues) and sign are derived from it. align_strategy and
     norm_events describe only the operation that produced this value
     (provenance for tests and event export); they are excluded from equality, which compares n, exponent,

@@ -8,13 +8,15 @@ carries between lanes.
 
 The public channel functions map one operator over the channels of any set.
 They are the bit-level model of the datapath: what a channel unit computes
-on its residues. The hybrid values do not compute with them. A HybridNum
-carries its signed mantissa n, reduced to the symmetric range mod M, and its
-residues are encode(n), computed when a record, a trace or a test reads
-them. The CRT ring isomorphism of Z_M with Z_m1 x ... x Z_mk makes that exact:
-reducing an integer result mod M and then per channel gives the residues the
-channel ops give on the operands' residues, wraps included.
-The tier-1 suite pins each int op to its channel op on that basis.
+on its residues; only they wrap modulo M. The hybrid values do not compute
+with them. A HybridNum carries its signed mantissa n, in the symmetric range
+-M/2 < n < M/2, and its residues are encode(n), computed when a record, a
+trace or a test reads them. The CRT ring isomorphism of Z_M with
+Z_m1 x ... x Z_mk makes that exact: an integer result inside that range,
+reduced per channel, gives the residues the channel ops give on the
+operands' residues. The arithmetic ops refuse a result outside it
+(WrapDetected), and the tier-1 suite pins each int op to its channel op on
+that basis.
 A copy or pickle of a set is rebuilt from its moduli through the checked
 constructor (ModulusSet.__reduce__).
 """
@@ -129,8 +131,8 @@ make_modulus_set = ModulusSet  # the checked constructor under its older name
 def encode(n: int, ms: ModulusSet) -> ResidueVector:
     """Residues of any integer n: n mod m_i per channel, which are those of n mod M.
 
-    No range check: a hybrid mantissa is its own symmetric residue mod M,
-    and -M/2, which only a wrap on an even M reaches, has one too.
+    No range check: encode_residues and encode_signed check their n, and a
+    hybrid mantissa, in (-M/2, M/2), is its own symmetric residue mod M.
     """
     return _new(ResidueVector, (tuple([n % m for m in ms.moduli]), ms))
 

@@ -13,9 +13,10 @@ from hrfna import (
     ALIGN_SCALE_UP,
     ALIGN_SHIFT_DOWN,
     DEFAULT_MODULI,
-    AuditFailure,
     HrfnaError,
     HybridConfig,
+    WrapDetected,
+    encode_signed,
     from_real,
     hrfna_add,
     hrfna_mul,
@@ -57,16 +58,16 @@ class TestMul:
 
     def test_one_squared_round_trips(self, default_ms, hcfg):
         one = from_real(1.0, default_ms, hcfg)
-        z = hrfna_mul(one, one, default_ms, hcfg, debug=True)
+        z = hrfna_mul(one, one, default_ms, hcfg)
         assert exact_value(z) == 1
         assert to_real(z) == 1.0
 
-    def test_debug_audit_reports_wrap(self, default_ms, hcfg):
-        # 2^18 squared is 2^36 > M/2: the residue product wraps modulo M.
+    def test_wrapping_product_raises(self, default_ms, hcfg):
+        # 2^18 squared is 2^36 > M/2: the residue product would wrap modulo M.
         x = make_hybrid(2**18, 0, default_ms)
-        with pytest.raises(AuditFailure, match="wrapped"):
-            hrfna_mul(x, x, default_ms, hcfg, debug=True)
-        assert issubclass(AuditFailure, HrfnaError)
+        with pytest.raises(WrapDetected, match="^product of 37 bits wrapped modulo M"):
+            hrfna_mul(x, x, default_ms, hcfg)
+        assert issubclass(WrapDetected, HrfnaError)
 
     def test_product_at_half_tau_normalizes(self):
         # (7, 9, 11), alpha 23/32: tau = 498, and 83 * 3 = 249 = tau/2 fires.
@@ -82,7 +83,7 @@ class TestMul:
         # detector limit (about 2^23.6), so the product normalizes twice.
         k = hcfg.scale_shift_k
         x = make_hybrid(180_000, 0, default_ms)
-        z = hrfna_mul(x, x, default_ms, hcfg, debug=True)
+        z = hrfna_mul(x, x, default_ms, hcfg)
         first, second = z.norm_events
         assert first.value_in == 180_000**2
         assert first.value_out == second.value_in
@@ -95,7 +96,7 @@ class TestMul:
             nx, ny = rng.randrange(1024, 2048), rng.randrange(1024, 2048)
             fx, fy = rng.randrange(-40, 40), rng.randrange(-40, 40)
             x, y = make_hybrid(nx, fx, default_ms), make_hybrid(ny, fy, default_ms)
-            z = hrfna_mul(x, y, default_ms, hcfg, debug=True)
+            z = hrfna_mul(x, y, default_ms, hcfg)
             k_steps = len(z.norm_events)
             assert z.exponent == fx + fy + hcfg.scale_shift_k * k_steps
 
@@ -108,7 +109,7 @@ class TestMul:
             ny = rng.randrange(1, bound) * rng.choice((1, -1))
             x = make_hybrid(nx, rng.randrange(-20, 20), default_ms)
             y = make_hybrid(ny, rng.randrange(-20, 20), default_ms)
-            z = hrfna_mul(x, y, default_ms, hcfg, debug=True)
+            z = hrfna_mul(x, y, default_ms, hcfg)
             if not z.norm_events:
                 assert signed_value(z.mantissa, default_ms) == nx * ny
                 assert z.exponent == x.exponent + y.exponent
@@ -119,7 +120,7 @@ class TestMul:
         tau = tau_int(default_ms, hcfg)
         # Both operands wide: product lands in [tau, M/2).
         x = make_hybrid(5792, 0, default_ms)
-        z = hrfna_mul(x, x, default_ms, hcfg, debug=True)
+        z = hrfna_mul(x, x, default_ms, hcfg)
         assert 5792 * 5792 >= tau
         assert len(z.norm_events) == 1
         assert z.exponent == hcfg.scale_shift_k
@@ -136,7 +137,7 @@ class TestMul:
             nx = rng.randrange(4000, 7000)
             ny = rng.randrange(4000, 7000)
             x, y = make_hybrid(nx, 0, default_ms), make_hybrid(ny, 0, default_ms)
-            z = hrfna_mul(x, y, default_ms, hcfg, debug=True)
+            z = hrfna_mul(x, y, default_ms, hcfg)
             rel = abs(exact_value(z) - nx * ny) / Fraction(nx * ny)
             assert rel <= len(z.norm_events) * Fraction(2 ** (k - 1), tau // 2)
 
@@ -202,20 +203,22 @@ class TestAdd:
             assert a == b
             assert to_real(a) == to_real(b)
 
-    def test_debug_audit_reports_wrapped_sum(self, default_ms, hcfg):
-        # floor(M/2) - 5 doubled is past M/2: the residue sum wraps to -11.
+    def test_wrapping_sum_raises(self, default_ms, hcfg):
+        # floor(M/2) - 5 doubled is past M/2: the residue sum would wrap to -11.
         x = make_hybrid(default_ms.composite // 2 - 5, 0, default_ms)
-        with pytest.raises(AuditFailure, match="wrapped"):
-            hrfna_add(x, x, default_ms, hcfg, debug=True)
-        assert signed_value(hrfna_add(x, x, default_ms, hcfg).mantissa, default_ms) == -11
+        with pytest.raises(WrapDetected) as exc:
+            hrfna_add(x, x, default_ms, hcfg)
+        assert str(exc.value) == "sum of 36 bits wrapped modulo M; operands too large for M"
 
-    def test_debug_add_audit_passes_in_range_sums(self, default_ms, hcfg):
+    def test_in_range_sums_are_returned(self, default_ms, hcfg):
+        # Sums of encoded reals, on both paths, stay inside (-M/2, M/2) and are returned.
         pairs = [(1.5, 0.75), (3.0, -2.9), (1.5, 1e-6), (-2.0, 3e-7), (0.1, 0.1)]
         strategies = set()
         for a, b in pairs:
             x, y = from_real(a, default_ms, hcfg), from_real(b, default_ms, hcfg)
-            z = hrfna_add(x, y, default_ms, hcfg, debug=True)
-            assert z == hrfna_add(x, y, default_ms, hcfg)
+            z = hrfna_add(x, y, default_ms, hcfg)
+            assert 2 * abs(z.n) < default_ms.composite
+            assert z.mantissa == encode_signed(z.n, default_ms)
             strategies.add(z.align_strategy)
         assert strategies == {ALIGN_SCALE_UP, ALIGN_SHIFT_DOWN}
 
@@ -248,39 +251,34 @@ class TestAdd:
 
 
 class TestWrapAudit:
-    """debug=True checks the exact integer an op forms, on every path, before reducing it.
+    """Each op checks the exact integer it forms, on every path, and refuses one past M/2.
 
     On the default set, with H = (M - 1) // 2 the largest mantissa: each
-    case's operands as (n, exponent), the exact AuditFailure text (None: the
-    op never wraps) and the debug=False result as (n, exponent,
-    align_strategy, normalization count), which the audit leaves alone.
+    case's operands as (n, exponent) and either the exact WrapDetected text
+    or, for an op that never wraps, its result as (n, exponent,
+    align_strategy, normalization count).
     """
 
     H = (math.prod(DEFAULT_MODULI) - 1) // 2
     PRODUCT = "wrapped modulo M; operand bounds misconfigured"
     SUM = "wrapped modulo M; operands too large for M"
     CASES = {
-        "mul": (hrfna_mul, (2**18, 0), (2**18, 0), f"product of 37 bits {PRODUCT}",
-                (73682, 11, None, 1)),
-        "scale-up at gap 0": (hrfna_add, (H - 5, 0), (H - 5, 0), f"sum of 36 bits {SUM}",
-                              (-11, 0, ALIGN_SCALE_UP, 0)),
-        "scale-up at gap 2": (hrfna_add, (3, 2), (H - 5, 0), f"sum of 35 bits {SUM}",
-                              (-8174, 22, ALIGN_SCALE_UP, 2)),
-        "shift-down at gap 1": (hrfna_add, (H - 5, 1), (H - 5, 0), f"sum of 36 bits {SUM}",
-                                (-8370188, 12, ALIGN_SHIFT_DOWN, 1)),
-        "absorbed at gap 40": (hrfna_add, (H - 5, 40), (H - 5, 0), None,
+        "mul": (hrfna_mul, (2**18, 0), (2**18, 0), f"product of 37 bits {PRODUCT}"),
+        "scale-up at gap 0": (hrfna_add, (H - 5, 0), (H - 5, 0), f"sum of 36 bits {SUM}"),
+        "scale-up at gap 2": (hrfna_add, (3, 2), (H - 5, 0), f"sum of 35 bits {SUM}"),
+        "shift-down at gap 1": (hrfna_add, (H - 5, 1), (H - 5, 0), f"sum of 36 bits {SUM}"),
+        "absorbed at gap 40": (hrfna_add, (H - 5, 40), (H - 5, 0),
                                (8174, 62, ALIGN_SHIFT_DOWN, 2)),
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_message_and_result(self, case, default_ms, hcfg):
-        op, x, y, message, result = self.CASES[case]
+        op, x, y, expected = self.CASES[case]
         x, y = make_hybrid(*x, default_ms), make_hybrid(*y, default_ms)
-        z = op(x, y, default_ms, hcfg)
-        assert (z.n, z.exponent, z.align_strategy, len(z.norm_events)) == result
-        if message is None:
-            assert op(x, y, default_ms, hcfg, debug=True) == z
+        if isinstance(expected, str):
+            with pytest.raises(WrapDetected) as exc:
+                op(x, y, default_ms, hcfg)
+            assert str(exc.value) == expected
         else:
-            with pytest.raises(AuditFailure) as exc:
-                op(x, y, default_ms, hcfg, debug=True)
-            assert str(exc.value) == message
+            z = op(x, y, default_ms, hcfg)
+            assert (z.n, z.exponent, z.align_strategy, len(z.norm_events)) == expected

@@ -1,49 +1,67 @@
 """The operational envelope over the accepted config space, and its open defects.
 
-A product is exact only while it stays below M/2. The detector normalizes
-from 2|n| >= tau on, so a value survives up to limit - 1, for the integer
-limit = (tau + 1) // 2, and the widest product a chain forms is that
-survivor times the largest fresh mantissa, 2^(b-1) - 1. It stays below M/2
-whenever tau * 2^(b-1) < M, the chain-envelope invariant that validate_config does not check yet (ROADMAP
-item 2), so most accepted configs on small sets wrap. The sweep covers
-every config that validate_config accepts on four small sets, with
-alpha = n/d for odd n < d and d from 16 to 256 in powers of two, and b
-from 3 to 13: 9,540 configs, 655 of them inside the invariant.
+A product is exact only while it stays below M/2; an op whose exact
+integer reaches M/2, which the channel ops would wrap, raises WrapDetected.
+The detector normalizes from 2|n| >= tau on, so a value survives up to
+limit - 1, for the integer limit = (tau + 1) // 2, and the widest product
+a chain forms is that survivor times the largest fresh mantissa,
+2^(b-1) - 1. It stays below M/2 whenever tau * 2^(b-1) < M, the
+chain-envelope invariant that validate_config does not check yet (ROADMAP
+item 2), so on most accepted configs on small sets that product is
+refused. The sweep covers every config that validate_config accepts on
+four small sets, with alpha = n/d for odd n < d and d from 16 to 256 in
+powers of two, and b from 3 to 13: 9,540 configs, 655 of them inside the
+invariant; 8,671 refuse their widest product.
 
-The invariant implies alpha < 2^-(b-1), so two survivors also add without
-a wrap. The add sweep runs the largest survivor plus itself, with signs
+The invariant implies alpha < 2^-(b-1), so two survivors also add inside
+M/2. The add sweep runs the largest survivor plus itself, with signs
 (+, +), (+, -) and (-, -), at every exponent gap from 0 to
 M.bit_length() + 2, so through scale-up, shift-down and absorbed adds:
-32,322 sums inside the invariant, none of which wraps, and 476,607 over
-every accepted config, 29,796 of which wrap (the first at gap 0 on
+32,322 sums inside the invariant, none of which is refused, and 476,607
+over every accepted config, 29,796 of which are (the first at gap 0 on
 (7, 9, 11) with alpha = 9/16, k = 1, b = 3).
+
+A survivor times a survivor leaves the envelope on every config: a
+program may form one, and the op refuses it. Random programs check that
+no op wraps silently.
 """
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hrfna import (
     DEFAULT_CONFIG,
     DEFAULT_MODULI,
-    HrfnaError,
     HybridConfig,
-    exact_value,
-    from_real,
+    Op,
+    WrapDetected,
     hrfna_add,
     hrfna_mul,
     make_hybrid,
     make_modulus_set,
+    shift_round_half_even,
     validate_config,
 )
-from hrfna.arithmetic import AuditFailure
 from hrfna.errors import InvariantViolation
 from hrfna.formats import parse_program
-from hrfna.pipeline import evaluate_program
+from hrfna.pipeline import evaluate_program, run_program
 
 SMALL_SETS = ((7, 9, 11), (7, 9, 11, 13), (13, 15, 16), (31, 32, 33))
 ITEM_2_CONFIGS = "ROADMAP item 2: validate_config does not check tau * 2^(b-1) < M"
-ITEM_2_PROGRAMS = "ROADMAP item 2: hrfna_mul lets a survivor times a survivor wrap"
+REFUSALS = {
+    "mul": "product of {} bits wrapped modulo M; operand bounds misconfigured",
+    "add": "sum of {} bits wrapped modulo M; operands too large for M",
+}
+# (moduli, config) pairs inside the invariant that the random programs run on.
+PROGRAM_CASES = (
+    (DEFAULT_MODULI, DEFAULT_CONFIG),
+    ((65535, 65534), HybridConfig(Fraction(3, 8192), 9, 10)),
+)
+# Under the default config, inside the invariant, t1 * t1 multiplies two products.
+SURVIVOR_SQUARED = "hrfna-program v1\nlit a 1.999\nlit b 1.999\nmul a b\nmul t0 b\nmul t1 t1\n"
 
 
 def accepted_configs():
@@ -63,87 +81,131 @@ def accepted_configs():
                         yield ms, cfg, (moduli, n, d, k, b), limit, inside
 
 
+def refusal(op, x, y, ms, cfg):
+    """The text of the WrapDetected that op(x, y) raises, or None when it returns."""
+    try:
+        op(x, y, ms, cfg)
+    except WrapDetected as exc:
+        return str(exc)
+    return None
+
+
 @pytest.fixture(scope="module")
 def sweep() -> list:
-    """(config, meets tau * 2^(b-1) < M, AuditFailure text or None), one per accepted config."""
+    """(config, meets tau * 2^(b-1) < M, WrapDetected text or None), one per accepted config."""
     rows = []
     for ms, cfg, key, limit, inside in accepted_configs():
         x = make_hybrid(limit - 1, 0, ms)
         y = make_hybrid(2 ** (cfg.operand_bound_bits - 1) - 1, 0, ms)
-        try:
-            hrfna_mul(x, y, ms, cfg, debug=True)
-            failure = None
-        except AuditFailure as exc:
-            failure = str(exc)
-        rows.append((key, inside, failure))
+        rows.append((key, inside, refusal(hrfna_mul, x, y, ms, cfg)))
     return rows
 
 
-def survivor_sums(configs):
-    """Every config's largest survivor plus itself, signs (+, +), (+, -) and (-, -),
-    at each exponent gap from 0 to M.bit_length() + 2: (config, gap, signs, x, y)."""
-    for ms, cfg, key, limit, _ in configs:
+@pytest.fixture(scope="module")
+def sum_sweep() -> list:
+    """Every accepted config's largest survivor plus itself, signs (+, +), (+, -) and (-, -),
+    at each exponent gap from 0 to M.bit_length() + 2: ((config, gap, signs), meets
+    tau * 2^(b-1) < M, WrapDetected text or None)."""
+    rows = []
+    for ms, cfg, key, limit, inside in accepted_configs():
         s = limit - 1  # the largest survivor
         for gap in range(ms.composite.bit_length() + 3):
             for signs in ((1, 1), (1, -1), (-1, -1)):
                 x, y = make_hybrid(signs[0] * s, gap, ms), make_hybrid(signs[1] * s, 0, ms)
-                yield ms, cfg, key, gap, signs, x, y
+                rows.append(((key, gap, signs), inside, refusal(hrfna_add, x, y, ms, cfg)))
+    return rows
 
 
-def assert_none_wrap(rows):
-    wrapped = [row for row in rows if row[2] is not None]
-    assert not wrapped, f"{len(wrapped)} of {len(rows)} configs wrap, first {wrapped[0]}"
+def refused(rows):
+    return [row for row in rows if row[2] is not None]
+
+
+def assert_none_refused(rows):
+    bad = refused(rows)
+    assert not bad, f"{len(bad)} of {len(rows)} refused, first {bad[0]}"
 
 
 def test_configs_inside_the_envelope_never_wrap(sweep):
     inside = [row for row in sweep if row[1]]
     assert {moduli for (moduli, *_), _, _ in inside} == set(SMALL_SETS)
-    assert_none_wrap(inside)
+    assert (len(sweep), len(inside), len(refused(sweep))) == (9_540, 655, 8_671)
+    assert_none_refused(inside)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_2_CONFIGS)
 def test_every_accepted_config_keeps_its_widest_product(sweep):
-    assert_none_wrap(sweep)
+    assert_none_refused(sweep)
 
 
-def test_survivor_sums_inside_the_envelope_never_wrap():
-    inside = [config for config in accepted_configs() if config[-1]]
-    sums, wrapped = 0, []
-    for ms, cfg, key, gap, signs, x, y in survivor_sums(inside):
-        sums += 1
-        try:
-            hrfna_add(x, y, ms, cfg, debug=True)
-        except AuditFailure as exc:
-            wrapped.append((key, gap, signs, str(exc)))
-    assert (len(inside), sums) == (655, 32_322)
-    assert not wrapped, f"{len(wrapped)} of {sums} sums wrap, first {wrapped[0]}"
+def test_survivor_sums_inside_the_envelope_never_wrap(sum_sweep):
+    inside = [row for row in sum_sweep if row[1]]
+    assert (len(sum_sweep), len(inside), len(refused(sum_sweep))) == (476_607, 32_322, 29_796)
+    assert_none_refused(inside)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_2_CONFIGS)
-def test_every_accepted_config_keeps_its_widest_sum():
-    for ms, cfg, key, gap, signs, x, y in survivor_sums(accepted_configs()):
-        try:
-            hrfna_add(x, y, ms, cfg, debug=True)
-        except AuditFailure as exc:
-            raise AssertionError(f"{key} at gap {gap}, signs {signs}: {exc}") from None
+def test_every_accepted_config_keeps_its_widest_sum(sum_sweep):
+    assert_none_refused(sum_sweep)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_2_PROGRAMS)
-def test_a_survivor_squared_stays_exact():
-    # Under the default config, inside the invariant, t1 * t1 multiplies two
-    # products: it reads -0.0467 instead of about 63.8.
+def test_a_survivor_squared_is_refused():
+    # t1 * t1 multiplies two survivors: 44 bits, past M/2.
     ms = make_modulus_set(DEFAULT_MODULI)
-    text = "hrfna-program v1\nlit a 1.999\nlit b 1.999\nmul a b\nmul t0 b\nmul t1 t1\n"
-    program = parse_program(text)
+    with pytest.raises(WrapDetected) as exc:
+        evaluate_program(parse_program(SURVIVOR_SQUARED), ms, DEFAULT_CONFIG)
+    assert str(exc.value) == REFUSALS["mul"].format(44)
+
+
+def exact_integer(kind, x, y, tau, gap):
+    """The integer a mul or add forms on x and y, by the alignment rules, before normalization."""
+    if kind == "mul":
+        return x.n * y.n
+    if not x.n or not y.n:
+        return x.n + y.n  # the identity add: the other operand's n
+    hi, lo = (x, y) if x.exponent >= y.exponent else (y, x)
+    d = hi.exponent - lo.exponent
+    if d == 0 or 2 * abs(hi.n) << d < tau:
+        return (hi.n << d) + lo.n
+    return hi.n + (shift_round_half_even(lo.n, d) if d < gap else 0)
+
+
+@st.composite
+def programs(draw):
+    """1 to 3 literals, then 1 to 12 muls and adds on any two earlier names, temporaries too."""
+    names = [f"x{i}" for i in range(draw(st.integers(1, 3)))]
+    ops = [Op("lit", name=name, value=draw(st.floats(-4.0, 4.0))) for name in names]
+    for i in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(("mul", "add")))
+        ops.append(Op(kind, args=(draw(st.sampled_from(names)), draw(st.sampled_from(names)))))
+        names.append(f"t{i}")
+    return ops
+
+
+@given(st.sampled_from(PROGRAM_CASES), programs())
+@settings(max_examples=300, deadline=None)
+@example((DEFAULT_MODULI, DEFAULT_CONFIG), parse_program(SURVIVOR_SQUARED))
+def test_no_program_wraps_silently(case, program):
+    """Survivor times survivor products included, every op's n before normalization is
+    the exact integer it forms, or the first op whose exact integer reaches M/2 raises
+    WrapDetected, sized by that integer."""
+    moduli, cfg = case
+    ms = make_modulus_set(moduli)
+    tau, _, gap = validate_config(ms, cfg)
+    steps, raised = [], None
     try:
-        names, results, _ = evaluate_program(program, ms, DEFAULT_CONFIG)
-    except HrfnaError:
-        return  # a typed refusal also keeps the envelope
-    exact = {}
-    for op in program:
-        if op.kind == "lit":
-            exact[op.name] = exact_value(from_real(op.value, ms, DEFAULT_CONFIG))
-    for name, op in zip(names, [op for op in program if op.kind != "lit"]):
-        exact[name] = exact[op.args[0]] * exact[op.args[1]]
-    want = exact[names[-1]]
-    assert abs(exact_value(results[-1]) - want) <= Fraction(1, 100) * abs(want)
+        steps.extend(run_program(program, ms, cfg))
+    except WrapDetected as exc:
+        raised = str(exc)
+    env = {}
+    for name, kind, operands, value in steps:
+        if kind != "lit":
+            n = exact_integer(kind, *operands, tau, gap)
+            assert 2 * abs(n) < ms.composite
+            assert (value.norm_events[0].value_in if value.norm_events else value.n) == n
+        env[name] = value
+    if raised is None:
+        assert len(steps) == len(program)
+        return
+    op = program[len(steps)]  # the op that raised
+    n = exact_integer(op.kind, *(env[arg] for arg in op.args), tau, gap)
+    assert 2 * abs(n) >= ms.composite and raised == REFUSALS[op.kind].format(n.bit_length())

@@ -25,7 +25,7 @@ from hrfna.formats import (
     save_config,
     vectors_text,
 )
-from hrfna.arithmetic import AuditFailure, hrfna_mul
+from hrfna.arithmetic import WrapDetected, hrfna_mul
 from hrfna.hybrid import HybridConfig, from_real, make_hybrid, to_real, validate_config
 from hrfna.pipeline import DEFAULT_PIPELINE, MAX_STAGE_DEPTH, InvalidProgram, Op, PipelineConfig
 from hrfna.rns import DEFAULT_MODULI, OutOfRange, make_modulus_set
@@ -319,10 +319,10 @@ class TestHybridRecords:
         with pytest.raises(OutOfRange) as got:
             from_real(1.0, ms, past)
         assert str(got.value) == str(want.value)
-        # The debug audit of a wrapped product of two 15,097-bit mantissas.
+        # The refused product of two 15,097-bit mantissas, which would wrap.
         x = make_hybrid((ms.composite - 1) // 2, 0, ms)
-        with pytest.raises(AuditFailure, match="wrapped"):
-            hrfna_mul(x, x, ms, HybridConfig(Fraction(1, 4), 3, 12), debug=True)
+        with pytest.raises(WrapDetected, match="^product of 30193 bits wrapped"):
+            hrfna_mul(x, x, ms, HybridConfig(Fraction(1, 4), 3, 12))
 
     def test_residues_are_fixed_width_hex(self, default_ms, hcfg):
         line = hybrid_record(from_real(1.5, default_ms, hcfg))
@@ -529,7 +529,7 @@ class TestCli:
         code, out, err = self.run("mul", rec, rec)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: AuditFailure: ")
+        assert err.startswith("error: WrapDetected: product of 44 bits ")
         assert err.count("\n") == 1
 
     def test_add_of_wrapping_records_fails_audit(self):
@@ -538,7 +538,7 @@ class TestCli:
         code, out, err = self.run("add", rec, rec)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: AuditFailure: ")
+        assert err.startswith("error: WrapDetected: sum of 36 bits ")
         assert err.count("\n") == 1
 
     def test_add_across_huge_exponent_gap(self):
@@ -578,6 +578,7 @@ class TestCli:
 
     def test_workload_drift_bound_error(self, tmp_path, default_ms, pcfg):
         path = tmp_path / "cfg.json"
+        # alpha = 5/8192 puts the chain outside tau * 2^(b-1) < M: a product would wrap.
         cfg = HybridConfig(alpha=Fraction(5, 8192), scale_shift_k=11, operand_bound_bits=12)
         save_config(str(path), default_ms, cfg, pcfg)
         code, out, err = self.run(
@@ -585,7 +586,7 @@ class TestCli:
         )
         assert code == 1
         assert out == ""
-        assert err.startswith("error: DriftBoundExceeded: ")
+        assert err.startswith("error: WrapDetected: product of 36 bits ")
         assert err.count("\n") == 1
 
     def test_vectors_command_deterministic(self, tmp_path):

@@ -1,13 +1,16 @@
 """The ops' integer kernels pinned to the map-based rns channel ops: the CRT isomorphism.
 
-A hybrid value carries its mantissa n, reduced to the symmetric range
--M/2 <= n < M/2, and its residues are rns.encode(n). Z_M is isomorphic to
-the product of the Z_m_i, so reducing an op's integer result mod M and then
-per channel gives the residues the channel ops (mod_mul, mod_add) give on
-the operands' residues, wraps included, and crt_reconstruct inverts encode.
-These pins check that for the product, the sum, the scaled sum
-(n_hi * 2^d + n_lo) and the shift-down sum (n_hi + round(n_lo / 2^d)), on
-the ints themselves and on what hrfna_mul, hrfna_add and normalize return.
+A hybrid value carries its mantissa n, in the symmetric range
+-M/2 < n < M/2, and its residues are rns.encode(n). Z_M is isomorphic to
+the product of the Z_m_i, so reducing an integer mod M and then per
+channel gives the residues the channel ops (mod_mul, mod_add) give on the
+operands' residues, wraps included, and crt_reconstruct inverts encode.
+These pins check that on the ints for the product, the sum, the scaled sum
+(n_hi * 2^d + n_lo) and the shift-down sum (n_hi + round(n_lo / 2^d)).
+hrfna_mul and hrfna_add form that exact integer and never reduce it: one
+with 2|n| >= M, where the channel ops would wrap, raises WrapDetected with
+the message that sizes n, and any other is the op's n, with the channel
+ops' residues bit for bit. normalize is pinned to the rounding.
 
 Sets are drawn pairwise coprime with 1 to 12 channels of at most 16 bits,
 and the edges are pinned as examples: one channel, the 65535/65534 pair,
@@ -19,8 +22,8 @@ each operand pair takes by the ops' rules (scale up at gap 0 or while
 2|n_hi| * 2^d < tau, else shift down, absorbed from the gap M.bit_length()
 on) and check the op took it. A result may normalize; its first event's
 value_in is the op's n. (3, 5, 7) is swept exhaustively, and reaches every
-path: a product with and without normalization, and the scale-up,
-shift-down and absorbed adds, wraps included.
+path: a product with and without normalization, the scale-up, shift-down
+and absorbed adds, and a refused product, scale-up and shift-down.
 
 A set carries its moduli and the constants derived from them, nothing the
 ops leave behind: a pickle or copy is rebuilt from the moduli through the
@@ -49,6 +52,7 @@ from hrfna import (
     HybridConfig,
     HybridNum,
     ModulusSet,
+    WrapDetected,
     crt_reconstruct,
     encode_residues,
     encode_signed,
@@ -83,7 +87,7 @@ def coprime_moduli(draw):
 
 
 def sym(n, ms):
-    """n reduced to the symmetric range -M/2 <= n < M/2: the n a value carries."""
+    """n reduced to the symmetric range -M/2 <= n < M/2, as the channel ops leave it."""
     half = ms.composite // 2
     return (n + half) % ms.composite - half
 
@@ -93,9 +97,30 @@ def loose(ms):
     return HybridConfig(Fraction(ms.composite - 1, ms.composite), 1, 3)
 
 
+PRODUCT = "product of {} bits wrapped modulo M; operand bounds misconfigured"
+SUM = "sum of {} bits wrapped modulo M; operands too large for M"
+
+
+def outcome(op, x, y, ms, cfg):
+    """op's result, or the text of the WrapDetected it raised."""
+    try:
+        return op(x, y, ms, cfg)
+    except WrapDetected as exc:
+        return str(exc)
+
+
 def op_n(z):
-    """An op's reduced n before any normalization pass."""
+    """An op's n before any normalization pass."""
     return z.norm_events[0].value_in if z.norm_events else z.n
+
+
+def returned(z, n, message, ms):
+    """Whether the op returned: z is message sized by n when 2|n| >= M, else op_n(z) is n."""
+    if 2 * abs(n) >= ms.composite:
+        assert z == message.format(n.bit_length())
+        return False
+    assert op_n(z) == n
+    return True
 
 
 def assert_ops_match_channel_ops(a, b, ms, cfg, deltas):
@@ -104,24 +129,29 @@ def assert_ops_match_channel_ops(a, b, ms, cfg, deltas):
     a * 2^d is the add's hi for each gap d. Returns the paths the ops took.
     """
     ra, rb = encode(a, ms), encode(b, ms)
-    z = hrfna_mul(HybridNum(a, ms, 0), HybridNum(b, ms, 0), ms, cfg)
-    assert op_n(z) == sym(a * b, ms)
-    assert encode(op_n(z), ms) == mod_mul(ra, rb, ms)
-    paths = {"normalized product" if z.norm_events else "product"}
+    z = outcome(hrfna_mul, HybridNum(a, ms, 0), HybridNum(b, ms, 0), ms, cfg)
+    if returned(z, a * b, PRODUCT, ms):
+        assert encode(op_n(z), ms) == mod_mul(ra, rb, ms)
+        paths = {"normalized product" if z.norm_events else "product"}
+    else:
+        paths = {"refused product"}
     if not a or not b:
         return paths  # a zero takes the identity path
     tau, _, gap = validate_config(ms, cfg)
     for d in deltas:
-        z = hrfna_add(HybridNum(a, ms, d), HybridNum(b, ms, 0), ms, cfg)
+        z = outcome(hrfna_add, HybridNum(a, ms, d), HybridNum(b, ms, 0), ms, cfg)
         if d == 0 or 2 * abs(a) << d < tau:
-            assert z.align_strategy == ALIGN_SCALE_UP and op_n(z) == sym((a << d) + b, ms)
-            assert encode(op_n(z), ms) == mod_add(mod_mul(ra, encode(1 << d, ms), ms), rb, ms)
-            paths.add("scale-up")
-            continue
-        q = shift_round_half_even(b, d) if d < gap else 0  # from the gap on, b is absorbed
-        assert z.align_strategy == ALIGN_SHIFT_DOWN and op_n(z) == sym(a + q, ms)
-        assert encode(op_n(z), ms) == mod_add(ra, encode_signed(q, ms), ms)
-        paths.add("shift-down" if d < gap else "absorbed")
+            path, strategy, n = "scale-up", ALIGN_SCALE_UP, (a << d) + b
+            channel = mod_add(mod_mul(ra, encode(1 << d, ms), ms), rb, ms)
+        else:
+            q = shift_round_half_even(b, d) if d < gap else 0  # from the gap on, b is absorbed
+            path, strategy, n = "shift-down" if d < gap else "absorbed", ALIGN_SHIFT_DOWN, a + q
+            channel = mod_add(ra, encode_signed(q, ms), ms)
+        if returned(z, n, SUM, ms):
+            assert z.align_strategy == strategy and encode(n, ms) == channel
+            paths.add(path)
+        else:
+            paths.add("refused " + path)
     return paths
 
 
@@ -144,7 +174,7 @@ def test_kernels_match_reference(moduli, data):
     M, half = ms.composite, (ms.composite - 1) // 2  # half: the largest |n| with 2|n| < M
     ns = [half, -half, 0, min(1, half), -min(1, half)]
     if M % 2 == 0:
-        ns.append(-(M // 2))  # a wrap's n, which encode_signed refuses
+        ns.append(-(M // 2))  # a channel wrap's n, which encode_signed refuses and no op forms
     deltas = [0, 1, 2]
     if data is not None:
         ns += [data.draw(st.integers(-half, half), label=label) for label in ("a", "b")]
@@ -172,15 +202,16 @@ def test_kernels_match_reference(moduli, data):
                 assert encode(sym(a + q, ms), ms) == mod_add(ra, encode(q, ms), ms)
 
     # The library's ops, on a config that validates on the set; an operand under an
-    # equal set built apart gives the same result, field by field.
+    # equal set built apart gives the same outcome, field by field (a refusal's
+    # text compares as its characters).
     if M > 65:
         cfg = loose(ms)
         for a in ns:
             for b in ns:
                 assert_ops_match_channel_ops(a, b, ms, cfg, deltas)
                 x, y = HybridNum(a, ms, 0), HybridNum(b, ms, 0)
-                z = tuple(hrfna_mul(x, y, ms, cfg))
-                assert tuple(hrfna_mul(x._replace(set_ref=twin), y, ms, cfg)) == z
+                z = tuple(outcome(hrfna_mul, x, y, ms, cfg))
+                assert tuple(outcome(hrfna_mul, x._replace(set_ref=twin), y, ms, cfg)) == z
 
     # normalize: every shift k from 1 past M's bit length, on each n and on the ties at k.
     for k in range(1, top + 2):
@@ -197,14 +228,17 @@ def test_kernels_match_reference(moduli, data):
 
 
 def test_every_operand_pair_on_a_small_set():
-    """(3, 5, 7): every pair of mantissas, wraps included, through every op path."""
+    """(3, 5, 7): every pair of mantissas through every op path, refusals included."""
     ms = make_modulus_set((3, 5, 7))
     cfg = loose(ms)
     paths = set()
     for a in range(-52, 53):
         for b in range(-52, 53):
             paths |= assert_ops_match_channel_ops(a, b, ms, cfg, (0, 1, 3, 6, 7))
-    assert paths == {"product", "normalized product", "scale-up", "shift-down", "absorbed"}
+    assert paths == {
+        "product", "normalized product", "scale-up", "shift-down", "absorbed",
+        "refused product", "refused scale-up", "refused shift-down",
+    }
 
 
 def forge(ms, **changes):

@@ -34,6 +34,11 @@ from hrfna.pipeline import evaluate_program
 from hrfna.workloads import chained_mac_program
 
 
+# k = 6 < b - 1 = 11: inside tau * 2^(b-1) < M on the default set, a survivor
+# times a fresh operand can still need two shifts, so one op runs two windows.
+NARROW_SHIFT_CFG = HybridConfig(Fraction(3, 8192), 6, 12)
+
+
 def issue_cycles(trace):
     return {e.op: e.cycle for e in trace if e.unit == "scheduler" and e.action == "issue"}
 
@@ -162,14 +167,14 @@ class TestLatency:
         assert sim.metrics.norm_events == 2
         assert sim.metrics.stall_cycles == 12
 
-    def test_back_to_back_windows_single_op(self, pcfg, hcfg, default_ms):
-        # A wide x wide product (outside the exactness envelope) needs two
-        # shifts here; the scheduler runs consecutive windows and the stall
-        # total stays 6 per event. Values still match direct evaluation.
-        ops = [Op("lit", name="a", value=1.006), Op("mul", args=("a", "a")), Op("mul", args=("t0", "t0"))]
-        names, direct, norms = evaluate_program(ops, default_ms, hcfg)
+    def test_back_to_back_windows_single_op(self, pcfg, default_ms):
+        # t0 * a (a survivor times a fresh operand) needs two shifts of k = 6;
+        # the scheduler runs consecutive windows and the stall total stays 6
+        # per event. Values still match direct evaluation.
+        ops = [Op("lit", name="a", value=1.006), Op("mul", args=("a", "a")), Op("mul", args=("t0", "a"))]
+        names, direct, norms = evaluate_program(ops, default_ms, NARROW_SHIFT_CFG)
         assert norms == (0, 2)
-        sim = simulate(ops, pcfg, hcfg, default_ms)
+        sim = simulate(ops, pcfg, NARROW_SHIFT_CFG, default_ms)
         assert sim.results == direct
         assert sim.metrics.norm_events == 2
         assert sim.metrics.stall_cycles == 12
@@ -463,20 +468,22 @@ class TestTraceOrder:
     SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     CASES = (
         (DEFAULT_MODULI, DEFAULT_CONFIG),
+        (DEFAULT_MODULI, NARROW_SHIFT_CFG),
         ((65535, 65534), TWO_CHANNEL_CFG),
         (SMALL_PRIMES, DEFAULT_CONFIG),
     )
 
     @staticmethod
-    def program(seed, squares):
-        # The value/timing-separation shape, plus squares of temporaries:
-        # wide x wide products can need back-to-back normalization windows.
+    def program(seed, products):
+        # The value/timing-separation shape, plus products of temporaries by
+        # a fresh operand, inside the envelope: under NARROW_SHIFT_CFG one
+        # can need back-to-back normalization windows.
         rng = random.Random(seed)
         n_ops = rng.randrange(3, 30)
         ops = TestValueTimingSeparation().random_program(rng, n_ops)
-        for i in range(squares):
+        for i in range(products):
             t = f"t{rng.randrange(n_ops)}"
-            ops.append(Op("mul", args=(t, t), name=f"s{i}"))
+            ops.append(Op("mul", args=(t, "x1"), name=f"s{i}"))
         return ops
 
     @given(
@@ -486,12 +493,18 @@ class TestTraceOrder:
         st.sampled_from(TestClosedForm.CONFIGS),
     )
     @settings(max_examples=150, deadline=None)
-    def test_trace_is_emitted_sorted(self, seed, squares, case, pcfg):
+    def test_trace_is_emitted_sorted(self, seed, products, case, pcfg):
         moduli, hcfg = case
         ms = make_modulus_set(moduli)
         validate_config(ms, hcfg)
-        sim = simulate(self.program(seed, squares), pcfg, hcfg, ms)
+        sim = simulate(self.program(seed, products), pcfg, hcfg, ms)
         assert list(sim.trace) == sorted(sim.trace, key=trace_order_key)
+
+    def test_programs_reach_back_to_back_windows(self, default_ms):
+        # Under NARROW_SHIFT_CFG each of these programs has an op with two passes.
+        for seed in range(20):
+            _, _, norms = evaluate_program(self.program(seed, 3), default_ms, NARROW_SHIFT_CFG)
+            assert max(norms) == 2
 
     def test_lane_names_sort_as_strings(self, hcfg):
         ms = make_modulus_set(self.SMALL_PRIMES)
@@ -501,10 +514,10 @@ class TestTraceOrder:
         assert units == ["exponent"] + sorted(f"lane{i}" for i in range(11))
         assert units.index("lane10") < units.index("lane2")
 
-    def test_back_to_back_windows_share_a_cycle(self, hcfg, default_ms):
-        ops = [Op("lit", name="a", value=1.006), Op("mul", args=("a", "a")), Op("mul", args=("t0", "t0"))]
+    def test_back_to_back_windows_share_a_cycle(self, default_ms):
+        ops = [Op("lit", name="a", value=1.006), Op("mul", args=("a", "a")), Op("mul", args=("t0", "a"))]
         cfg = PipelineConfig(norm_engine_stages=1, cycles_per_norm_stage=1)
-        sim = simulate(ops, cfg, hcfg, default_ms)
+        sim = simulate(ops, cfg, NARROW_SHIFT_CFG, default_ms)
         begins = [e.cycle for e in sim.trace if e.action == "norm-begin"]
         ends = [e.cycle for e in sim.trace if e.action == "norm-end"]
         assert begins[1] == ends[0]

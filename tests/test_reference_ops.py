@@ -298,7 +298,7 @@ class TestAgainstChannelOps:
     def test_absorption_boundary(self):
         """Shift-down gaps around L = M.bit_length(): from L on, lo is absorbed.
 
-        |n_lo| <= M/2 < 2^(L-1) rounds to 0 under any shift >= L, so the sum is
+        |n_lo| < M/2 < 2^(L-1) rounds to 0 under any shift >= L, so the sum is
         hi's mantissa; below L, lo is rounded and may still count.
         """
         for name in sorted(SETS):
@@ -313,11 +313,10 @@ class TestAgainstChannelOps:
                             z = hrfna_add(x, y, ms, cfg)
                             assert z.align_strategy == ALIGN_SHIFT_DOWN
                             assert fields(z) == ref_add(x, y, ms, cfg)
-                            assert fields(hrfna_add(x, y, ms, cfg, debug=True)) == fields(z)
                             assert_apart_agrees(hrfna_add, x, y, ms, cfg)
 
     def test_half_m_mantissa_reads_negative(self):
-        """Residues of M/2 on an even M (only a wrap leaves them) reconstruct as -M/2."""
+        """Residues of M/2 on an even M (only a channel op's wrap leaves them) reconstruct as -M/2."""
         ms, cfg = built("two")
         half = ms.composite // 2
         h = make_hybrid(1, 0, ms)._replace(n=-half)

@@ -14,6 +14,7 @@ from hrfna import (
     HrfnaError,
     HybridConfig,
     LengthMismatch,
+    WrapDetected,
     chained_mac,
     dot_product,
     encode_signed,
@@ -87,12 +88,13 @@ class TestChainedMac:
             chained_mac(1, 0, default_ms, hcfg)
 
     def test_drift_over_bound_raises_typed_error(self, default_ms):
-        # alpha = 5/8192 passes validate_config, yet chained products wrap
-        # modulo M and seed 0 drifts to about 1.16 against a bound near 0.07.
+        # alpha = 5/8192 passes validate_config, yet a chained product reaches
+        # M/2: the op refuses it before the chain can drift.
         cfg = HybridConfig(alpha=Fraction(5, 8192), scale_shift_k=11, operand_bound_bits=12)
         validate_config(default_ms, cfg)
-        with pytest.raises(DriftBoundExceeded, match="exceeds bound") as exc:
+        with pytest.raises(WrapDetected) as exc:
             chained_mac(0, 3000, default_ms, cfg)
+        assert str(exc.value).startswith("product of 36 bits wrapped modulo M")
         assert isinstance(exc.value, HrfnaError)
 
     @pytest.mark.xfail(
