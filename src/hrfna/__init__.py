@@ -17,14 +17,10 @@ from hrfna.arithmetic import (
 from hrfna.errors import HrfnaError
 from hrfna.hybrid import (
     DEFAULT_CONFIG,
-    EQUAL,
-    GREATER,
-    LESS,
     HybridConfig,
     HybridNum,
     exact_value,
     from_real,
-    hybrid_compare,
     make_hybrid,
     signed_value,
     tau_int,
@@ -33,10 +29,8 @@ from hrfna.hybrid import (
 )
 from hrfna.normalization import (
     DegenerateResult,
-    NormalizationEvent,
     needs_normalization,
     normalize,
-    shift_round_half_even,
 )
 from hrfna.pipeline import (
     DEFAULT_PIPELINE,
@@ -64,9 +58,7 @@ from hrfna.rns import (
     OutOfRange,
     ResidueVector,
     crt_reconstruct,
-    encode_residues,
     encode_signed,
-    make_modulus_set,
     mod_add,
     mod_mul,
     mod_sub,

@@ -7,7 +7,8 @@ Addition aligns exponents either by scaling the larger-exponent operand's
 mantissa up (exact, preferred while the scaled mantissa stays below tau/2)
 or by rounding the smaller-exponent operand's mantissa down (lossy
 fallback), which absorbs the operand outright when the exponent gap is at
-least M.bit_length(); the strategy is recorded on the result.
+least M.bit_length(); the strategy is recorded on the result. Each
+result also counts the normalization passes its op made (norm_events).
 
 Every op computes on the mantissas n the values carry and forms its exact
 integer once. One at or past M/2, which the channel ops would wrap modulo
@@ -53,7 +54,7 @@ def hrfna_mul(x: HybridNum, y: HybridNum, ms: ModulusSet, cfg: HybridConfig) -> 
     A product at or past M/2, which would wrap modulo M, raises
     WrapDetected. While the product reaches the threshold
     (needs_normalization) it is normalized before returning; each pass adds
-    k to the exponent and appends its event to the ones before.
+    k to the exponent and one to norm_events.
     """
     if x.set_ref is not ms or y.set_ref is not ms:
         rns._check_set(ms, x, y)
@@ -64,7 +65,7 @@ def hrfna_mul(x: HybridNum, y: HybridNum, ms: ModulusSet, cfg: HybridConfig) -> 
         raise WrapDetected(
             f"product of {n.bit_length()} bits wrapped modulo M; operand bounds misconfigured"
         )
-    h = _new(HybridNum, (n, ms, x.exponent + y.exponent, None, ()))
+    h = _new(HybridNum, (n, ms, x.exponent + y.exponent, None, 0))
     while abs(h.n) >= limit:  # needs_normalization
         h = normalize(h, ms, cfg)
     return h
@@ -92,7 +93,7 @@ def hrfna_add(x: HybridNum, y: HybridNum, ms: ModulusSet, cfg: HybridConfig) -> 
     if not x.n or not y.n:
         # A zero's n is 0, so the sum is the other operand's n.
         h = x if x.n else y
-        return _new(HybridNum, (h.n, ms, h.exponent, ALIGN_IDENTITY, ()))
+        return _new(HybridNum, (h.n, ms, h.exponent, ALIGN_IDENTITY, 0))
 
     hi, lo = (x, y) if x.exponent >= y.exponent else (y, x)
     delta = hi.exponent - lo.exponent
@@ -113,7 +114,7 @@ def hrfna_add(x: HybridNum, y: HybridNum, ms: ModulusSet, cfg: HybridConfig) -> 
         raise WrapDetected(
             f"sum of {n.bit_length()} bits wrapped modulo M; operands too large for M"
         )
-    out = _new(HybridNum, (n, ms, exponent, strategy, ()))
+    out = _new(HybridNum, (n, ms, exponent, strategy, 0))
     while abs(out.n) >= limit:  # needs_normalization
         out = normalize(out, ms, cfg)
     return out

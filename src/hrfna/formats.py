@@ -50,7 +50,7 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def default_configs() -> tuple[ModulusSet, HybridConfig, PipelineConfig]:
-    return rns.make_modulus_set(DEFAULT_MODULI), DEFAULT_CONFIG, DEFAULT_PIPELINE
+    return ModulusSet(DEFAULT_MODULI), DEFAULT_CONFIG, DEFAULT_PIPELINE
 
 
 def config_to_dict(ms: ModulusSet, hcfg: HybridConfig, pcfg: PipelineConfig) -> dict:
@@ -95,7 +95,7 @@ def config_from_dict(data: dict) -> tuple[ModulusSet, HybridConfig, PipelineConf
         alpha = Fraction(alpha_num, alpha_den)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad config field: {exc}") from None
-    ms = rns.make_modulus_set(moduli)
+    ms = ModulusSet(moduli)
     hcfg = HybridConfig(alpha=alpha, scale_shift_k=k, operand_bound_bits=b)
     hybrid.validate_config(ms, hcfg)
     return ms, hcfg, PipelineConfig(**dict(zip(stages, depths)))

@@ -5,8 +5,10 @@ always in the symmetric range -M/2 < n < M/2 of its modulus set, so the
 ops compute with ints and never reconstruct. The residue channels of the
 paper are a view of n: the mantissa property is encode(n), computed when an
 export or a test reads it, and exact by the CRT isomorphism (see rns). The
-sign is derived from n too, and threshold detection and comparison decide
-on n and the exponent alone, in integers.
+sign is derived from n too, and threshold detection decides on n alone, in
+integers. Besides what it denotes, a value records only how the op that
+made it got there: its alignment strategy and its count of normalization
+passes.
 """
 
 import math
@@ -18,8 +20,6 @@ from typing import NamedTuple
 from hrfna import rns
 from hrfna.errors import InvariantViolation
 from hrfna.rns import ModulusSet, ResidueVector, _new
-
-LESS, EQUAL, GREATER = -1, 0, 1
 
 
 @dataclass(frozen=True)
@@ -102,16 +102,17 @@ class HybridNum(NamedTuple):
 
     n is the mantissa, in the symmetric range -M/2 < n < M/2 of set_ref; mantissa
     (its residues) and sign are derived from it. align_strategy and
-    norm_events describe only the operation that produced this value
-    (provenance for tests and event export); they are excluded from equality, which compares n, exponent,
-    and the set's moduli.
+    norm_events, the number of normalization passes, describe only the
+    operation that produced this value (provenance for the workloads, the
+    simulator and the vectors' norm flag); they are excluded from equality,
+    which compares n, exponent, and the set's moduli.
     """
 
     n: int
     set_ref: ModulusSet
     exponent: int
     align_strategy: str | None = None
-    norm_events: tuple = ()
+    norm_events: int = 0
 
     @property
     def mantissa(self) -> ResidueVector:
@@ -155,9 +156,9 @@ def make_hybrid(n: int, exponent: int, ms: ModulusSet) -> HybridNum:
     """Build the hybrid value n * 2^exponent from a signed integer mantissa.
 
     rns.check_signed refuses an n outside (-M/2, M/2) (OutOfRange). The
-    value has no provenance: no align_strategy and no norm_events.
+    value has no provenance: no align_strategy and no normalization passes.
     """
-    return _new(HybridNum, (rns.check_signed(n, ms), ms, exponent, None, ()))
+    return _new(HybridNum, (rns.check_signed(n, ms), ms, exponent, None, 0))
 
 
 def from_real(x: float, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
@@ -186,7 +187,7 @@ def from_real(x: float, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
         n, a, f = n >> 1, a >> 1, f + 1
     if 2 * a >= ms.composite:
         raise rns._outside_signed_range(n, ms)
-    return _new(HybridNum, (n, ms, f, None, ()))
+    return _new(HybridNum, (n, ms, f, None, 0))
 
 
 def to_real(h: HybridNum) -> float:
@@ -212,34 +213,3 @@ def exact_value(h: HybridNum) -> Fraction:
     if f >= 0:
         return Fraction(n * (1 << f))
     return Fraction(n, 1 << (-f))
-
-
-def hybrid_compare(x: HybridNum, y: HybridNum, ms: ModulusSet) -> int:
-    """Total order on hybrid values: LESS, EQUAL, or GREATER.
-
-    Fast path: differing signs, or same-sign values whose magnitude bounds
-    2^(n.bit_length() + f) differ, decide exactly: 2^(L - 1 + f) <= |n| * 2^f
-    < 2^(L + f) for L = n.bit_length(). Otherwise the operands' sets are
-    checked against ms (MismatchedSet for other moduli) and their mantissas
-    compared by cross-shifted integers.
-    """
-    if x.sign != y.sign:
-        return GREATER if x.sign > y.sign else LESS
-    if x.sign == 0:
-        return EQUAL
-
-    wx = x.n.bit_length() + x.exponent
-    wy = y.n.bit_length() + y.exponent
-    if wx != wy:
-        bigger_mag = GREATER if wx > wy else LESS
-        return bigger_mag if x.sign > 0 else -bigger_mag
-
-    if x.set_ref is not ms or y.set_ref is not ms:
-        rns._check_set(ms, x, y)
-    nx, ny = x.n, y.n
-    fmin = min(x.exponent, y.exponent)
-    ax = nx << (x.exponent - fmin)
-    ay = ny << (y.exponent - fmin)
-    if ax == ay:
-        return EQUAL
-    return GREATER if ax > ay else LESS

@@ -2,13 +2,11 @@
 
 normalize divides the signed mantissa n by 2^k with round half to even
 and raises the exponent by k, so the value moves by at most 2^(f+k-1). It
-rounds with a floor shift and a carry, on the int the value carries;
-shift_round_half_even is the reference it is pinned to. Detection is one
-exact integer test on n: 2|n| >= tau. normalize refuses a value under a set
-with other moduli (MismatchedSet, raised by rns).
+rounds with a floor shift and a carry, on the int the value carries, and
+counts the pass on the result's norm_events. Detection is one exact
+integer test on n: 2|n| >= tau. normalize refuses a value under a set with
+other moduli (MismatchedSet, raised by rns).
 """
-
-from typing import NamedTuple
 
 from hrfna import rns
 from hrfna.errors import HrfnaError
@@ -21,30 +19,6 @@ from hrfna.rns import ModulusSet, _new
 
 class DegenerateResult(HrfnaError):
     """Scaling wiped out a nonzero mantissa (shift too large for the value)."""
-
-
-class NormalizationEvent(NamedTuple):
-    """One normalization: mantissa in/out, the shift, and the exponent move."""
-
-    value_in: int
-    value_out: int
-    shift: int
-    exponent_before: int
-    exponent_after: int
-
-
-def shift_round_half_even(n: int, s: int) -> int:
-    """round(n / 2^s) with ties to even, exact for any sign of n."""
-    if s == 0:
-        return n
-    if s > n.bit_length():  # |n| < 2^(s-1) rounds to 0; never build a 2^s-sized number
-        return 0
-    q = n >> s
-    r = n - (q << s)  # 0 <= r < 2^s for either sign of n
-    half = 1 << (s - 1)
-    if r > half or (r == half and (q & 1)):
-        q += 1
-    return q
 
 
 def needs_normalization(h: HybridNum, ms: ModulusSet, cfg: HybridConfig) -> bool:
@@ -64,9 +38,9 @@ def normalize(h: HybridNum, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
 
     Callable below threshold as well; hrfna_mul and hrfna_add call it while
     needs_normalization holds. The result keeps h's align_strategy and
-    carries h's norm_events followed by its own NormalizationEvent (so
-    repeated passes over one operation's result accumulate). The result is
-    under ms even when h is under an equal set built apart.
+    counts one pass more than h (norm_events + 1), so repeated passes over
+    one operation's result add up. The result is under ms even when h is
+    under an equal set built apart.
     """
     k = cfg.scale_shift_k
     if h.set_ref is not ms:
@@ -77,6 +51,4 @@ def normalize(h: HybridNum, ms: ModulusSet, cfg: HybridConfig) -> HybridNum:
     n_out = (n + (1 << (k - 1)) - 1 + ((n >> k) & 1)) >> k if k <= n.bit_length() else 0
     if n_out == 0 and n != 0:
         raise DegenerateResult(f"mantissa {n} vanished under shift {k}")
-    exponent = h.exponent + k
-    event = _new(NormalizationEvent, (n, n_out, k, h.exponent, exponent))
-    return _new(HybridNum, (n_out, ms, exponent, h.align_strategy, h.norm_events + (event,)))
+    return _new(HybridNum, (n_out, ms, h.exponent + k, h.align_strategy, h.norm_events + 1))

@@ -131,10 +131,9 @@ class Trace:
     and a tuple of str leaves the cyclic garbage collector at its first
     collection, so a live trace adds one tracked object and is not rescanned.
     Trace(events) takes any iterable of 5-field events, or a Trace, whose
-    fields it shares. Indexing and slicing read TraceEvent records back,
-    with '' as None, and iteration goes through indexing until range
-    indexing raises IndexError past the end; equality holds with another
-    Trace or with a tuple of the same records, and the hash is that tuple's.
+    fields it shares. Indexing reads TraceEvent records back, with '' as
+    None, and iteration goes through indexing until range indexing raises
+    IndexError past the end; two traces are equal when their fields are.
     metrics_report and formats.trace_csv read the fields.
     """
 
@@ -153,8 +152,6 @@ class Trace:
         return len(self.fields) // 5
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Trace(map(self.__getitem__, range(len(self))[index]))
         i = 5 * range(len(self))[index]  # range indexing raises for an index out of range
         cycle, unit, action, op, value = self.fields[i : i + 5]
         return _new(TraceEvent, (int(cycle), unit, action, op or None, value or None))
@@ -162,12 +159,7 @@ class Trace:
     def __eq__(self, other):
         if isinstance(other, Trace):
             return self.fields == other.fields
-        if isinstance(other, tuple):
-            return tuple(self) == other
         return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self))
 
 
 class SimState(NamedTuple):
@@ -274,7 +266,7 @@ def evaluate_program(program, ms: ModulusSet, hcfg: HybridConfig):
         if kind != "lit":
             names.append(name)
             results.append(value)
-            norms.append(len(value.norm_events))
+            norms.append(value.norm_events)
     return tuple(names), tuple(results), tuple(norms)
 
 

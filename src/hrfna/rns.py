@@ -125,23 +125,14 @@ class ResidueVector(NamedTuple):
 # module that builds values on the fast path imports it from here.
 _new = tuple.__new__
 
-make_modulus_set = ModulusSet  # the checked constructor under its older name
-
 
 def encode(n: int, ms: ModulusSet) -> ResidueVector:
     """Residues of any integer n: n mod m_i per channel, which are those of n mod M.
 
-    No range check: encode_residues and encode_signed check their n, and a
-    hybrid mantissa, in (-M/2, M/2), is its own symmetric residue mod M.
+    No range check: encode_signed checks its n, and a hybrid mantissa, in
+    (-M/2, M/2), is its own symmetric residue mod M.
     """
     return _new(ResidueVector, (tuple([n % m for m in ms.moduli]), ms))
-
-
-def encode_residues(n: int, ms: ModulusSet) -> ResidueVector:
-    """Encode a nonnegative integer n in [0, M) into its residue vector."""
-    if n < 0 or n >= ms.composite:
-        raise OutOfRange(f"{n} not in [0, {ms.composite})")
-    return encode(n, ms)
 
 
 def _outside_signed_range(n: int, ms: ModulusSet) -> OutOfRange:

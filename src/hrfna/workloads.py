@@ -215,9 +215,9 @@ def run_mac_chain(mults, addends, ms: ModulusSet, cfg: HybridConfig) -> DriftRep
         hm = from_real(m, ms, cfg)
         ha = from_real(a, ms, cfg)
         acc = mul(acc, hm, ms, cfg)
-        norm_events += len(acc.norm_events)
+        norm_events += acc.norm_events
         acc = add(acc, ha, ms, cfg)
-        norm_events += len(acc.norm_events)
+        norm_events += acc.norm_events
         added.append(acc.align_strategy)
         steps += hm.n, hm.exponent, ha.n, ha.exponent
 
@@ -273,14 +273,14 @@ def dot_product(
         hx = from_real(x, ms, cfg)
         hy = from_real(y, ms, cfg)
         prod = mul(hx, hy, ms, cfg)
-        norm_events += len(prod.norm_events)
+        norm_events += prod.norm_events
         terms.append(hx.n * hy.n)
         shifts.append(hx.exponent + hy.exponent)
         if acc is None:
             acc = prod
         else:
             acc = add(acc, prod, ms, cfg)
-            norm_events += len(acc.norm_events)
+            norm_events += acc.norm_events
             added.append(acc.align_strategy)
 
     # The (numerator, shift) pair of the terms added one by one from (0, 0): it never reduces.

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from hrfna import DEFAULT_CONFIG, DEFAULT_MODULI, DEFAULT_PIPELINE, make_modulus_set
+from hrfna import DEFAULT_CONFIG, DEFAULT_MODULI, DEFAULT_PIPELINE, ModulusSet
 
 # CI runs the reference-op, kernel, relative-error and exact-oracle pins
 # (tests/test_reference_ops.py, tests/test_kernels.py,
@@ -14,12 +14,12 @@ settings.register_profile("ci", max_examples=4000)
 
 @pytest.fixture(scope="session")
 def default_ms():
-    return make_modulus_set(DEFAULT_MODULI)
+    return ModulusSet(DEFAULT_MODULI)
 
 
 @pytest.fixture(scope="session")
 def small_ms():
-    return make_modulus_set([3, 5, 7])
+    return ModulusSet([3, 5, 7])
 
 
 @pytest.fixture(scope="session")
@@ -43,4 +43,4 @@ def huge_ms():
     for p in range(2, 142):
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, 20000, p)))
-    return make_modulus_set([p for p in range(20000) if sieve[p]][-160:])
+    return ModulusSet([p for p in range(20000) if sieve[p]][-160:])

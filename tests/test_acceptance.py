@@ -10,13 +10,12 @@ import random
 from fractions import Fraction
 
 from hrfna import (
+    ModulusSet,
     Op,
     chained_mac,
     crt_reconstruct,
-    encode_residues,
     hrfna_mul,
     make_hybrid,
-    make_modulus_set,
     mod_add,
     mod_mul,
     normalize,
@@ -25,6 +24,7 @@ from hrfna import (
     tau_int,
 )
 from hrfna.pipeline import evaluate_program
+from hrfna.rns import encode
 from hrfna.workloads import chained_mac_program
 
 
@@ -33,7 +33,7 @@ def report(n, text):
 
 
 def test_criterion_1_crt_exhaustive_small(small_ms):
-    vectors = [encode_residues(n, small_ms) for n in range(105)]
+    vectors = [encode(n, small_ms) for n in range(105)]
     for n, rv in enumerate(vectors):
         assert crt_reconstruct(rv, small_ms) == n
     for a in range(105):
@@ -79,7 +79,7 @@ def test_criterion_3_mul_exactness(default_ms, hcfg):
         else:
             # Threshold fired: exponent reflects the shifts, value within bound.
             k = hcfg.scale_shift_k
-            assert z.exponent == fx + fy + k * len(z.norm_events)
+            assert z.exponent == fx + fy + k * z.norm_events
     assert exact_checked > 90_000
     report(3, f"{exact_checked} in-bound products reproduced the big-int product exactly with f_Z = f_X + f_Y")
 

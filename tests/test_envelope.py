@@ -36,18 +36,18 @@ from hrfna import (
     DEFAULT_CONFIG,
     DEFAULT_MODULI,
     HybridConfig,
+    ModulusSet,
     Op,
     WrapDetected,
     hrfna_add,
     hrfna_mul,
     make_hybrid,
-    make_modulus_set,
-    shift_round_half_even,
     validate_config,
 )
 from hrfna.errors import InvariantViolation
 from hrfna.formats import parse_program
 from hrfna.pipeline import evaluate_program, run_program
+from rounding import drain, shift_round_half_even
 
 SMALL_SETS = ((7, 9, 11), (7, 9, 11, 13), (13, 15, 16), (31, 32, 33))
 ITEM_2_CONFIGS = "ROADMAP item 2: validate_config does not check tau * 2^(b-1) < M"
@@ -67,7 +67,7 @@ SURVIVOR_SQUARED = "hrfna-program v1\nlit a 1.999\nlit b 1.999\nmul a b\nmul t0 
 def accepted_configs():
     """(ms, cfg, config key, detector limit, meets tau * 2^(b-1) < M) for every accepted config."""
     for moduli in SMALL_SETS:
-        ms = make_modulus_set(moduli)
+        ms = ModulusSet(moduli)
         for d in (16, 32, 64, 128, 256):
             for n in range(1, d, 2):
                 for b in range(3, 14):
@@ -150,7 +150,7 @@ def test_every_accepted_config_keeps_its_widest_sum(sum_sweep):
 
 def test_a_survivor_squared_is_refused():
     # t1 * t1 multiplies two survivors: 44 bits, past M/2.
-    ms = make_modulus_set(DEFAULT_MODULI)
+    ms = ModulusSet(DEFAULT_MODULI)
     with pytest.raises(WrapDetected) as exc:
         evaluate_program(parse_program(SURVIVOR_SQUARED), ms, DEFAULT_CONFIG)
     assert str(exc.value) == REFUSALS["mul"].format(44)
@@ -185,12 +185,12 @@ def programs(draw):
 @settings(max_examples=300, deadline=None)
 @example((DEFAULT_MODULI, DEFAULT_CONFIG), parse_program(SURVIVOR_SQUARED))
 def test_no_program_wraps_silently(case, program):
-    """Survivor times survivor products included, every op's n before normalization is
-    the exact integer it forms, or the first op whose exact integer reaches M/2 raises
-    WrapDetected, sized by that integer."""
+    """Survivor times survivor products included, every op's result is the exact integer
+    it forms, rounded once per pass the detector asks of it and counting those passes, or
+    the first op whose exact integer reaches M/2 raises WrapDetected, sized by that integer."""
     moduli, cfg = case
-    ms = make_modulus_set(moduli)
-    tau, _, gap = validate_config(ms, cfg)
+    ms = ModulusSet(moduli)
+    tau, limit, gap = validate_config(ms, cfg)
     steps, raised = [], None
     try:
         steps.extend(run_program(program, ms, cfg))
@@ -201,7 +201,7 @@ def test_no_program_wraps_silently(case, program):
         if kind != "lit":
             n = exact_integer(kind, *operands, tau, gap)
             assert 2 * abs(n) < ms.composite
-            assert (value.norm_events[0].value_in if value.norm_events else value.n) == n
+            assert (value.n, value.norm_events) == drain(n, limit, cfg.scale_shift_k)
         env[name] = value
     if raised is None:
         assert len(steps) == len(program)

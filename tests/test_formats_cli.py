@@ -28,11 +28,11 @@ from hrfna.formats import (
 from hrfna.arithmetic import WrapDetected, hrfna_mul
 from hrfna.hybrid import HybridConfig, from_real, make_hybrid, to_real, validate_config
 from hrfna.pipeline import DEFAULT_PIPELINE, MAX_STAGE_DEPTH, InvalidProgram, Op, PipelineConfig
-from hrfna.rns import DEFAULT_MODULI, OutOfRange, make_modulus_set
+from hrfna.rns import DEFAULT_MODULI, ModulusSet, OutOfRange
 
 TWO_CHANNEL_CFG = HybridConfig(alpha=Fraction(3, 8192), scale_shift_k=9, operand_bound_bits=10)
 RECORD_SETS = tuple(
-    make_modulus_set(moduli)
+    ModulusSet(moduli)
     for moduli in (DEFAULT_MODULI, (65535, 65534), (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
 )
 # On the even M = 65535 * 65534 the residues of M/2 reconstruct to -M/2,
@@ -290,7 +290,7 @@ class TestHybridRecords:
         # 4,300-digit decimal limit. No step writes M in decimal, so 1.5
         # round-trips through binary64 and through its record.
         primes = [n for n in range(30_001, 42_000) if all(n % q for q in range(2, 206))]
-        ms = make_modulus_set(primes[:1000])
+        ms = ModulusSet(primes[:1000])
         assert ms.composite.bit_length() == 15_098
         cfg = HybridConfig(alpha=Fraction(1, 4), scale_shift_k=3, operand_bound_bits=12)
         validate_config(ms, cfg)
@@ -305,7 +305,7 @@ class TestHybridRecords:
         # decimal digit limit and M/2 passes binary64's range, so each message
         # sizes them by bit length.
         primes = [n for n in range(30_001, 42_000) if all(n % q for q in range(2, 206))]
-        ms = make_modulus_set(primes[:1000])
+        ms = ModulusSet(primes[:1000])
         cfg = HybridConfig(alpha=Fraction(1, 4), scale_shift_k=3, operand_bound_bits=10**5)
         with pytest.raises(InvariantViolation, match="^operand-bound: "):
             validate_config(ms, cfg)

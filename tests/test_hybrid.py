@@ -1,6 +1,6 @@
-"""Hybrid type: real encode/decode, signed interpretation, comparison.
+"""Hybrid type: real encode/decode and signed interpretation.
 
-Oracles: exact Fraction arithmetic for values and orderings.
+Oracles: exact Fraction arithmetic for values.
 """
 
 import math
@@ -11,17 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrfna import (
-    EQUAL,
-    GREATER,
-    LESS,
     HybridConfig,
+    ModulusSet,
     exact_value,
     from_real,
     hrfna_add,
     hrfna_mul,
-    hybrid_compare,
     make_hybrid,
-    make_modulus_set,
     needs_normalization,
     signed_value,
     to_real,
@@ -36,7 +32,7 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 @pytest.fixture(scope="module")
 def wide_ms():
     # 16-bit prime channels: composite near 2^48, roomy enough for b = 18.
-    return make_modulus_set([65521, 65519, 65497])
+    return ModulusSet([65521, 65519, 65497])
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +90,7 @@ class TestConfig:
     def test_thresholds_kept_per_composite(self):
         # The triple validate_config returns is what the ops read, with no call.
         cfg = HybridConfig(alpha=Fraction(1, 2), scale_shift_k=2, operand_bound_bits=3)
-        ms = make_modulus_set([5, 7, 11])  # M = 385: tau = 192
+        ms = ModulusSet([5, 7, 11])  # M = 385: tau = 192
         assert cfg._thresholds == {}
         x = make_hybrid(3, 0, ms)
         hrfna_add(x, make_hybrid(5, 20, ms), ms, cfg)
@@ -224,90 +220,3 @@ class TestToReal:
         h = make_hybrid(3, 3000, default_ms)
         assert to_real(h) == math.inf
         assert to_real(make_hybrid(-3, 3000, default_ms)) == -math.inf
-
-
-class TestCompare:
-    def test_reflexive(self, default_ms, hcfg):
-        x = from_real(2.75, default_ms, hcfg)
-        assert hybrid_compare(x, x, default_ms) == EQUAL
-
-    def test_forced_ordering(self, default_ms, hcfg):
-        two = from_real(2.0, default_ms, hcfg)
-        one = from_real(1.0, default_ms, hcfg)
-        assert hybrid_compare(two, one, default_ms) == GREATER
-        assert hybrid_compare(one, two, default_ms) == LESS
-
-    def test_fast_path_disjoint_windows(self, default_ms, hcfg):
-        # Bit lengths plus exponents differ: decided without the cross shift.
-        big = from_real(1e9, default_ms, hcfg)
-        tiny = from_real(1e-9, default_ms, hcfg)
-        assert hybrid_compare(big, tiny, default_ms) == GREATER
-        assert hybrid_compare(tiny, big, default_ms) == LESS
-
-    def test_slow_path_near_ties(self, default_ms, hcfg):
-        # Same exponent and near-identical mantissas force reconstruction.
-        a = make_hybrid(1500, -3, default_ms)
-        b = make_hybrid(1501, -3, default_ms)
-        assert hybrid_compare(a, b, default_ms) == LESS
-        assert hybrid_compare(b, a, default_ms) == GREATER
-        assert hybrid_compare(a, make_hybrid(1500, -3, default_ms), default_ms) == EQUAL
-
-    def test_equal_value_different_representation(self, default_ms):
-        # 1536 * 2^-3 == 3072 * 2^-4: slow path must see through the exponents.
-        a = make_hybrid(1536, -3, default_ms)
-        b = make_hybrid(3072, -4, default_ms)
-        assert hybrid_compare(a, b, default_ms) == EQUAL
-
-    def test_signs_dominate(self, default_ms, hcfg):
-        pos = from_real(1e-300, default_ms, hcfg)
-        neg = from_real(-1e300, default_ms, hcfg)
-        assert hybrid_compare(pos, neg, default_ms) == GREATER
-        assert hybrid_compare(neg, pos, default_ms) == LESS
-
-    def test_negative_magnitude_ordering(self, default_ms, hcfg):
-        # For negatives the larger magnitude is the smaller value (fast path).
-        a = from_real(-1e9, default_ms, hcfg)
-        b = from_real(-1e-9, default_ms, hcfg)
-        assert hybrid_compare(a, b, default_ms) == LESS
-
-    @given(finite_floats, finite_floats)
-    @settings(max_examples=600, deadline=None)
-    def test_agrees_with_rational_oracle(self, default_ms, hcfg, x, y):
-        hx = from_real(x, default_ms, hcfg)
-        hy = from_real(y, default_ms, hcfg)
-        vx, vy = exact_value(hx), exact_value(hy)
-        expected = EQUAL if vx == vy else (GREATER if vx > vy else LESS)
-        assert hybrid_compare(hx, hy, default_ms) == expected
-
-    def test_bulk_agreement_including_near_ties(self, default_ms, hcfg):
-        # 10^5 pairs; half are constructed near-ties with equal bit lengths so
-        # both decision paths are exercised.
-        import random
-
-        rng = random.Random(19)
-        for i in range(100_000):
-            if i % 2:
-                n = rng.randrange(1024, 2048)
-                hx = make_hybrid(n, -11, default_ms)
-                hy = make_hybrid(max(1024, n + rng.randrange(-1, 2)), -11, default_ms)
-            else:
-                hx = from_real(rng.uniform(-1e6, 1e6), default_ms, hcfg)
-                hy = from_real(rng.uniform(-1e6, 1e6), default_ms, hcfg)
-            vx, vy = exact_value(hx), exact_value(hy)
-            expected = EQUAL if vx == vy else (GREATER if vx > vy else LESS)
-            assert hybrid_compare(hx, hy, default_ms) == expected
-
-    def test_transitive_on_sampled_triples(self, default_ms, hcfg):
-        import random
-
-        rng = random.Random(11)
-        values = [rng.uniform(-4, 4) for _ in range(30)]
-        nums = [from_real(v, default_ms, hcfg) for v in values]
-        for a in nums[:10]:
-            for b in nums[10:20]:
-                for c in nums[20:]:
-                    if (
-                        hybrid_compare(a, b, default_ms) != GREATER
-                        and hybrid_compare(b, c, default_ms) != GREATER
-                    ):
-                        assert hybrid_compare(a, c, default_ms) != GREATER

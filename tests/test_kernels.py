@@ -1,4 +1,4 @@
-"""The ops' integer kernels pinned to the map-based rns channel ops: the CRT isomorphism.
+"""The ops' exact integers pinned to the map-based rns channel ops: the CRT isomorphism.
 
 A hybrid value carries its mantissa n, in the symmetric range
 -M/2 < n < M/2, and its residues are rns.encode(n). Z_M is isomorphic to
@@ -20,8 +20,10 @@ M > 65, under loose(ms), whose detector fires only near M/2. An op picks
 its path from n and the exponent gap alone, so the pins compute the path
 each operand pair takes by the ops' rules (scale up at gap 0 or while
 2|n_hi| * 2^d < tau, else shift down, absorbed from the gap M.bit_length()
-on) and check the op took it. A result may normalize; its first event's
-value_in is the op's n. (3, 5, 7) is swept exhaustively, and reaches every
+on) and check the op took it. A result may normalize: it is then the op's
+n rounded by the reference shift_round_half_even (tests/rounding.py) once
+per pass, and its norm_events counts the passes the detector asks of that
+n. (3, 5, 7) is swept exhaustively, and reaches every
 path: a product with and without normalization, the scale-up, shift-down
 and absorbed adds, and a refused product, scale-up and shift-down.
 
@@ -54,20 +56,18 @@ from hrfna import (
     ModulusSet,
     WrapDetected,
     crt_reconstruct,
-    encode_residues,
     encode_signed,
     hrfna_add,
     hrfna_mul,
-    make_modulus_set,
     mod_add,
     mod_mul,
     normalize,
-    shift_round_half_even,
     signed_value,
     validate_config,
 )
 from hrfna.errors import InvariantViolation
 from hrfna.rns import encode
+from rounding import drain, shift_round_half_even
 
 TWELVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 ISOMORPHISM_EXAMPLES = max(300, settings.default.max_examples)
@@ -109,17 +109,16 @@ def outcome(op, x, y, ms, cfg):
         return str(exc)
 
 
-def op_n(z):
-    """An op's n before any normalization pass."""
-    return z.norm_events[0].value_in if z.norm_events else z.n
+def returned(z, n, message, ms, cfg):
+    """Whether the op returned: z is message sized by n when 2|n| >= M, else n drained.
 
-
-def returned(z, n, message, ms):
-    """Whether the op returned: z is message sized by n when 2|n| >= M, else op_n(z) is n."""
+    A returned z is n rounded once per pass while the detector fires, and
+    counts those passes.
+    """
     if 2 * abs(n) >= ms.composite:
         assert z == message.format(n.bit_length())
         return False
-    assert op_n(z) == n
+    assert (z.n, z.norm_events) == drain(n, validate_config(ms, cfg)[1], cfg.scale_shift_k)
     return True
 
 
@@ -130,8 +129,8 @@ def assert_ops_match_channel_ops(a, b, ms, cfg, deltas):
     """
     ra, rb = encode(a, ms), encode(b, ms)
     z = outcome(hrfna_mul, HybridNum(a, ms, 0), HybridNum(b, ms, 0), ms, cfg)
-    if returned(z, a * b, PRODUCT, ms):
-        assert encode(op_n(z), ms) == mod_mul(ra, rb, ms)
+    if returned(z, a * b, PRODUCT, ms, cfg):
+        assert encode(a * b, ms) == mod_mul(ra, rb, ms)
         paths = {"normalized product" if z.norm_events else "product"}
     else:
         paths = {"refused product"}
@@ -147,7 +146,7 @@ def assert_ops_match_channel_ops(a, b, ms, cfg, deltas):
             q = shift_round_half_even(b, d) if d < gap else 0  # from the gap on, b is absorbed
             path, strategy, n = "shift-down" if d < gap else "absorbed", ALIGN_SHIFT_DOWN, a + q
             channel = mod_add(ra, encode_signed(q, ms), ms)
-        if returned(z, n, SUM, ms):
+        if returned(z, n, SUM, ms, cfg):
             assert z.align_strategy == strategy and encode(n, ms) == channel
             paths.add(path)
         else:
@@ -170,7 +169,7 @@ def ties(d, half):
 @example(DEFAULT_MODULI, None)
 @example(TWELVE_PRIMES, None)
 def test_kernels_match_reference(moduli, data):
-    ms, twin = make_modulus_set(moduli), make_modulus_set(moduli)
+    ms, twin = ModulusSet(moduli), ModulusSet(moduli)
     M, half = ms.composite, (ms.composite - 1) // 2  # half: the largest |n| with 2|n| < M
     ns = [half, -half, 0, min(1, half), -min(1, half)]
     if M % 2 == 0:
@@ -184,7 +183,7 @@ def test_kernels_match_reference(moduli, data):
     for n in ns:
         rv = encode(n, ms)
         assert crt_reconstruct(rv, ms) == n % M and signed_value(rv, ms) == n
-        assert rv == encode_residues(n % M, ms)
+        assert rv == encode(n % M, ms)
         if 2 * abs(n) < M:
             assert rv == encode_signed(n, ms)
 
@@ -229,7 +228,7 @@ def test_kernels_match_reference(moduli, data):
 
 def test_every_operand_pair_on_a_small_set():
     """(3, 5, 7): every pair of mantissas through every op path, refusals included."""
-    ms = make_modulus_set((3, 5, 7))
+    ms = ModulusSet((3, 5, 7))
     cfg = loose(ms)
     paths = set()
     for a in range(-52, 53):
@@ -253,7 +252,7 @@ def test_only_int_constants_reach_the_generated_source():
     # Every int op computes with the set's constants (M and its half), so no
     # constructor admits a non-int modulus, and a set forged past the
     # constructor is refused again by every copy of it.
-    ms = make_modulus_set((3, 5, 7))
+    ms = ModulusSet((3, 5, 7))
     injected = ("3, __import__('os')", 5, 7)
     with pytest.raises(InvariantViolation, match="modulus-constants"):
         replace(ms, moduli=injected)
@@ -266,7 +265,7 @@ def test_only_int_constants_reach_the_generated_source():
 def test_a_set_with_kernels_pickles_without_them():
     # The ops keep nothing on the set: after they have run, it holds its fields
     # alone, and a pickle of it is an equal set that computes the same.
-    ms = make_modulus_set(DEFAULT_MODULI)
+    ms = ModulusSet(DEFAULT_MODULI)
     cfg = loose(ms)
     x = HybridNum(-12345, ms, 0)
     z = hrfna_add(hrfna_mul(x, x, ms, cfg), x, ms, cfg)
@@ -280,14 +279,14 @@ def test_a_set_with_kernels_pickles_without_them():
 
 
 def test_a_set_reduces_to_the_constructor_on_its_moduli():
-    ms = make_modulus_set(DEFAULT_MODULI)
+    ms = ModulusSet(DEFAULT_MODULI)
     assert ms.__reduce__() == (ModulusSet, (ms.moduli,))
 
 
 def test_copies_of_a_forged_set_are_rebuilt_from_the_moduli():
     # Forged past the constructor with a wrong composite: every copy runs the
     # checked constructor and derives its constants again.
-    ms = make_modulus_set((3, 5, 7))
+    ms = ModulusSet((3, 5, 7))
     forged = forge(ms, composite=12345)
     for twin in (copy.copy(forged), copy.deepcopy(forged), pickle.loads(pickle.dumps(forged))):
         assert twin.composite == prod(twin.moduli) == 105

@@ -1,7 +1,9 @@
 """Normalization engine: rounding rule, error bound, exact detection.
 
 The rounding oracle is Python's round() on exact Fractions, which
-implements round half to even independently of the bit-level shift.
+implements round half to even independently of the bit-level shift. It
+pins the reference shift_round_half_even (tests/rounding.py), which the
+normalize, kernel and envelope pins compare the library's rounding with.
 """
 
 import random
@@ -14,16 +16,17 @@ from hypothesis import strategies as st
 from hrfna import (
     DegenerateResult,
     HybridConfig,
+    ModulusSet,
     make_hybrid,
-    make_modulus_set,
     needs_normalization,
     normalize,
-    shift_round_half_even,
     signed_value,
     tau_int,
     to_real,
+    validate_config,
 )
 from hrfna.hybrid import exact_value
+from rounding import drain, shift_round_half_even
 
 
 class TestShiftRoundHalfEven:
@@ -51,9 +54,10 @@ class TestNormalize:
         assert signed_value(out.mantissa, default_ms) == 2 ** (20 - k)
         assert out.exponent == -4 + k
         assert exact_value(out) == exact_value(h)
-        (event,) = out.norm_events
-        assert (event.value_in, event.value_out, event.shift) == (2**20, 2 ** (20 - k), k)
-        assert (event.exponent_before, event.exponent_after) == (-4, -4 + k)
+        assert (out.n, out.norm_events) == (shift_round_half_even(2**20, k), 1)
+        # A pass over a value that has made passes counts on from them.
+        counted = normalize(h._replace(norm_events=2), default_ms, hcfg)
+        assert counted == out and counted.norm_events == 3
 
     def test_tie_to_even_k1(self, default_ms):
         cfg = HybridConfig(alpha=Fraction(3, 8192), scale_shift_k=1, operand_bound_bits=12)
@@ -127,7 +131,7 @@ class TestDetection:
     def test_boundary_at_half_an_even_tau(self):
         # (7, 9, 11, 13), alpha 3/64: tau = 422, inside tau * 2^(b-1) < M. 211 is
         # tau/2, where the float test log2(n) >= log2(tau) - 1.0 stayed silent.
-        ms = make_modulus_set([7, 9, 11, 13])
+        ms = ModulusSet([7, 9, 11, 13])
         cfg = HybridConfig(alpha=Fraction(3, 64), scale_shift_k=1, operand_bound_bits=3)
         assert tau_int(ms, cfg) == 422 and 422 << 2 < ms.composite
         assert needs_normalization(make_hybrid(211, 0, ms), ms, cfg)
@@ -147,7 +151,7 @@ class TestDetection:
     def test_fast_mode_never_misses_exhaustive_small(self):
         # Small-scale exhaustive sweep: every representable signed mantissa,
         # with tau = 288 inside the +-577 range, so the detector fires from 144.
-        ms = make_modulus_set([3, 5, 7, 11])
+        ms = ModulusSet([3, 5, 7, 11])
         cfg = HybridConfig(alpha=Fraction(1, 4), scale_shift_k=2, operand_bound_bits=3)
         tau = tau_int(ms, cfg)
         assert tau == 288
@@ -161,8 +165,9 @@ class TestDetection:
     def test_drift_chain_error_linear_in_events(self, default_ms, hcfg):
         # Multiply-then-normalize chain: accumulated drift stays within the
         # per-event bound times the event count, against a Fraction oracle.
+        # Each product's count is the passes the detector asks of its n.
         k = hcfg.scale_shift_k
-        tau = tau_int(default_ms, hcfg)
+        tau, limit, _ = validate_config(default_ms, hcfg)
         rng = random.Random(4)
         h = make_hybrid(1500, 0, default_ms)
         oracle = Fraction(1500)
@@ -172,8 +177,10 @@ class TestDetection:
         for _ in range(10_000):
             m = mk(rng.randrange(1024, 2048), -10, default_ms)
             oracle *= exact_value(m)
+            product = h.n * m.n
             h = hrfna_mul(h, m, default_ms, hcfg)
-            events += len(h.norm_events)
+            assert (h.n, h.norm_events) == drain(product, limit, k)
+            events += h.norm_events
         measured = abs(exact_value(h) - oracle) / abs(oracle)
         assert measured <= Fraction(events * 2 ** (k - 1), tau)
         assert events > 0

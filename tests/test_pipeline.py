@@ -18,18 +18,18 @@ from hrfna import (
     HybridConfig,
     IncompleteTrace,
     InvalidProgram,
+    ModulusSet,
     Op,
     PipelineConfig,
     SimState,
     Trace,
     TraceEvent,
-    make_modulus_set,
     metrics_report,
     scheduler_step,
     simulate,
     validate_config,
 )
-from hrfna.formats import metrics_json, trace_csv
+from hrfna.formats import metrics_json, trace_csv, vectors_text
 from hrfna.pipeline import evaluate_program
 from hrfna.workloads import chained_mac_program
 
@@ -188,7 +188,7 @@ class TestLatency:
 
     def test_empty_pipeline_stays_idle(self, pcfg, hcfg, default_ms):
         sim = simulate([Op("lit", name="a", value=1.0)], pcfg, hcfg, default_ms)
-        assert sim.trace == ()
+        assert sim.trace.fields == ()
         assert sim.metrics.as_dict() == {
             "latency_p50": 0.0,
             "latency_max": 0,
@@ -241,12 +241,12 @@ class TestSchedulerFsm:
         The narrow config has back-to-back windows: Normalize runs of up to
         four of them.
         """
-        ms = make_modulus_set(DEFAULT_MODULI)
+        ms = ModulusSet(DEFAULT_MODULI)
         for hcfg in (DEFAULT_CONFIG, TestExportPins.NARROW):
             validate_config(ms, hcfg)
             sim = simulate(chained_mac_program(0, 300), pcfg, hcfg, ms)
             stalls = [e.cycle for e in sim.trace if (e.unit, e.action) == ("scheduler", "stall")]
-            state, asserted = initial_state([len(v.norm_events) for v in sim.results]), []
+            state, asserted = initial_state([v.norm_events for v in sim.results]), []
             while state.cycle <= sim.trace[-1].cycle:
                 if stall_asserted(state):
                     asserted.append(state.cycle)
@@ -350,7 +350,7 @@ class TestValueTimingSeparation:
         program = self.random_program(random.Random(7), 15)
         a = simulate(program, pcfg, hcfg, default_ms)
         b = simulate(program, pcfg, hcfg, default_ms)
-        assert a.trace == b.trace
+        assert a.trace.fields == b.trace.fields
         assert a.metrics == b.metrics
 
     def test_trace_rows_leave_the_collector(self, pcfg, hcfg, default_ms):
@@ -368,19 +368,14 @@ def check_record_view(sim):
     events = list(trace)
     assert all(type(e) is TraceEvent and type(e.cycle) is int for e in events)
     assert all(e.op != "" and e.value != "" for e in events)  # '' reads back as None
-    assert Trace(events) == trace and Trace(list(trace)) == trace
+    assert Trace(events).fields == fields and Trace(tuple(trace)).fields == fields
     assert Trace(trace).fields is fields
-    assert trace == tuple(events) and tuple(events) == trace
-    assert hash(trace) == hash(Trace(events)) == hash(tuple(events))
-    assert trace != tuple(events[:-1]) and trace[:-1] != trace
     assert trace_csv(tuple(trace)) == trace_csv(trace)
     assert metrics_report(tuple(trace)) == sim.metrics
     again = pickle.loads(pickle.dumps(trace))
     assert type(again) is Trace and again == trace and again.fields == fields
     for i in (0, 1, len(trace) // 2, -2, -1):
         assert type(trace[i]) is TraceEvent and trace[i] == events[i]
-    for part in (slice(2, 5), slice(-5, None), slice(None, None, 7), slice(-1, -9, -3)):
-        assert type(trace[part]) is Trace and list(trace[part]) == events[part]
     for i in (len(trace), -len(trace) - 1):
         with pytest.raises(IndexError):
             trace[i]
@@ -495,7 +490,7 @@ class TestTraceOrder:
     @settings(max_examples=150, deadline=None)
     def test_trace_is_emitted_sorted(self, seed, products, case, pcfg):
         moduli, hcfg = case
-        ms = make_modulus_set(moduli)
+        ms = ModulusSet(moduli)
         validate_config(ms, hcfg)
         sim = simulate(self.program(seed, products), pcfg, hcfg, ms)
         assert list(sim.trace) == sorted(sim.trace, key=trace_order_key)
@@ -507,7 +502,7 @@ class TestTraceOrder:
             assert max(norms) == 2
 
     def test_lane_names_sort_as_strings(self, hcfg):
-        ms = make_modulus_set(self.SMALL_PRIMES)
+        ms = ModulusSet(self.SMALL_PRIMES)
         validate_config(ms, hcfg)
         sim = simulate(mul_stream(1), DEFAULT_PIPELINE, hcfg, ms)
         units = [e.unit for e in sim.trace if e.action == "retire" and e.unit != "scheduler"]
@@ -597,15 +592,29 @@ class TestExportPins:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_exports_match_pinned_bytes(self, case):
         moduli, hcfg, pcfg, events, csv_sha, json_sha = self.CASES[case]
-        ms = make_modulus_set(moduli)
+        ms = ModulusSet(moduli)
         validate_config(ms, hcfg)
         sim = simulate(chained_mac_program(0, 300), pcfg, hcfg, ms)
         assert len(sim.trace) == events
         assert hashlib.sha256(trace_csv(sim.trace).encode()).hexdigest() == csv_sha
         assert hashlib.sha256(metrics_json(sim.metrics).encode()).hexdigest() == json_sha
 
+    # sha256 of vectors_text on the same program: the norm-flag column among the rest.
+    VECTORS = {
+        "default": (DEFAULT_CONFIG, 288,
+                    "92d3ec9df6f8a64ac50455baa718a2243daef1a45046f0b8809efe806f84848b"),
+        "narrow": (NARROW, 299, "5782feb230b0fd81f7577209e6842de765f57fd2507574b55db195a9b9755888"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(VECTORS))
+    def test_vectors_match_pinned_bytes(self, case):
+        hcfg, flagged, sha = self.VECTORS[case]
+        text = vectors_text(chained_mac_program(0, 300), ModulusSet(DEFAULT_MODULI), hcfg)
+        assert sum(line.endswith(" 1") for line in text.splitlines()) == flagged
+        assert hashlib.sha256(text.encode()).hexdigest() == sha
+
     def test_narrow_config_runs_back_to_back_windows(self):
-        ms = make_modulus_set(DEFAULT_MODULI)
+        ms = ModulusSet(DEFAULT_MODULI)
         _, _, norms = evaluate_program(chained_mac_program(0, 300), ms, self.NARROW)
         assert max(norms) == 4
 
@@ -622,7 +631,7 @@ class TestTraceRecords:
     @pytest.mark.parametrize("case", sorted(TestExportPins.CASES))
     def test_export_pin_configs_round_trip(self, case):
         moduli, hcfg, pcfg, events, _, _ = TestExportPins.CASES[case]
-        ms = make_modulus_set(moduli)
+        ms = ModulusSet(moduli)
         validate_config(ms, hcfg)
         sim = simulate(chained_mac_program(0, 300), pcfg, hcfg, ms)
         assert len(sim.trace) == events

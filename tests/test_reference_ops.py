@@ -1,8 +1,9 @@
 """from_real, normalize, hrfna_mul and hrfna_add pinned to compositions of public helpers.
 
 The reference below rebuilds every field of a result (residues, exponent,
-sign, alignment strategy and normalization events) from mod_mul, mod_add,
-encode_signed, shift_round_half_even and crt_reconstruct alone, with tau
+sign, alignment strategy and normalization count) from mod_mul, mod_add,
+encode_signed, crt_reconstruct and the reference shift_round_half_even
+(tests/rounding.py) alone, with tau
 derived from the config's alpha. It takes each decision on the n that
 crt_reconstruct gives: normalize while 2|n| >= tau, and scale hi up while
 2|n_hi| * 2^delta < tau. from_real is pinned to make_hybrid of an exact Fraction rounding. Each op
@@ -30,7 +31,7 @@ from hrfna import (
     DegenerateResult,
     HybridConfig,
     MismatchedSet,
-    NormalizationEvent,
+    ModulusSet,
     OutOfRange,
     crt_reconstruct,
     encode_signed,
@@ -38,16 +39,15 @@ from hrfna import (
     hrfna_add,
     hrfna_mul,
     make_hybrid,
-    make_modulus_set,
     mod_add,
     mod_mul,
     normalize,
     run_mac_chain,
-    shift_round_half_even,
     signed_value,
     validate_config,
 )
 from hrfna.workloads import mac_sequences
+from rounding import shift_round_half_even
 
 SETS = {
     "two": (
@@ -65,7 +65,7 @@ PIN_EXAMPLES = max(400, settings.default.max_examples)
 def built(name):
     if name not in BUILT:
         moduli, cfg = SETS[name]
-        ms = make_modulus_set(moduli)
+        ms = ModulusSet(moduli)
         validate_config(ms, cfg)
         BUILT[name] = ms, cfg
     return BUILT[name]
@@ -87,27 +87,27 @@ def ref_value(mant, exponent, strategy, events, ms):
 
 
 def ref_pass(mant, exponent, ms, cfg):
-    """One normalization: (mantissa, exponent, event) after it."""
+    """One normalization: (mantissa, exponent) after it."""
     k = cfg.scale_shift_k
     n = ref_signed(mant, ms)
     out = shift_round_half_even(n, k)
     if out == 0 and n != 0:
         raise DegenerateResult(f"mantissa {n} vanished under shift {k}")
-    return encode_signed(out, ms), exponent + k, (n, out, k, exponent, exponent + k)
+    return encode_signed(out, ms), exponent + k
 
 
 def ref_fields(mant, exponent, strategy, ms, cfg):
-    """Drain while 2|n| >= tau; every field of the final value."""
-    events = ()
+    """Drain while 2|n| >= tau, counting the passes; every field of the final value."""
+    events = 0
     while 2 * abs(ref_signed(mant, ms)) >= tau_of(ms, cfg):
-        mant, exponent, event = ref_pass(mant, exponent, ms, cfg)
-        events += (event,)
+        mant, exponent = ref_pass(mant, exponent, ms, cfg)
+        events += 1
     return ref_value(mant, exponent, strategy, events, ms)
 
 
 def ref_normalize(h, ms, cfg):
-    mant, exponent, event = ref_pass(h.mantissa, h.exponent, ms, cfg)
-    return ref_value(mant, exponent, h.align_strategy, h.norm_events + (event,), ms)
+    mant, exponent = ref_pass(h.mantissa, h.exponent, ms, cfg)
+    return ref_value(mant, exponent, h.align_strategy, h.norm_events + 1, ms)
 
 
 def ref_rounding(x, b):
@@ -139,7 +139,7 @@ def ref_add(x, y, ms, cfg):
     nx, ny = ref_signed(x.mantissa, ms), ref_signed(y.mantissa, ms)
     if nx == 0 or ny == 0:
         h = y if nx == 0 else x
-        return ref_value(h.mantissa, h.exponent, ALIGN_IDENTITY, (), ms)
+        return ref_value(h.mantissa, h.exponent, ALIGN_IDENTITY, 0, ms)
     hi, lo = (x, y) if x.exponent >= y.exponent else (y, x)
     delta = hi.exponent - lo.exponent
     exponent, strategy = hi.exponent, ALIGN_SCALE_UP
@@ -162,7 +162,7 @@ def apart(h):
     """h under an equal modulus set made apart from its own."""
     moduli = h.set_ref.moduli
     if moduli not in TWINS:
-        TWINS[moduli] = make_modulus_set(moduli)
+        TWINS[moduli] = ModulusSet(moduli)
     return h._replace(set_ref=TWINS[moduli])
 
 
@@ -188,8 +188,7 @@ def operands(draw, wide_both):
     n_x = draw(wide)
     n_y = draw(wide if wide_both else st.integers(-fresh, fresh))
     assume(2 * abs(n_x * n_y) < ms.composite or wide_both)
-    events = (NormalizationEvent(9, 1, 3, 0, 3),)
-    provenance = dict(align_strategy=ALIGN_SHIFT_DOWN, norm_events=events)
+    provenance = dict(align_strategy=ALIGN_SHIFT_DOWN, norm_events=3)
     values = []
     for n in (n_x, n_y):
         extra = provenance if draw(st.booleans()) else {}
@@ -209,8 +208,7 @@ def wide_operand(draw):
     n = draw(st.integers(-half, half) | st.integers(-small, small))
     provenance = {}
     if draw(st.booleans()):
-        events = (NormalizationEvent(9, 1, 3, 0, 3),)
-        provenance = dict(align_strategy=ALIGN_SCALE_UP, norm_events=events)
+        provenance = dict(align_strategy=ALIGN_SCALE_UP, norm_events=3)
     return make_hybrid(n, draw(st.integers(-40, 40)), ms)._replace(**provenance), ms, cfg
 
 
@@ -261,7 +259,7 @@ class TestAgainstChannelOps:
                 with pytest.raises(OutOfRange, match="^cannot encode non-finite value"):
                     from_real(x, ms, cfg)
         # Unvalidated: b = 8 puts |N| in [64, 128), and 2 * 64 >= M = 105.
-        ms, cfg = make_modulus_set((3, 5, 7)), HybridConfig(Fraction(3, 8192), 5, 8)
+        ms, cfg = ModulusSet((3, 5, 7)), HybridConfig(Fraction(3, 8192), 5, 8)
         for x in (1.0, -1.5, 0.75, 3e-300):
             with pytest.raises(OutOfRange) as got:
                 from_real(x, ms, cfg)
@@ -270,7 +268,7 @@ class TestAgainstChannelOps:
             assert str(got.value) == str(want.value)
         assert fields(from_real(0.0, ms, cfg)) == fields(make_hybrid(0, 0, ms))
         # An even M: N = M/2 = 105 lies in the window and has no signed encoding.
-        even = make_modulus_set((2, 3, 5, 7))
+        even = ModulusSet((2, 3, 5, 7))
         for x in (105.0, -105.0):
             with pytest.raises(OutOfRange) as got:
                 from_real(x, even, cfg)
@@ -327,7 +325,7 @@ class TestAgainstChannelOps:
 
     def test_chain_under_an_equal_set_made_apart(self):
         ms, cfg = built("default")
-        twin = make_modulus_set(ms.moduli)
+        twin = ModulusSet(ms.moduli)
         sequences = mac_sequences(3, 500)
         assert run_mac_chain(*sequences, twin, cfg) == run_mac_chain(*sequences, ms, cfg)
 
@@ -348,7 +346,7 @@ class TestAgainstChannelOps:
         ]
         for op, x, y, strategy, events in cases:
             z = op(x, y, ms, cfg)
-            assert (z.align_strategy, len(z.norm_events)) == (strategy, events)
+            assert (z.align_strategy, z.norm_events) == (strategy, events)
             reference = ref_mul if op is hrfna_mul else ref_add
             assert fields(z) == reference(x, y, ms, cfg)
 
@@ -383,7 +381,7 @@ class TestForeignOperands:
             normalize(make_hybrid(50, 0, small_ms), default_ms, hcfg)
 
     def test_equal_set_built_apart_is_accepted(self, default_ms, hcfg):
-        twin = make_modulus_set(DEFAULT_MODULI)
+        twin = ModulusSet(DEFAULT_MODULI)
         assert twin is not default_ms and twin == default_ms
         tau = tau_of(default_ms, hcfg)
         for n, f in ((tau // 2 - 1, 0), (-1500, 7), (3, -30)):
