@@ -13,7 +13,7 @@ from dataclasses import asdict, fields
 from fractions import Fraction
 
 from hrfna import hybrid, pipeline, rns
-from hrfna.errors import HrfnaError, InvariantViolation  # noqa: F401 (re-exported)
+from hrfna.errors import HrfnaError
 from hrfna.hybrid import DEFAULT_CONFIG, HybridConfig, HybridNum
 from hrfna.pipeline import DEFAULT_PIPELINE, Op, PipelineConfig
 from hrfna.rns import DEFAULT_MODULI, ModulusSet, _new
@@ -184,6 +184,8 @@ def parse_program(text: str) -> list[Op]:
         if len(parts) == 3:
             kind, a, b = parts
             if kind == "lit":
+                if not a.isidentifier():  # vectors_text writes the name first on its line
+                    raise ParseError(f"bad literal name in {ln!r}")
                 try:
                     ops.append(_new(Op, ("lit", (), a, float(b))))
                 except ValueError:
@@ -209,13 +211,12 @@ def program_text(ops) -> str:
 # -- trace and metrics exports -----------------------------------------------
 
 
-def trace_csv(trace) -> str:
+def trace_csv(trace: pipeline.Trace) -> str:
     """The trace CSV: two header lines, then one row per event, each line ending in a newline.
 
-    trace is a Trace or a tuple of events; a row is its event's five fields
-    joined by commas, as the Trace stores them.
+    A row is its event's five fields joined by commas, as trace.fields stores them.
     """
-    fields = iter(pipeline.Trace(trace).fields)
+    fields = iter(trace.fields)
     rows = map(",".join, zip(fields, fields, fields, fields, fields))
     return "\n".join([f"# {TRACE_FORMAT}", "cycle,unit,action,op_id,value_hex", *rows, ""])
 

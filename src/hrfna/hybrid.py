@@ -4,11 +4,10 @@ A HybridNum denotes n * 2^f. It carries the signed mantissa n itself,
 always in the symmetric range -M/2 < n < M/2 of its modulus set, so the
 ops compute with ints and never reconstruct. The residue channels of the
 paper are a view of n: the mantissa property is encode(n), computed when an
-export or a test reads it, and exact by the CRT isomorphism (see rns). The
-sign is derived from n too, and threshold detection decides on n alone, in
-integers. Besides what it denotes, a value records only how the op that
-made it got there: its alignment strategy and its count of normalization
-passes.
+export or a test reads it, and exact by the CRT isomorphism (see rns).
+Threshold detection decides on n alone, in integers. Besides what it
+denotes, a value records only how the op that made it got there: its
+alignment strategy and its count of normalization passes.
 """
 
 import math
@@ -101,11 +100,11 @@ class HybridNum(NamedTuple):
     """Immutable hybrid value: signed mantissa, its set and exponent, and provenance.
 
     n is the mantissa, in the symmetric range -M/2 < n < M/2 of set_ref; mantissa
-    (its residues) and sign are derived from it. align_strategy and
-    norm_events, the number of normalization passes, describe only the
-    operation that produced this value (provenance for the workloads, the
-    simulator and the vectors' norm flag); they are excluded from equality,
-    which compares n, exponent, and the set's moduli.
+    (its residues) is derived from it. align_strategy and norm_events, the
+    number of normalization passes, describe only the operation that
+    produced this value (provenance for the workloads, the simulator and the
+    vectors' norm flag); they are excluded from equality, which compares n,
+    exponent, and the set's moduli.
     """
 
     n: int
@@ -118,11 +117,6 @@ class HybridNum(NamedTuple):
     def mantissa(self) -> ResidueVector:
         """The residues of n under set_ref, derived on each read."""
         return rns.encode(self.n, self.set_ref)
-
-    @property
-    def sign(self) -> int:
-        """-1, 0 or 1, the sign of n."""
-        return (self.n > 0) - (self.n < 0)
 
     def _key(self):
         return (self.n, self.set_ref.moduli, self.exponent)

@@ -130,22 +130,14 @@ class Trace:
     then op and value with '' for None. No event is an object of its own,
     and a tuple of str leaves the cyclic garbage collector at its first
     collection, so a live trace adds one tracked object and is not rescanned.
-    Trace(events) takes any iterable of 5-field events, or a Trace, whose
-    fields it shares. Indexing reads TraceEvent records back, with '' as
-    None, and iteration goes through indexing until range indexing raises
-    IndexError past the end; two traces are equal when their fields are.
-    metrics_report and formats.trace_csv read the fields.
+    Trace(fields) stores tuple(fields), a tuple as given. Indexing reads
+    TraceEvent records back ('' as None), iteration indexes until IndexError,
+    and two traces are equal when their fields are.
     """
 
     __slots__ = ("fields",)
 
-    def __init__(self, events=()):
-        if isinstance(events, Trace):
-            self.fields = events.fields
-            return
-        fields: list[str] = []
-        for cycle, unit, action, op, value in events:
-            fields += map(str, (cycle, unit, action, op or "", value or ""))
+    def __init__(self, fields=()):
         self.fields = tuple(fields)
 
     def __len__(self):
@@ -285,7 +277,7 @@ def simulate(program, cfg: PipelineConfig, hcfg: HybridConfig, ms: ModulusSet) -
     """
     names, results, norms = evaluate_program(program, ms, hcfg)
     if not names:
-        return SimResult((), Trace(), metrics_report(()))
+        return SimResult((), Trace(), metrics_report(Trace()))
 
     n, latency = len(names), cfg.norm_latency
     detect, last = cfg.detect_stage, cfg.total_stages - 1
@@ -332,20 +324,19 @@ def simulate(program, cfg: PipelineConfig, hcfg: HybridConfig, ms: ModulusSet) -
         state = scheduler_step(state, cfg)
         cycle, fsm, ticks, _, remaining = state
 
-    trace = object.__new__(Trace)  # the fields are already in stored form
-    trace.fields = tuple(fields)
+    trace = Trace(fields)
     return SimResult(results, trace, metrics_report(trace), names)
 
 
-def metrics_report(trace) -> MetricsSummary:
+def metrics_report(trace: Trace) -> MetricsSummary:
     """Summarize a trace: latency stats, achieved II, stalls, normalizations.
 
-    trace is a Trace or a tuple of events. Deterministic over a given
-    trace; raises IncompleteTrace when a scheduler issue has no matching
-    retire. Stalls and window begins are counts of the action column; only
-    the scheduler's issue and retire cycles are read back as ints.
+    Deterministic over a given trace; raises IncompleteTrace when a
+    scheduler issue has no matching retire. Stalls and window begins are
+    counts of the action column of trace.fields; only the scheduler's issue
+    and retire cycles are read back as ints.
     """
-    fields = Trace(trace).fields
+    fields = trace.fields
     issues: dict[str, int] = {}
     retires: dict[str, int] = {}
     events = iter(fields)

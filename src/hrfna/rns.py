@@ -67,16 +67,15 @@ class ModulusSet:
 
     Every constructor, dataclasses.replace included, runs __post_init__: it
     checks the moduli (ints by operator.index, 2 to 16 bits wide, pairwise
-    coprime) and derives composite, the full product M; crt_weights, one
-    (M_i, y_i) pair per channel with M_i = M / m_i and y_i = M_i^-1 mod m_i;
-    crt_coeffs, M_i * y_i mod M per channel; and hex_formats, the format
-    spec that prints a channel's residue as zero-padded hex as wide as m_i.
-    A pickle or copy is rebuilt from the moduli (see __reduce__).
+    coprime) and derives composite, the full product M; crt_coeffs,
+    M_i * y_i mod M per channel, with M_i = M / m_i and y_i = M_i^-1 mod m_i;
+    and hex_formats, the format spec that prints a channel's residue as
+    zero-padded hex as wide as m_i. A pickle or copy is rebuilt from the
+    moduli (see __reduce__).
     """
 
     moduli: tuple[int, ...]
     composite: int = field(init=False)
-    crt_weights: tuple[tuple[int, int], ...] = field(init=False)
     crt_coeffs: tuple[int, ...] = field(init=False)
     hex_formats: tuple[str, ...] = field(init=False)
 
@@ -106,7 +105,7 @@ class ModulusSet:
         weights = tuple((composite // m, pow(composite // m, -1, m)) for m in moduli)
         coeffs = tuple(m_i * y_i % composite for m_i, y_i in weights)
         formats = tuple(f"0{(m.bit_length() + 3) // 4}x" for m in moduli)
-        for f, value in zip(fields(self), (moduli, composite, weights, coeffs, formats)):
+        for f, value in zip(fields(self), (moduli, composite, coeffs, formats)):
             object.__setattr__(self, f.name, value)
 
     def __reduce__(self):

@@ -3,11 +3,12 @@ from hypothesis import settings
 
 from hrfna import DEFAULT_CONFIG, DEFAULT_MODULI, DEFAULT_PIPELINE, ModulusSet
 
-# CI runs the reference-op, kernel, relative-error and exact-oracle pins
-# (tests/test_reference_ops.py, tests/test_kernels.py,
-# tests/test_relative_error.py, tests/test_workloads.py::TestExactOracle)
-# harder with --hypothesis-profile=ci; those pins read their example count
-# from the active profile and run 400, 300, 500 and 200 examples under the
+# CI runs the reference-op, kernel, relative-error and exact-oracle pins and
+# the envelope's program walk (tests/test_reference_ops.py, tests/test_kernels.py,
+# tests/test_relative_error.py, tests/test_workloads.py::TestExactOracle,
+# tests/test_envelope.py::test_no_program_wraps_silently) harder with
+# --hypothesis-profile=ci; those pins read their example count from the
+# active profile and run 400, 300, 500, 200 and 300 examples under the
 # default one.
 settings.register_profile("ci", max_examples=4000)
 

@@ -53,11 +53,14 @@ def test_criterion_2_crt_default_set_randomized(default_ms):
 
     rng = random.Random(20260809)
     m_total = default_ms.composite
+    # The oracle's own CRT weights (M_i, y_i), M_i = M / m_i and y_i = M_i^-1 mod m_i,
+    # not the set's crt_coeffs.
+    weights = [(m_total // m, pow(m_total // m, -1, m)) for m in (4093, 4095, 4091)]
     for _ in range(1_000_000):
         n = rng.randrange(m_total)
         residues = tuple(n % m for m in default_ms.moduli)
         total = 0
-        for r, (m_i, y_i) in zip(residues, default_ms.crt_weights):
+        for r, (m_i, y_i) in zip(residues, weights):
             total += r * m_i * y_i
         assert total % m_total == n
     report(2, "10^6 random values round-trip exactly; composite matches the big-int oracle")

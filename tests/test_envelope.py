@@ -182,7 +182,7 @@ def programs(draw):
 
 
 @given(st.sampled_from(PROGRAM_CASES), programs())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @example((DEFAULT_MODULI, DEFAULT_CONFIG), parse_program(SURVIVOR_SQUARED))
 def test_no_program_wraps_silently(case, program):
     """Survivor times survivor products included, every op's result is the exact integer

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from hrfna import formats
 from hrfna.cli import main
+from hrfna.errors import InvariantViolation
 from hrfna.formats import (
-    InvariantViolation,
     ParseError,
     config_from_dict,
     config_to_dict,
@@ -373,7 +373,7 @@ class TestHybridRecords:
         h = make_hybrid(data.draw(st.integers(-half, half)), f, ms)
         parsed = parse_hybrid_record(hybrid_record(h), ms)
         assert parsed.mantissa.residues == h.mantissa.residues
-        assert (parsed.exponent, parsed.sign) == (h.exponent, h.sign)
+        assert (parsed.exponent, parsed.n) == (h.exponent, h.n)
 
     def test_half_modulus_record_out_of_range(self, tmp_path, capsys):
         ms = RECORD_SETS[1]
@@ -413,6 +413,12 @@ class TestProgramFormat:
             ("div a b", "unrecognized program line 'div a b'"),
             ("  add a  ", "unrecognized program line 'add a'"),
             ("lit a nope", "bad literal value in 'lit a nope'"),
+            # vectors_text starts each line with the name: '#' would read as a
+            # comment and '|' as the expect separator.
+            ("lit # 1.5", "bad literal name in 'lit # 1.5'"),
+            ("lit | 1.5", "bad literal name in 'lit | 1.5'"),
+            ("lit a,b 1.5", "bad literal name in 'lit a,b 1.5'"),
+            ("lit 1a 1.5", "bad literal name in 'lit 1a 1.5'"),
         ],
     )
     def test_bad_line_messages(self, line, message):

@@ -127,7 +127,7 @@ class TestFromReal:
         h = from_real(0.0, default_ms, hcfg)
         assert all(r == 0 for r in h.mantissa.residues)
         assert h.exponent == 0
-        assert h.sign == 0
+        assert h.n == 0
         assert to_real(h) == 0.0
 
     def test_one_wide_config(self, wide_ms, wide_cfg):

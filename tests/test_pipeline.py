@@ -358,6 +358,13 @@ class TestValueTimingSeparation:
         check_record_view(sim)
 
 
+def event_fields(events):
+    """The flat fields of events, as their trace CSV rows print them ('' for None)."""
+    return tuple(
+        str(f) for e in events for f in (e.cycle, e.unit, e.action, e.op or "", e.value or "")
+    )
+
+
 def check_record_view(sim):
     """sim.trace stores only untracked strs and reads back as TraceEvents, losslessly."""
     trace, fields = sim.trace, sim.trace.fields
@@ -368,10 +375,12 @@ def check_record_view(sim):
     events = list(trace)
     assert all(type(e) is TraceEvent and type(e.cycle) is int for e in events)
     assert all(e.op != "" and e.value != "" for e in events)  # '' reads back as None
-    assert Trace(events).fields == fields and Trace(tuple(trace)).fields == fields
-    assert Trace(trace).fields is fields
-    assert trace_csv(tuple(trace)) == trace_csv(trace)
-    assert metrics_report(tuple(trace)) == sim.metrics
+    rebuilt = Trace(event_fields(events))
+    assert rebuilt.fields == fields and rebuilt == trace
+    assert Trace(fields).fields is fields  # a tuple is stored as given, not copied
+    assert Trace(list(fields)).fields == fields
+    assert trace_csv(rebuilt) == trace_csv(trace)
+    assert metrics_report(rebuilt) == sim.metrics
     again = pickle.loads(pickle.dumps(trace))
     assert type(again) is Trace and again == trace and again.fields == fields
     for i in (0, 1, len(trace) // 2, -2, -1):
@@ -424,7 +433,7 @@ class TestMetricsReport:
         assert sim.metrics.achieved_ii == pytest.approx((100 * 1 + 6) / 100)
 
     def test_empty_trace_all_zero(self):
-        m = metrics_report(())
+        m = metrics_report(Trace(event_fields(())))
         assert m.as_dict() == {
             "latency_p50": 0.0,
             "latency_max": 0,
@@ -437,11 +446,14 @@ class TestMetricsReport:
         # A lit-only program issues nothing: its trace CSV is the two header lines.
         sim = simulate([Op("lit", name="a", value=1.0)], pcfg, hcfg, default_ms)
         header = "# hrfna-trace v1\ncycle,unit,action,op_id,value_hex\n"
-        assert trace_csv(sim.trace) == trace_csv(()) == trace_csv(Trace()) == header
-        assert metrics_report(sim.trace) == metrics_report(()) == sim.metrics
+        empty = Trace(event_fields(()))
+        assert empty == Trace() and empty.fields == ()
+        assert trace_csv(sim.trace) == trace_csv(empty) == trace_csv(Trace()) == header
+        assert metrics_report(sim.trace) == metrics_report(empty) == sim.metrics
 
     def test_incomplete_trace_rejected(self):
-        trace = (TraceEvent(0, "scheduler", "issue", "t0"),)
+        trace = Trace(event_fields([TraceEvent(0, "scheduler", "issue", "t0")]))
+        assert trace.fields == ("0", "scheduler", "issue", "t0", "")
         with pytest.raises(IncompleteTrace):
             metrics_report(trace)
 

@@ -1,7 +1,7 @@
 """from_real, normalize, hrfna_mul and hrfna_add pinned to compositions of public helpers.
 
 The reference below rebuilds every field of a result (residues, exponent,
-sign, alignment strategy and normalization count) from mod_mul, mod_add,
+mantissa n, alignment strategy and normalization count) from mod_mul, mod_add,
 encode_signed, crt_reconstruct and the reference shift_round_half_even
 (tests/rounding.py) alone, with tau
 derived from the config's alpha. It takes each decision on the n that
@@ -81,9 +81,8 @@ def ref_signed(rv, ms):
 
 
 def ref_value(mant, exponent, strategy, events, ms):
-    """Every field of a value, its sign from the reconstructed n."""
-    n = ref_signed(mant, ms)
-    return mant.residues, exponent, (n > 0) - (n < 0), strategy, events
+    """Every field of a value, its n reconstructed from the residues."""
+    return mant.residues, exponent, ref_signed(mant, ms), strategy, events
 
 
 def ref_pass(mant, exponent, ms, cfg):
@@ -155,7 +154,7 @@ def ref_add(x, y, ms, cfg):
 
 
 def fields(z):
-    return z.mantissa.residues, z.exponent, z.sign, z.align_strategy, z.norm_events
+    return z.mantissa.residues, z.exponent, z.n, z.align_strategy, z.norm_events
 
 
 def apart(h):

@@ -42,6 +42,13 @@ def brute_force_reconstruct(residues, moduli):
     raise AssertionError("no preimage found")
 
 
+def assert_coefficients_are_unit_vectors(ms):
+    """c_i mod m_j is 1 for i == j and 0 otherwise, and each c_i < M."""
+    for i, c in enumerate(ms.crt_coeffs):
+        assert 0 <= c < ms.composite
+        assert [c % m for m in ms.moduli] == [int(i == j) for j in range(len(ms.moduli))]
+
+
 class TestMakeModulusSet:
     def test_default_set_composite(self, default_ms):
         # Arbitrary-precision product of the default moduli.
@@ -52,16 +59,22 @@ class TestMakeModulusSet:
 
     def test_small_set_weights(self, small_ms):
         assert small_ms.composite == 105
-        assert small_ms.crt_weights == ((35, 2), (21, 1), (15, 1))
+        # M_i * y_i mod M: (35 * 2, 21 * 1, 15 * 1) with M_i = M / m_i, y_i = M_i^-1 mod m_i.
+        assert small_ms.crt_coeffs == (70, 21, 15)
         # extended-Euclid post-check, stated explicitly
         assert 35 * 2 % 3 == 1
         assert 21 * 1 % 5 == 1
         assert 15 * 1 % 7 == 1
+        assert_coefficients_are_unit_vectors(small_ms)
 
     def test_weights_satisfy_inverse_property(self, default_ms):
-        for m, (m_i, y_i) in zip(default_ms.moduli, default_ms.crt_weights):
-            assert default_ms.composite // m == m_i
+        M = default_ms.composite
+        for m, c in zip(default_ms.moduli, default_ms.crt_coeffs):
+            m_i = M // m
+            y_i = pow(m_i, -1, m)
             assert (m_i * y_i) % m == 1
+            assert c == m_i * y_i % M
+        assert_coefficients_are_unit_vectors(default_ms)
 
     def test_not_coprime(self):
         with pytest.raises(NotCoprime) as exc:
@@ -116,12 +129,13 @@ class TestOneFieldConstruction:
         small = replace(default_ms, moduli=(7, 9, 11))
         assert small == ModulusSet((7, 9, 11)) == ModulusSet([7, 9, 11])
         assert small.composite == 693
-        assert small.crt_weights == ((99, 1), (77, 2), (63, 7))
+        assert small.crt_coeffs == (99, 154, 441)
+        assert_coefficients_are_unit_vectors(small)
         assert crt_reconstruct(encode(500, small), small) == 500
 
     def test_derived_constants_are_not_accepted(self, default_ms):
         with pytest.raises(TypeError):
-            ModulusSet((3, 5), 16, ((5, 2), (3, 2)), (10, 6), ("01x", "01x"))
+            ModulusSet((3, 5), 16, (10, 6), ("01x", "01x"))
         with pytest.raises(TypeError):
             ModulusSet((3, 5), composite=16)
         with pytest.raises(ValueError, match="init=False"):

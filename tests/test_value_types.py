@@ -25,7 +25,7 @@ from hrfna.rns import encode
 from hrfna.workloads import DriftReport
 
 RESIDUE_FIELDS = ("residues", "set_ref")
-HYBRID_FIELDS = ("mantissa", "exponent", "sign", "align_strategy", "norm_events")
+HYBRID_FIELDS = ("n", "set_ref", "exponent", "align_strategy", "norm_events", "mantissa")
 TRACE_FIELDS = ("cycle", "unit", "action", "op", "value")
 OP_FIELDS = ("kind", "args", "name", "value")
 METRICS_FIELDS = ("latency_p50", "latency_max", "achieved_ii", "stall_cycles", "norm_events")

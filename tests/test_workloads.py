@@ -149,7 +149,7 @@ class TestDotProduct:
 
     def test_cancellation_is_exact(self, default_ms, hcfg):
         acc, report = dot_product([1.0, -1.0], [1.0, 1.0], default_ms, hcfg)
-        assert acc.sign == 0
+        assert acc.n == 0
         assert report.rel_error == 0
 
     def test_exact_zero_sum_typed_error(self, default_ms, hcfg):
