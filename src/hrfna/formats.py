@@ -24,6 +24,7 @@ PROGRAM_FORMAT = "hrfna-program v1"
 TRACE_FORMAT = "hrfna-trace v1"
 METRICS_FORMAT = "hrfna-metrics v1"
 VECTORS_FORMAT = "hrfna-vectors v1"
+DRIFT_FORMAT = "hrfna-drift v1"
 
 CONFIG_ENV_VAR = "HRFNA_CONFIG"
 
@@ -230,7 +231,7 @@ def metrics_json(metrics: pipeline.MetricsSummary) -> str:
 
 
 def drift_report_json(report) -> str:
-    return _tagged_json("hrfna-drift v1", report)
+    return _tagged_json(DRIFT_FORMAT, report)
 
 
 # -- hardware test vectors ----------------------------------------------------

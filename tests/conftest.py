@@ -3,13 +3,13 @@ from hypothesis import settings
 
 from hrfna import DEFAULT_CONFIG, DEFAULT_MODULI, DEFAULT_PIPELINE, ModulusSet
 
-# CI runs the reference-op, kernel, relative-error and exact-oracle pins and
-# the envelope's program walk (tests/test_reference_ops.py, tests/test_kernels.py,
-# tests/test_relative_error.py, tests/test_workloads.py::TestExactOracle,
+# CI runs the reference-op, isomorphism, relative-error and exact-oracle pins
+# and the envelope's program walk (tests/test_reference_ops.py,
+# tests/test_isomorphism.py, tests/test_relative_error.py,
+# tests/test_workloads.py::TestExactOracle,
 # tests/test_envelope.py::test_no_program_wraps_silently) harder with
-# --hypothesis-profile=ci; those pins read their example count from the
-# active profile and run 400, 300, 500, 200 and 300 examples under the
-# default one.
+# --hypothesis-profile=ci; those pins take their example count from
+# support.examples: 400, 300, 500, 200 and 300 under the default profile.
 settings.register_profile("ci", max_examples=4000)
 
 

@@ -47,19 +47,12 @@ from hrfna import (
 from hrfna.errors import InvariantViolation
 from hrfna.formats import parse_program
 from hrfna.pipeline import evaluate_program, run_program
-from rounding import drain, shift_round_half_even
+from support import REFUSALS, TWO_CHANNEL, examples, exact_integer, outcome, returned
 
 SMALL_SETS = ((7, 9, 11), (7, 9, 11, 13), (13, 15, 16), (31, 32, 33))
 ITEM_2_CONFIGS = "ROADMAP item 2: validate_config does not check tau * 2^(b-1) < M"
-REFUSALS = {
-    "mul": "product of {} bits wrapped modulo M; operand bounds misconfigured",
-    "add": "sum of {} bits wrapped modulo M; operands too large for M",
-}
 # (moduli, config) pairs inside the invariant that the random programs run on.
-PROGRAM_CASES = (
-    (DEFAULT_MODULI, DEFAULT_CONFIG),
-    ((65535, 65534), HybridConfig(Fraction(3, 8192), 9, 10)),
-)
+PROGRAM_CASES = ((DEFAULT_MODULI, DEFAULT_CONFIG), TWO_CHANNEL)
 # Under the default config, inside the invariant, t1 * t1 multiplies two products.
 SURVIVOR_SQUARED = "hrfna-program v1\nlit a 1.999\nlit b 1.999\nmul a b\nmul t0 b\nmul t1 t1\n"
 
@@ -81,15 +74,6 @@ def accepted_configs():
                         yield ms, cfg, (moduli, n, d, k, b), limit, inside
 
 
-def refusal(op, x, y, ms, cfg):
-    """The text of the WrapDetected that op(x, y) raises, or None when it returns."""
-    try:
-        op(x, y, ms, cfg)
-    except WrapDetected as exc:
-        return str(exc)
-    return None
-
-
 @pytest.fixture(scope="module")
 def sweep() -> list:
     """(config, meets tau * 2^(b-1) < M, WrapDetected text or None), one per accepted config."""
@@ -97,7 +81,8 @@ def sweep() -> list:
     for ms, cfg, key, limit, inside in accepted_configs():
         x = make_hybrid(limit - 1, 0, ms)
         y = make_hybrid(2 ** (cfg.operand_bound_bits - 1) - 1, 0, ms)
-        rows.append((key, inside, refusal(hrfna_mul, x, y, ms, cfg)))
+        z = outcome(hrfna_mul, x, y, ms, cfg)
+        rows.append((key, inside, z if isinstance(z, str) else None))
     return rows
 
 
@@ -112,7 +97,8 @@ def sum_sweep() -> list:
         for gap in range(ms.composite.bit_length() + 3):
             for signs in ((1, 1), (1, -1), (-1, -1)):
                 x, y = make_hybrid(signs[0] * s, gap, ms), make_hybrid(signs[1] * s, 0, ms)
-                rows.append(((key, gap, signs), inside, refusal(hrfna_add, x, y, ms, cfg)))
+                z = outcome(hrfna_add, x, y, ms, cfg)
+                rows.append(((key, gap, signs), inside, z if isinstance(z, str) else None))
     return rows
 
 
@@ -156,19 +142,6 @@ def test_a_survivor_squared_is_refused():
     assert str(exc.value) == REFUSALS["mul"].format(44)
 
 
-def exact_integer(kind, x, y, tau, gap):
-    """The integer a mul or add forms on x and y, by the alignment rules, before normalization."""
-    if kind == "mul":
-        return x.n * y.n
-    if not x.n or not y.n:
-        return x.n + y.n  # the identity add: the other operand's n
-    hi, lo = (x, y) if x.exponent >= y.exponent else (y, x)
-    d = hi.exponent - lo.exponent
-    if d == 0 or 2 * abs(hi.n) << d < tau:
-        return (hi.n << d) + lo.n
-    return hi.n + (shift_round_half_even(lo.n, d) if d < gap else 0)
-
-
 @st.composite
 def programs(draw):
     """1 to 3 literals, then 1 to 12 muls and adds on any two earlier names, temporaries too."""
@@ -182,7 +155,7 @@ def programs(draw):
 
 
 @given(st.sampled_from(PROGRAM_CASES), programs())
-@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @example((DEFAULT_MODULI, DEFAULT_CONFIG), parse_program(SURVIVOR_SQUARED))
 def test_no_program_wraps_silently(case, program):
     """Survivor times survivor products included, every op's result is the exact integer
@@ -190,7 +163,7 @@ def test_no_program_wraps_silently(case, program):
     the first op whose exact integer reaches M/2 raises WrapDetected, sized by that integer."""
     moduli, cfg = case
     ms = ModulusSet(moduli)
-    tau, limit, gap = validate_config(ms, cfg)
+    tau, _, gap = validate_config(ms, cfg)
     steps, raised = [], None
     try:
         steps.extend(run_program(program, ms, cfg))
@@ -199,13 +172,11 @@ def test_no_program_wraps_silently(case, program):
     env = {}
     for name, kind, operands, value in steps:
         if kind != "lit":
-            n = exact_integer(kind, *operands, tau, gap)
-            assert 2 * abs(n) < ms.composite
-            assert (value.n, value.norm_events) == drain(n, limit, cfg.scale_shift_k)
+            assert returned(value, kind, exact_integer(kind, *operands, tau, gap), ms, cfg)
         env[name] = value
     if raised is None:
         assert len(steps) == len(program)
         return
     op = program[len(steps)]  # the op that raised
     n = exact_integer(op.kind, *(env[arg] for arg in op.args), tau, gap)
-    assert 2 * abs(n) >= ms.composite and raised == REFUSALS[op.kind].format(n.bit_length())
+    assert not returned(raised, op.kind, n, ms, cfg)

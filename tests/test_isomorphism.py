@@ -18,22 +18,18 @@ and signed values at +-(M/2 - 1) and, on an even M, -M/2. The library's
 ops need a config that validates on the set, so they run on every set with
 M > 65, under loose(ms), whose detector fires only near M/2. An op picks
 its path from n and the exponent gap alone, so the pins compute the path
-each operand pair takes by the ops' rules (scale up at gap 0 or while
-2|n_hi| * 2^d < tau, else shift down, absorbed from the gap M.bit_length()
-on) and check the op took it. A result may normalize: it is then the op's
-n rounded by the reference shift_round_half_even (tests/rounding.py) once
-per pass, and its norm_events counts the passes the detector asks of that
-n. (3, 5, 7) is swept exhaustively, and reaches every
-path: a product with and without normalization, the scale-up, shift-down
-and absorbed adds, and a refused product, scale-up and shift-down.
+each operand pair takes by the ops' rules (tests/support.py's add_path:
+absorbed from the gap M.bit_length() on) and check the op took it. A
+result may normalize: it is then the op's n rounded by the reference
+shift_round_half_even once per pass, and its norm_events counts the passes
+the detector asks of that n. (3, 5, 7) is swept exhaustively, and reaches
+every path: a product with and without normalization, the scale-up,
+shift-down and absorbed adds, and a refused product, scale-up and
+shift-down.
 
 A set carries its moduli and the constants derived from them, nothing the
 ops leave behind: a pickle or copy is rebuilt from the moduli through the
 checked constructor, which admits only int moduli.
-
-The hypothesis pins run ISOMORPHISM_EXAMPLES examples each: 300, or more
-when the active profile asks for more (tests/conftest.py registers CI's
-"ci").
 """
 
 import copy
@@ -54,7 +50,6 @@ from hrfna import (
     HybridConfig,
     HybridNum,
     ModulusSet,
-    WrapDetected,
     crt_reconstruct,
     encode_signed,
     hrfna_add,
@@ -67,10 +62,16 @@ from hrfna import (
 )
 from hrfna.errors import InvariantViolation
 from hrfna.rns import encode
-from rounding import drain, shift_round_half_even
-
-TWELVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-ISOMORPHISM_EXAMPLES = max(300, settings.default.max_examples)
+from support import (
+    ELEVEN_PRIMES,
+    TWO_CHANNEL,
+    add_path,
+    examples,
+    exact_integer,
+    outcome,
+    returned,
+    shift_round_half_even,
+)
 
 
 @st.composite
@@ -97,39 +98,15 @@ def loose(ms):
     return HybridConfig(Fraction(ms.composite - 1, ms.composite), 1, 3)
 
 
-PRODUCT = "product of {} bits wrapped modulo M; operand bounds misconfigured"
-SUM = "sum of {} bits wrapped modulo M; operands too large for M"
-
-
-def outcome(op, x, y, ms, cfg):
-    """op's result, or the text of the WrapDetected it raised."""
-    try:
-        return op(x, y, ms, cfg)
-    except WrapDetected as exc:
-        return str(exc)
-
-
-def returned(z, n, message, ms, cfg):
-    """Whether the op returned: z is message sized by n when 2|n| >= M, else n drained.
-
-    A returned z is n rounded once per pass while the detector fires, and
-    counts those passes.
-    """
-    if 2 * abs(n) >= ms.composite:
-        assert z == message.format(n.bit_length())
-        return False
-    assert (z.n, z.norm_events) == drain(n, validate_config(ms, cfg)[1], cfg.scale_shift_k)
-    return True
-
-
 def assert_ops_match_channel_ops(a, b, ms, cfg, deltas):
     """hrfna_mul and hrfna_add on a and b against mod_mul and mod_add on their residues.
 
     a * 2^d is the add's hi for each gap d. Returns the paths the ops took.
     """
     ra, rb = encode(a, ms), encode(b, ms)
-    z = outcome(hrfna_mul, HybridNum(a, ms, 0), HybridNum(b, ms, 0), ms, cfg)
-    if returned(z, a * b, PRODUCT, ms, cfg):
+    y = HybridNum(b, ms, 0)
+    z = outcome(hrfna_mul, HybridNum(a, ms, 0), y, ms, cfg)
+    if returned(z, "mul", a * b, ms, cfg):
         assert encode(a * b, ms) == mod_mul(ra, rb, ms)
         paths = {"normalized product" if z.norm_events else "product"}
     else:
@@ -138,15 +115,14 @@ def assert_ops_match_channel_ops(a, b, ms, cfg, deltas):
         return paths  # a zero takes the identity path
     tau, _, gap = validate_config(ms, cfg)
     for d in deltas:
-        z = outcome(hrfna_add, HybridNum(a, ms, d), HybridNum(b, ms, 0), ms, cfg)
-        if d == 0 or 2 * abs(a) << d < tau:
-            path, strategy, n = "scale-up", ALIGN_SCALE_UP, (a << d) + b
-            channel = mod_add(mod_mul(ra, encode(1 << d, ms), ms), rb, ms)
-        else:
-            q = shift_round_half_even(b, d) if d < gap else 0  # from the gap on, b is absorbed
-            path, strategy, n = "shift-down" if d < gap else "absorbed", ALIGN_SHIFT_DOWN, a + q
-            channel = mod_add(ra, encode_signed(q, ms), ms)
-        if returned(z, n, SUM, ms, cfg):
+        x = HybridNum(a, ms, d)
+        z = outcome(hrfna_add, x, y, ms, cfg)
+        path, n = add_path(a, d, tau, gap), exact_integer("add", x, y, tau, gap)
+        if path == "scale-up":
+            strategy, channel = ALIGN_SCALE_UP, mod_add(mod_mul(ra, encode(1 << d, ms), ms), rb, ms)
+        else:  # n - a: b shifted down by d, or 0 where it is absorbed
+            strategy, channel = ALIGN_SHIFT_DOWN, mod_add(ra, encode_signed(n - a, ms), ms)
+        if returned(z, "add", n, ms, cfg):
             assert z.align_strategy == strategy and encode(n, ms) == channel
             paths.add(path)
         else:
@@ -162,13 +138,13 @@ def ties(d, half):
 
 
 @given(coprime_moduli(), st.data())
-@settings(max_examples=ISOMORPHISM_EXAMPLES, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @example((7,), None)
 @example((65535,), None)
-@example((65535, 65534), None)
+@example(TWO_CHANNEL[0], None)
 @example(DEFAULT_MODULI, None)
-@example(TWELVE_PRIMES, None)
-def test_kernels_match_reference(moduli, data):
+@example((2, *ELEVEN_PRIMES), None)
+def test_ops_match_channel_ops(moduli, data):
     ms, twin = ModulusSet(moduli), ModulusSet(moduli)
     M, half = ms.composite, (ms.composite - 1) // 2  # half: the largest |n| with 2|n| < M
     ns = [half, -half, 0, min(1, half), -min(1, half)]
@@ -248,7 +224,7 @@ def forge(ms, **changes):
     return forged
 
 
-def test_only_int_constants_reach_the_generated_source():
+def test_only_int_moduli_build_a_set():
     # Every int op computes with the set's constants (M and its half), so no
     # constructor admits a non-int modulus, and a set forged past the
     # constructor is refused again by every copy of it.
@@ -262,7 +238,7 @@ def test_only_int_constants_reach_the_generated_source():
             rebuild(forged)
 
 
-def test_a_set_with_kernels_pickles_without_them():
+def test_a_set_pickles_to_its_fields_after_ops():
     # The ops keep nothing on the set: after they have run, it holds its fields
     # alone, and a pickle of it is an equal set that computes the same.
     ms = ModulusSet(DEFAULT_MODULI)

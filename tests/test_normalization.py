@@ -2,8 +2,8 @@
 
 The rounding oracle is Python's round() on exact Fractions, which
 implements round half to even independently of the bit-level shift. It
-pins the reference shift_round_half_even (tests/rounding.py), which the
-normalize, kernel and envelope pins compare the library's rounding with.
+pins the reference shift_round_half_even (tests/support.py), which the
+normalize, isomorphism and envelope pins compare the library's rounding with.
 """
 
 import random
@@ -26,7 +26,7 @@ from hrfna import (
     validate_config,
 )
 from hrfna.hybrid import exact_value
-from rounding import drain, shift_round_half_even
+from support import drain, shift_round_half_even
 
 
 class TestShiftRoundHalfEven:

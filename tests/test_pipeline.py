@@ -32,6 +32,7 @@ from hrfna import (
 from hrfna.formats import metrics_json, trace_csv, vectors_text
 from hrfna.pipeline import evaluate_program
 from hrfna.workloads import chained_mac_program
+from support import ELEVEN_PRIMES, TWO_CHANNEL
 
 
 # k = 6 < b - 1 = 11: inside tau * 2^(b-1) < M on the default set, a survivor
@@ -471,13 +472,11 @@ class TestTraceOrder:
     """simulate emits its events already in trace order: by cycle, then
     scheduler, norm, exponent and the lanes (by name), then action."""
 
-    TWO_CHANNEL_CFG = HybridConfig(alpha=Fraction(3, 8192), scale_shift_k=9, operand_bound_bits=10)
-    SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     CASES = (
         (DEFAULT_MODULI, DEFAULT_CONFIG),
         (DEFAULT_MODULI, NARROW_SHIFT_CFG),
-        ((65535, 65534), TWO_CHANNEL_CFG),
-        (SMALL_PRIMES, DEFAULT_CONFIG),
+        TWO_CHANNEL,
+        (ELEVEN_PRIMES, DEFAULT_CONFIG),
     )
 
     @staticmethod
@@ -514,7 +513,7 @@ class TestTraceOrder:
             assert max(norms) == 2
 
     def test_lane_names_sort_as_strings(self, hcfg):
-        ms = ModulusSet(self.SMALL_PRIMES)
+        ms = ModulusSet(ELEVEN_PRIMES)
         validate_config(ms, hcfg)
         sim = simulate(mul_stream(1), DEFAULT_PIPELINE, hcfg, ms)
         units = [e.unit for e in sim.trace if e.action == "retire" and e.unit != "scheduler"]
@@ -589,7 +588,7 @@ class TestExportPins:
             DEFAULT_MODULI, DEFAULT_CONFIG, SKEWED, 6514,
             "46b2ff09c16985159fc89aba0b387805601157a9a6c22761172fe91ce39a2a2b", DEFAULT_JSON),
         "small-primes": (
-            TestTraceOrder.SMALL_PRIMES, DEFAULT_CONFIG, DEFAULT_PIPELINE, 11314,
+            ELEVEN_PRIMES, DEFAULT_CONFIG, DEFAULT_PIPELINE, 11314,
             "47c10c1b32b5b5ab8e806feb7df84053ba85c988b3884e6de4c79411c2b93b75", DEFAULT_JSON),
         "narrow": (
             DEFAULT_MODULI, NARROW, DEFAULT_PIPELINE, 12626,

@@ -1,18 +1,15 @@
 """from_real, normalize, hrfna_mul and hrfna_add pinned to compositions of public helpers.
 
 The reference below rebuilds every field of a result (residues, exponent,
-mantissa n, alignment strategy and normalization count) from mod_mul, mod_add,
-encode_signed, crt_reconstruct and the reference shift_round_half_even
-(tests/rounding.py) alone, with tau
-derived from the config's alpha. It takes each decision on the n that
-crt_reconstruct gives: normalize while 2|n| >= tau, and scale hi up while
-2|n_hi| * 2^delta < tau. from_real is pinned to make_hybrid of an exact Fraction rounding. Each op
+mantissa n, alignment strategy and normalization count) from mod_mul,
+mod_add, encode_signed, crt_reconstruct and the reference
+shift_round_half_even (tests/support.py) alone, with tau derived from the
+config's alpha. It takes each decision on the n that crt_reconstruct gives:
+normalize while 2|n| >= tau, and scale hi up while 2|n_hi| * 2^delta < tau.
+from_real is pinned to make_hybrid of an exact Fraction rounding. Each op
 computes after rns has checked any operand under another set object, so
 every pin is also run with operands rebuilt under an equal set made apart:
 the check must let them through unchanged.
-
-The hypothesis pins run PIN_EXAMPLES examples each: 400, or more when the
-active profile asks for more (tests/conftest.py registers CI's "ci").
 """
 
 import math
@@ -47,19 +44,15 @@ from hrfna import (
     validate_config,
 )
 from hrfna.workloads import mac_sequences
-from rounding import shift_round_half_even
+from support import ELEVEN_PRIMES, TWO_CHANNEL, examples, shift_round_half_even
 
 SETS = {
-    "two": (
-        (65535, 65534),
-        HybridConfig(alpha=Fraction(3, 8192), scale_shift_k=9, operand_bound_bits=10),
-    ),
+    "two": TWO_CHANNEL,
     "default": (DEFAULT_MODULI, DEFAULT_CONFIG),
-    "eleven": ((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37), DEFAULT_CONFIG),
+    "eleven": (ELEVEN_PRIMES, DEFAULT_CONFIG),
 }
 BUILT = {}
 TWINS = {}
-PIN_EXAMPLES = max(400, settings.default.max_examples)
 
 
 def built(name):
@@ -213,21 +206,21 @@ def wide_operand(draw):
 
 class TestAgainstChannelOps:
     @given(operands(wide_both=False))
-    @settings(max_examples=PIN_EXAMPLES, deadline=None)
+    @settings(max_examples=examples(400), deadline=None)
     def test_mul(self, case):
         x, y, ms, cfg = case
         assert fields(hrfna_mul(x, y, ms, cfg)) == ref_mul(x, y, ms, cfg)
         assert_apart_agrees(hrfna_mul, x, y, ms, cfg)
 
     @given(st.one_of(operands(wide_both=False), operands(wide_both=True)))
-    @settings(max_examples=PIN_EXAMPLES, deadline=None)
+    @settings(max_examples=examples(400), deadline=None)
     def test_add(self, case):
         x, y, ms, cfg = case
         assert fields(hrfna_add(x, y, ms, cfg)) == ref_add(x, y, ms, cfg)
         assert_apart_agrees(hrfna_add, x, y, ms, cfg)
 
     @given(wide_operand())
-    @settings(max_examples=PIN_EXAMPLES, deadline=None)
+    @settings(max_examples=examples(400), deadline=None)
     def test_normalize(self, case):
         h, ms, cfg = case
         try:
@@ -242,7 +235,7 @@ class TestAgainstChannelOps:
         assert fields(normalize(apart(h), ms, cfg)) == expected
 
     @given(st.sampled_from(sorted(SETS)), st.floats(allow_nan=False, allow_infinity=False))
-    @settings(max_examples=PIN_EXAMPLES, deadline=None)
+    @settings(max_examples=examples(400), deadline=None)
     @example("default", 2.0**-1074)
     @example("default", -1.7976931348623157e308)
     @example("two", 0.99951171875)  # rounds up to 2^(b-1) = 512 and moves to the next exponent

@@ -23,8 +23,7 @@ from hrfna import (
     signed_value,
 )
 from hrfna.workloads import _chain_exact, mac_sequences, relative_error
-
-EXAMPLES = max(500, settings.default.max_examples)
+from support import examples
 
 
 def plain(approx, exact):
@@ -77,7 +76,7 @@ pairs = approx_pairs.flatmap(lambda approx: st.tuples(st.just(approx), exact_for
 
 class TestPinnedToPlainFraction:
     @given(pairs)
-    @settings(max_examples=EXAMPLES, deadline=None)
+    @settings(max_examples=examples(500), deadline=None)
     @example(((0, 5), (7, -3)))  # a zero approx: the error is 1
     @example(((-3, 2), (3, 2)))  # opposite signs
     @example(((6, -1), (3, 0)))  # equal values, both shift orders below
@@ -89,7 +88,7 @@ class TestPinnedToPlainFraction:
         assert_pinned(approx, exact)
 
     @given(approx_pairs, shifts)
-    @settings(max_examples=EXAMPLES, deadline=None)
+    @settings(max_examples=examples(500), deadline=None)
     def test_exact_zero(self, approx, t):
         (a, x) = approx
         if a == 0:

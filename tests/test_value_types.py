@@ -23,6 +23,7 @@ from hrfna import (
 )
 from hrfna.rns import encode
 from hrfna.workloads import DriftReport
+from support import ELEVEN_PRIMES
 
 RESIDUE_FIELDS = ("residues", "set_ref")
 HYBRID_FIELDS = ("n", "set_ref", "exponent", "align_strategy", "norm_events", "mantissa")
@@ -143,9 +144,7 @@ class TestRecords:
         assert SimResult(results, trace, metrics) == (results, trace, metrics, ())
         assert names == ("t0", "t1")
 
-    @pytest.mark.parametrize(
-        "moduli", [DEFAULT_MODULI, (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)], ids=len
-    )
+    @pytest.mark.parametrize("moduli", [DEFAULT_MODULI, ELEVEN_PRIMES], ids=len)
     def test_residue_vector_replace_and_make(self, moduli):
         # A ResidueVector is a two-field tuple whatever its channel count.
         ms = ModulusSet(moduli)

@@ -38,6 +38,7 @@ from hrfna.workloads import (
     mac_sequences,
     relative_error,
 )
+from support import ELEVEN_PRIMES, REFUSALS, examples
 
 
 class TestChainedMac:
@@ -94,7 +95,7 @@ class TestChainedMac:
         validate_config(default_ms, cfg)
         with pytest.raises(WrapDetected) as exc:
             chained_mac(0, 3000, default_ms, cfg)
-        assert str(exc.value).startswith("product of 36 bits wrapped modulo M")
+        assert str(exc.value) == REFUSALS["mul"].format(36)
         assert isinstance(exc.value, HrfnaError)
 
     @pytest.mark.xfail(
@@ -104,7 +105,7 @@ class TestChainedMac:
         " this set the chain drifts 3.18e-4 against a bound of 2.15e-4",
     )
     def test_eleven_modulus_chain_stays_within_its_bound(self, hcfg):
-        ms = ModulusSet((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+        ms = ModulusSet(ELEVEN_PRIMES)
         validate_config(ms, hcfg)
         run_mac_chain(*mac_sequences(1, 300), ms, hcfg)
 
@@ -242,8 +243,6 @@ def sequential_chain(start, steps):
 
 
 pairs = st.tuples(st.integers(-(2**40), 2**40) | st.just(0), st.integers(-70, 70))
-# 200 examples, or more when the active profile (CI's ci) asks for more.
-FOLD_EXAMPLES = max(200, settings.default.max_examples)
 
 
 def far_below(n):
@@ -253,7 +252,7 @@ def far_below(n):
 
 class TestExactOracle:
     @given(pairs, st.lists(st.tuples(pairs, pairs), max_size=300))
-    @settings(max_examples=FOLD_EXAMPLES, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     # Lengths at the edges of _chain_exact's runs of _RUN maps, the start map first.
     @example((5, 40), far_below(0))
     @example((5, 40), far_below(1))
