@@ -18,7 +18,7 @@ from hrfna.hybrid import DEFAULT_CONFIG, HybridConfig, HybridNum
 from hrfna.pipeline import DEFAULT_PIPELINE, Op, PipelineConfig
 from hrfna.rns import DEFAULT_MODULI, ModulusSet, _new
 
-CONFIG_FORMAT = "hrfna-config v1"
+CONFIG_FORMAT = "hrfna-config v2"
 RECORD_FORMAT = "hrfna-hybrid v1"
 PROGRAM_FORMAT = "hrfna-program v1"
 TRACE_FORMAT = "hrfna-trace v1"

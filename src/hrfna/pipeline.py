@@ -7,7 +7,7 @@ stage shorter than the residue pipeline and starts align_offset_d cycles
 late, so both paths retire in the same cycle. A four-state scheduler FSM
 (Idle, Execute, Normalize, Resume) freezes every stage and blocks issue
 while the normalization engine runs; each normalization event costs
-norm_engine_stages * cycles_per_norm_stage stall cycles.
+norm_latency stall cycles.
 
 Values are computed by the hybrid arithmetic functions before any timing
 is modeled, so the simulator can never alter results. simulate calls
@@ -51,22 +51,23 @@ MAX_STAGE_DEPTH = 32  # policy bound: the trace grows linearly with every depth
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Stage depths of the datapath; the defaults sum to the 10-cycle budget."""
+    """Stage depths of the datapath and the stall cycles per normalization.
+
+    The end-to-end latency is total_stages, 10 cycles at the defaults.
+    """
 
     residue_stages: int = 5
     exponent_stages: int = 4
-    norm_engine_stages: int = 3
-    cycles_per_norm_stage: int = 2
+    norm_latency: int = 6
     input_stages: int = 2
     post_stages: int = 3
-    end_to_end_latency: int = 10
 
     def __post_init__(self):
-        for f in fields(self):  # every stage depth and the budget, before any range
+        for f in fields(self):  # every field's type, before any range
             value = getattr(self, f.name)
             if type(value) is not int:  # so also a bool or an integral float
                 raise InvariantViolation("stage-depths", f"{f.name} = {value!r} is not an int")
-        for f in fields(self)[:-1]:  # every stage depth; the last field is the budget
+        for f in fields(self):
             depth = getattr(self, f.name)
             if not 1 <= depth <= MAX_STAGE_DEPTH:
                 raise InvariantViolation(
@@ -74,24 +75,15 @@ class PipelineConfig:
                 )
         if self.align_offset_d < 0:  # the exponent path would retire after the lanes
             raise InvariantViolation("align-offset", f"align_offset_d = {self.align_offset_d} < 0")
-        if self.total_stages != self.end_to_end_latency:
-            raise InvariantViolation(
-                "latency-budget",
-                f"input + residue + post stages = {self.total_stages} != {self.end_to_end_latency}",
-            )
 
     @property
     def align_offset_d(self) -> int:
         """Recomputed, never stored: the exponent path starts this many cycles late."""
         return self.residue_stages - self.exponent_stages
 
-    @cached_property
-    def norm_latency(self) -> int:
-        """Stall cycles per normalization; computed once per config."""
-        return self.norm_engine_stages * self.cycles_per_norm_stage
-
     @property
     def total_stages(self) -> int:
+        """The end-to-end latency: input, residue and post stages."""
         return self.input_stages + self.residue_stages + self.post_stages
 
     @cached_property

@@ -36,11 +36,28 @@ RECORD_SETS = tuple(ModulusSet(moduli) for moduli in (DEFAULT_MODULI, TWO_CHANNE
 # On the even M = 65535 * 65534 the residues of M/2 reconstruct to -M/2,
 # which is its own negation modulo M and so has no signed encoding.
 HALF_M_RECORD = "hrfna-hybrid v1 0000 7fff 0"
+DEFAULT_CONFIG_JSON = """{
+  "format": "hrfna-config v2",
+  "moduli": [
+    4093,
+    4095,
+    4091
+  ],
+  "alpha_num": 3,
+  "alpha_den": 8192,
+  "k": 11,
+  "b": 12,
+  "residue_stages": 5,
+  "exponent_stages": 4,
+  "norm_latency": 6,
+  "input_stages": 2,
+  "post_stages": 3
+}
+"""
 DEPTH_FIELDS = (
     "residue_stages",
     "exponent_stages",
-    "norm_engine_stages",
-    "cycles_per_norm_stage",
+    "norm_latency",
     "input_stages",
     "post_stages",
 )
@@ -62,7 +79,21 @@ class TestConfigFormat:
         monkeypatch.delenv("HRFNA_CONFIG", raising=False)
         ms, hcfg, pcfg = load_config(None)
         assert ms.moduli == (4093, 4095, 4091)
-        assert (pcfg.residue_stages, pcfg.exponent_stages, pcfg.norm_engine_stages) == (5, 4, 3)
+        assert (pcfg.residue_stages, pcfg.exponent_stages, pcfg.norm_latency) == (5, 4, 6)
+
+    def test_default_config_bytes(self):
+        assert formats.config_json(*formats.default_configs()) == DEFAULT_CONFIG_JSON
+
+    def test_v1_config_refused(self, tmp_path, capsys, default_ms, hcfg, pcfg):
+        # v1 carried the engine's stage count, its cycles per stage and a
+        # latency budget in place of norm_latency; the format is refused first.
+        data = config_to_dict(default_ms, hcfg, pcfg)
+        del data["norm_latency"]
+        data.update(format="hrfna-config v1", norm_engine_stages=3, cycles_per_norm_stage=2,
+                    end_to_end_latency=10)
+        with pytest.raises(ParseError, match="^unsupported config format 'hrfna-config v1'$"):
+            config_from_dict(data)
+        assert_cli_rejects(tmp_path, capsys, data, "error: ParseError: unsupported config format")
 
     def test_round_trip(self, tmp_path, default_ms, hcfg, pcfg):
         path = str(tmp_path / "config.json")
@@ -103,12 +134,10 @@ class TestConfigFormat:
             config_from_dict(data)
         assert exc.value.name == "shift-bound"
 
-    def test_latency_budget_rejected(self, default_ms, hcfg, pcfg):
+    def test_latency_is_the_stage_sum(self, default_ms, hcfg, pcfg):
         data = config_to_dict(default_ms, hcfg, pcfg)
         data["input_stages"] = 4
-        with pytest.raises(InvariantViolation) as exc:
-            config_from_dict(data)
-        assert exc.value.name == "latency-budget"
+        assert config_from_dict(data)[2].total_stages == 4 + 5 + 3
 
     @pytest.mark.parametrize(
         "field, value, name",
@@ -138,7 +167,7 @@ class TestConfigFormat:
             ("k", 1.5),
             ("moduli", "5789"),
             ("k", True),
-            ("format", "hrfna-config v2"),
+            ("format", "hrfna-config v3"),
         ],
     )
     def test_malformed_field_is_parse_error(
@@ -165,13 +194,19 @@ class TestConfigFormat:
         assert exc.value.name == "operand-bound"
 
     @pytest.mark.parametrize(
-        "extra", [{"residue_stage": 6}, {"alpha": 0.5}, {"residue_stage": 6, "alpha": 0.5}]
+        "extra",
+        [
+            {"residue_stage": 6},
+            {"alpha": 0.5},
+            {"residue_stage": 6, "alpha": 0.5},
+            {"end_to_end_latency": 10},  # a v1 key: the latency is total_stages
+        ],
     )
     def test_unknown_key_is_parse_error(self, tmp_path, capsys, default_ms, hcfg, pcfg, extra):
         data = {**config_to_dict(default_ms, hcfg, pcfg), **extra}
         with pytest.raises(ParseError) as exc:
             config_from_dict(data)
-        assert all(repr(key) in str(exc.value) for key in extra)
+        assert str(exc.value) == f"unknown config keys: {', '.join(sorted(map(repr, extra)))}"
         path = tmp_path / "extra.json"
         path.write_text(json.dumps(data))
         assert main(["--config", str(path), "encode", "1.5"]) == 1
@@ -212,8 +247,8 @@ class TestConfigFormat:
 
     def test_deepest_stages_load(self, default_ms, hcfg):
         assert MAX_STAGE_DEPTH == 32
-        pcfg = PipelineConfig(**dict.fromkeys(DEPTH_FIELDS, 32), end_to_end_latency=96)
-        assert pcfg.align_offset_d == 0
+        pcfg = PipelineConfig(**dict.fromkeys(DEPTH_FIELDS, 32))
+        assert (pcfg.align_offset_d, pcfg.norm_latency, pcfg.total_stages) == (0, 32, 96)
         assert config_from_dict(config_to_dict(default_ms, hcfg, pcfg))[2] == pcfg
 
     def test_exponent_path_longer_than_residue_path(self, tmp_path, capsys, default_ms, hcfg):
@@ -625,7 +660,7 @@ class TestCli:
         assert proc.stdout.startswith("hrfna-hybrid v1 ")
 
     def test_config_save_writes_what_it_prints(self, tmp_path):
-        configs = RECORD_SETS[1], TWO_CHANNEL[1], PipelineConfig(norm_engine_stages=5)
+        configs = RECORD_SETS[1], TWO_CHANNEL[1], PipelineConfig(norm_latency=10)
         source, saved = tmp_path / "source.json", tmp_path / "saved.json"
         save_config(str(source), *configs)
         code, out, err = self.run("--config", str(source), "config", "--save", str(saved))

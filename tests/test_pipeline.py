@@ -4,6 +4,7 @@ import gc
 import hashlib
 import pickle
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -85,9 +86,10 @@ def tau_crossing_program(extra_muls=0):
 
 class TestPipelineConfig:
     def test_defaults_match_stage_budget(self, pcfg):
-        assert (pcfg.residue_stages, pcfg.exponent_stages, pcfg.norm_engine_stages) == (5, 4, 3)
-        assert pcfg.norm_latency == 6
-        assert pcfg.total_stages == pcfg.end_to_end_latency == 10
+        assert [f.name for f in fields(PipelineConfig)] == [
+            "residue_stages", "exponent_stages", "norm_latency", "input_stages", "post_stages"]
+        assert (pcfg.residue_stages, pcfg.exponent_stages, pcfg.norm_latency) == (5, 4, 6)
+        assert pcfg.total_stages == 10
 
     def test_offset_recomputed_not_trusted(self, pcfg):
         assert pcfg.align_offset_d == pcfg.residue_stages - pcfg.exponent_stages == 1
@@ -97,17 +99,19 @@ class TestPipelineConfig:
     def test_stage_validation(self):
         with pytest.raises(ValueError, match="stage-depths"):
             PipelineConfig(residue_stages=0)
-        with pytest.raises(ValueError, match="latency-budget"):
-            PipelineConfig(input_stages=3)
+        with pytest.raises(ValueError, match="stage-depths"):
+            PipelineConfig(norm_latency=0)
+        # The latency is the stage sum: no budget field to disagree with it.
+        assert PipelineConfig(input_stages=3).total_stages == 11
 
     @pytest.mark.parametrize(
         "depths",
         [
             dict(residue_stages=5.0),
-            dict(input_stages=True, post_stages=4),  # sums to the budget
-            dict(norm_engine_stages="3"),
-            dict(cycles_per_norm_stage=0.5),  # out of range too: the type is checked first
-            dict(end_to_end_latency=10.0),
+            dict(input_stages=True),
+            dict(norm_latency="6"),
+            dict(norm_latency=0.5),  # out of range too: the type is checked first
+            dict(post_stages=3.0),
         ],
     )
     def test_stage_types(self, depths):
@@ -115,11 +119,11 @@ class TestPipelineConfig:
             PipelineConfig(**depths)
 
     def test_derived_depths_kept_once_per_config(self):
-        depths = dict(norm_engine_stages=2, cycles_per_norm_stage=3, input_stages=3, post_stages=2)
+        depths = dict(input_stages=3, post_stages=2)
         cfg = PipelineConfig(**depths)
-        assert (cfg.detect_stage, cfg.norm_latency) == (8, 6)
-        assert {"detect_stage", "norm_latency"} <= set(vars(cfg))
-        # The kept values are not fields: equality, hashing and repr ignore them.
+        assert cfg.detect_stage == 8
+        assert "detect_stage" in vars(cfg)
+        # The kept value is not a field: equality, hashing and repr ignore it.
         twin = PipelineConfig(**depths)
         assert twin == cfg and hash(twin) == hash(cfg) and repr(twin) == repr(cfg)
         with pytest.raises(AttributeError):
@@ -267,7 +271,7 @@ class TestClosedForm:
     CONFIGS = (
         DEFAULT_PIPELINE,
         PipelineConfig(residue_stages=6, exponent_stages=3, post_stages=2),
-        PipelineConfig(norm_engine_stages=1, cycles_per_norm_stage=1),
+        PipelineConfig(norm_latency=1),
     )
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=40), st.sampled_from(CONFIGS))
@@ -522,7 +526,7 @@ class TestTraceOrder:
 
     def test_back_to_back_windows_share_a_cycle(self, default_ms):
         ops = [Op("lit", name="a", value=1.006), Op("mul", args=("a", "a")), Op("mul", args=("t0", "a"))]
-        cfg = PipelineConfig(norm_engine_stages=1, cycles_per_norm_stage=1)
+        cfg = PipelineConfig(norm_latency=1)
         sim = simulate(ops, cfg, NARROW_SHIFT_CFG, default_ms)
         begins = [e.cycle for e in sim.trace if e.action == "norm-begin"]
         ends = [e.cycle for e in sim.trace if e.action == "norm-end"]
@@ -571,7 +575,8 @@ class TestExportPins:
     format or the metrics breaks them.
     """
 
-    ONE_CYCLE = PipelineConfig(norm_engine_stages=1, cycles_per_norm_stage=1)
+    ONE_CYCLE = PipelineConfig(norm_latency=1)
+    TEN_CYCLE = PipelineConfig(norm_latency=10)
     SKEWED = PipelineConfig(residue_stages=6, exponent_stages=3, post_stages=2)
     # In the envelope, with back-to-back windows of up to 4 normalizations per op.
     NARROW = HybridConfig(alpha=Fraction(3, 8192), scale_shift_k=3, operand_bound_bits=12)
@@ -584,6 +589,10 @@ class TestExportPins:
             DEFAULT_MODULI, DEFAULT_CONFIG, ONE_CYCLE, 5074,
             "a47a20a2f0951214d4637c2394a521b0f73cdc16a8d5de637d75fe8191fbcbb9",
             "10fcac9532e48b1995a3e9cec1b706d8dbf173da3649cdcf48bea65d56279fef"),
+        "ten-cycle-engine": (
+            DEFAULT_MODULI, DEFAULT_CONFIG, TEN_CYCLE, 7666,
+            "8f682874d3c60b2912d7dde7f70e1befaf5a48980eed3569279ab790540d7220",
+            "e7427ad34223a6e5cc0bb669d2b77eaf2e4b93b05e0028a081e1dd39abe4023d"),
         "skewed": (
             DEFAULT_MODULI, DEFAULT_CONFIG, SKEWED, 6514,
             "46b2ff09c16985159fc89aba0b387805601157a9a6c22761172fe91ce39a2a2b", DEFAULT_JSON),
