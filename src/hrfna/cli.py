@@ -73,8 +73,7 @@ def _run(args) -> int:
         return 0
 
     if args.command in ("simulate", "vectors"):
-        with open(args.program) as fh:
-            program = formats.parse_program(fh.read())
+        program = formats.load_program(args.program)
 
     if args.command == "simulate":
         sim = pipeline.simulate(program, pcfg, hcfg, ms)

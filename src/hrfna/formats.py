@@ -18,7 +18,7 @@ from hrfna.hybrid import DEFAULT_CONFIG, HybridConfig, HybridNum
 from hrfna.pipeline import DEFAULT_PIPELINE, Op, PipelineConfig
 from hrfna.rns import DEFAULT_MODULI, ModulusSet, _new
 
-CONFIG_FORMAT = "hrfna-config v2"
+CONFIG_FORMAT = "hrfna-config v3"
 RECORD_FORMAT = "hrfna-hybrid v1"
 PROGRAM_FORMAT = "hrfna-program v1"
 TRACE_FORMAT = "hrfna-trace v1"
@@ -105,9 +105,9 @@ def config_from_dict(data: dict) -> tuple[ModulusSet, HybridConfig, PipelineConf
 def load_config(path: str | None = None) -> tuple[ModulusSet, HybridConfig, PipelineConfig]:
     """Load configs from path, the HRFNA_CONFIG env var, or defaults when neither is set.
 
-    A missing file, and any ValueError while reading it (malformed JSON,
-    bytes that do not decode, an integer past int's digit limit), raise
-    ParseError.
+    A missing file, any ValueError while reading it (malformed JSON, bytes
+    that do not decode, an integer past int's digit limit) and JSON nested
+    past the parser's recursion limit raise ParseError.
     """
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
@@ -120,6 +120,8 @@ def load_config(path: str | None = None) -> tuple[ModulusSet, HybridConfig, Pipe
         raise ParseError(f"config file not found: {path}") from None
     except ValueError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"invalid JSON in {path}: nested too deeply") from None
     return config_from_dict(data)
 
 
@@ -197,6 +199,16 @@ def parse_program(text: str) -> list[Op]:
                 continue
         raise ParseError(f"unrecognized program line {ln!r}")
     return ops
+
+
+def load_program(path: str) -> list[Op]:
+    """parse_program of the UTF-8 file at path; ParseError for bytes that do not decode."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"program {path} is not UTF-8: {exc}") from None
+    return parse_program(text)
 
 
 def program_text(ops) -> str:

@@ -1,13 +1,12 @@
 """Cycle-accurate model of the arithmetic pipeline and its scheduler.
 
-The datapath is a linear pipe: input registration stages, one residue
-stage column per cycle (all lanes advance together), then post stages
-(threshold detect, merge, output register). The exponent pipeline is one
-stage shorter than the residue pipeline and starts align_offset_d cycles
-late, so both paths retire in the same cycle. A four-state scheduler FSM
-(Idle, Execute, Normalize, Resume) freezes every stage and blocks issue
-while the normalization engine runs; each normalization event costs
-norm_latency stall cycles.
+The datapath is a linear pipe: detect_stage stages of input registration
+and residue columns (all lanes advance together), then post stages
+(threshold detect, merge, output register). The exponent path is not
+timed apart: it and every lane retire into the detect stage in the same
+cycle. A four-state scheduler FSM (Idle, Execute, Normalize, Resume)
+freezes every stage and blocks issue while the normalization engine
+runs; each normalization event costs norm_latency stall cycles.
 
 Values are computed by the hybrid arithmetic functions before any timing
 is modeled, so the simulator can never alter results. simulate calls
@@ -19,7 +18,6 @@ the other; a closed form that skips cycles must first decouple the tracer.
 import enum
 import statistics
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import NamedTuple
 
 from hrfna import arithmetic, hybrid
@@ -53,14 +51,14 @@ MAX_STAGE_DEPTH = 32  # policy bound: the trace grows linearly with every depth
 class PipelineConfig:
     """Stage depths of the datapath and the stall cycles per normalization.
 
-    The end-to-end latency is total_stages, 10 cycles at the defaults.
+    detect_stage counts the stages before threshold detect (input and
+    residue registration), post_stages those from detect on. The
+    end-to-end latency is total_stages, 10 cycles at the defaults.
     """
 
-    residue_stages: int = 5
-    exponent_stages: int = 4
-    norm_latency: int = 6
-    input_stages: int = 2
+    detect_stage: int = 7
     post_stages: int = 3
+    norm_latency: int = 6
 
     def __post_init__(self):
         for f in fields(self):  # every field's type, before any range
@@ -73,23 +71,11 @@ class PipelineConfig:
                 raise InvariantViolation(
                     "stage-depths", f"{f.name} = {depth} not in 1..{MAX_STAGE_DEPTH}"
                 )
-        if self.align_offset_d < 0:  # the exponent path would retire after the lanes
-            raise InvariantViolation("align-offset", f"align_offset_d = {self.align_offset_d} < 0")
-
-    @property
-    def align_offset_d(self) -> int:
-        """Recomputed, never stored: the exponent path starts this many cycles late."""
-        return self.residue_stages - self.exponent_stages
 
     @property
     def total_stages(self) -> int:
-        """The end-to-end latency: input, residue and post stages."""
-        return self.input_stages + self.residue_stages + self.post_stages
-
-    @cached_property
-    def detect_stage(self) -> int:
-        """First post stage, where threshold detection fires; computed once per config."""
-        return self.input_stages + self.residue_stages
+        """The end-to-end latency: the stages before detect and from it on."""
+        return self.detect_stage + self.post_stages
 
 
 DEFAULT_PIPELINE = PipelineConfig()

@@ -37,7 +37,7 @@ RECORD_SETS = tuple(ModulusSet(moduli) for moduli in (DEFAULT_MODULI, TWO_CHANNE
 # which is its own negation modulo M and so has no signed encoding.
 HALF_M_RECORD = "hrfna-hybrid v1 0000 7fff 0"
 DEFAULT_CONFIG_JSON = """{
-  "format": "hrfna-config v2",
+  "format": "hrfna-config v3",
   "moduli": [
     4093,
     4095,
@@ -47,20 +47,12 @@ DEFAULT_CONFIG_JSON = """{
   "alpha_den": 8192,
   "k": 11,
   "b": 12,
-  "residue_stages": 5,
-  "exponent_stages": 4,
-  "norm_latency": 6,
-  "input_stages": 2,
-  "post_stages": 3
+  "detect_stage": 7,
+  "post_stages": 3,
+  "norm_latency": 6
 }
 """
-DEPTH_FIELDS = (
-    "residue_stages",
-    "exponent_stages",
-    "norm_latency",
-    "input_stages",
-    "post_stages",
-)
+DEPTH_FIELDS = ("detect_stage", "post_stages", "norm_latency")
 
 
 def assert_cli_rejects(tmp_path, capsys, data, prefix):
@@ -79,7 +71,7 @@ class TestConfigFormat:
         monkeypatch.delenv("HRFNA_CONFIG", raising=False)
         ms, hcfg, pcfg = load_config(None)
         assert ms.moduli == (4093, 4095, 4091)
-        assert (pcfg.residue_stages, pcfg.exponent_stages, pcfg.norm_latency) == (5, 4, 6)
+        assert (pcfg.detect_stage, pcfg.post_stages, pcfg.norm_latency) == (7, 3, 6)
 
     def test_default_config_bytes(self):
         assert formats.config_json(*formats.default_configs()) == DEFAULT_CONFIG_JSON
@@ -92,6 +84,16 @@ class TestConfigFormat:
         data.update(format="hrfna-config v1", norm_engine_stages=3, cycles_per_norm_stage=2,
                     end_to_end_latency=10)
         with pytest.raises(ParseError, match="^unsupported config format 'hrfna-config v1'$"):
+            config_from_dict(data)
+        assert_cli_rejects(tmp_path, capsys, data, "error: ParseError: unsupported config format")
+
+    def test_v2_config_refused(self, tmp_path, capsys, default_ms, hcfg, pcfg):
+        # v2 split the stages before detect into input and residue stages and
+        # carried an exponent depth; the format is refused first.
+        data = config_to_dict(default_ms, hcfg, pcfg)
+        del data["detect_stage"]
+        data.update(format="hrfna-config v2", residue_stages=5, exponent_stages=4, input_stages=2)
+        with pytest.raises(ParseError, match="^unsupported config format 'hrfna-config v2'$"):
             config_from_dict(data)
         assert_cli_rejects(tmp_path, capsys, data, "error: ParseError: unsupported config format")
 
@@ -136,8 +138,8 @@ class TestConfigFormat:
 
     def test_latency_is_the_stage_sum(self, default_ms, hcfg, pcfg):
         data = config_to_dict(default_ms, hcfg, pcfg)
-        data["input_stages"] = 4
-        assert config_from_dict(data)[2].total_stages == 4 + 5 + 3
+        data["detect_stage"] = 9
+        assert config_from_dict(data)[2].total_stages == 9 + 3
 
     @pytest.mark.parametrize(
         "field, value, name",
@@ -145,7 +147,7 @@ class TestConfigFormat:
             ("moduli", [3, 1, 7], "modulus-minimum"),
             ("moduli", [3, 1 << 16], "modulus-width"),
             ("alpha_num", 8192, "hybrid-config"),
-            ("residue_stages", 0, "stage-depths"),
+            ("detect_stage", 0, "stage-depths"),
             ("k", 0, "hybrid-config"),
             ("b", 2, "hybrid-config"),
         ],
@@ -161,13 +163,13 @@ class TestConfigFormat:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("residue_stages", None),
+            ("detect_stage", None),
             ("alpha_den", 0),
-            ("residue_stages", "x"),
+            ("detect_stage", "x"),
             ("k", 1.5),
             ("moduli", "5789"),
             ("k", True),
-            ("format", "hrfna-config v3"),
+            ("format", "hrfna-config v4"),
         ],
     )
     def test_malformed_field_is_parse_error(
@@ -248,25 +250,17 @@ class TestConfigFormat:
     def test_deepest_stages_load(self, default_ms, hcfg):
         assert MAX_STAGE_DEPTH == 32
         pcfg = PipelineConfig(**dict.fromkeys(DEPTH_FIELDS, 32))
-        assert (pcfg.align_offset_d, pcfg.norm_latency, pcfg.total_stages) == (0, 32, 96)
+        assert (pcfg.detect_stage, pcfg.norm_latency, pcfg.total_stages) == (32, 32, 64)
         assert config_from_dict(config_to_dict(default_ms, hcfg, pcfg))[2] == pcfg
 
-    def test_exponent_path_longer_than_residue_path(self, tmp_path, capsys, default_ms, hcfg):
-        with pytest.raises(InvariantViolation) as exc:
-            PipelineConfig(exponent_stages=9)
-        assert exc.value.name == "align-offset"
-        data = {**config_to_dict(default_ms, hcfg, DEFAULT_PIPELINE), "exponent_stages": 6}
-        with pytest.raises(InvariantViolation) as exc:
-            config_from_dict(data)
-        assert exc.value.name == "align-offset"
-        assert_cli_rejects(tmp_path, capsys, data, "error: InvariantViolation: align-offset")
-        # Equal path lengths (offset 0) stay legal.
-        data["exponent_stages"] = data["residue_stages"]
-        assert config_from_dict(data)[2].align_offset_d == 0
+    def test_shallowest_stages_load(self, default_ms, hcfg):
+        pcfg = PipelineConfig(**dict.fromkeys(DEPTH_FIELDS, 1))
+        assert (pcfg.detect_stage, pcfg.norm_latency, pcfg.total_stages) == (1, 1, 2)
+        assert config_from_dict(config_to_dict(default_ms, hcfg, pcfg))[2] == pcfg
 
     def test_integral_numbers_still_load(self, default_ms, hcfg, pcfg):
         data = config_to_dict(default_ms, hcfg, pcfg)
-        data.update(k=11.0, residue_stages="5", moduli=[4093.0, "4095", 4091])
+        data.update(k=11.0, detect_stage="7", moduli=[4093.0, "4095", 4091])
         assert config_from_dict(data) == (default_ms, hcfg, pcfg)
 
     def test_parse_error_on_bad_json(self, tmp_path):
@@ -279,16 +273,19 @@ class TestConfigFormat:
         with pytest.raises(ParseError):
             load_config(str(tmp_path / "absent.json"))
 
-    @pytest.mark.parametrize("kind", ["digit-limit", "undecodable"])
+    @pytest.mark.parametrize("kind", ["digit-limit", "undecodable", "nested"])
     def test_unreadable_file_is_parse_error(self, tmp_path, capsys, default_ms, hcfg, pcfg, kind):
         text = json.dumps(config_to_dict(default_ms, hcfg, pcfg))
         if kind == "digit-limit":
             # b as a 5,000-digit literal: past int's digit limit, a ValueError inside json.
             data = text.replace('"b": 12,', f'"b": {"1" + "0" * 4999},').encode()
             assert len(data) > 5000
-        else:
+        elif kind == "undecodable":
             # A UTF-16 byte-order mark: 0xff starts no UTF-8 sequence.
             data = b"\xff\xfe" + text.encode("utf-16-le")
+        else:
+            # 10^5 nested lists: past the JSON parser's recursion limit.
+            data = b"[" * 10**5 + b"]" * 10**5
         path = tmp_path / "unreadable.json"
         path.write_bytes(data)
         with pytest.raises(ParseError, match="^invalid JSON in "):
@@ -628,6 +625,18 @@ class TestCli:
         assert out == ""
         assert err == f"error: WrapDetected: {REFUSALS['mul'].format(36)}\n"
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "vectors"])
+    def test_program_not_utf8_is_parse_error(self, tmp_path, command):
+        path = tmp_path / "latin1.prog"
+        path.write_bytes("hrfna-program v1\n# caf\u00e9\nlit a 1.5\nmul a a\n".encode("latin-1"))
+        with pytest.raises(ParseError, match="is not UTF-8"):
+            formats.load_program(str(path))
+        code, out, err = self.run(command, str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: ParseError: program {path} is not UTF-8: ")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.glob("latin1.prog.*"))  # simulate wrote no trace or metrics
 
     def test_vectors_command_deterministic(self, tmp_path):
         path = tmp_path / "p.prog"

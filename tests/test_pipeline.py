@@ -87,28 +87,23 @@ def tau_crossing_program(extra_muls=0):
 class TestPipelineConfig:
     def test_defaults_match_stage_budget(self, pcfg):
         assert [f.name for f in fields(PipelineConfig)] == [
-            "residue_stages", "exponent_stages", "norm_latency", "input_stages", "post_stages"]
-        assert (pcfg.residue_stages, pcfg.exponent_stages, pcfg.norm_latency) == (5, 4, 6)
+            "detect_stage", "post_stages", "norm_latency"]
+        assert (pcfg.detect_stage, pcfg.post_stages, pcfg.norm_latency) == (7, 3, 6)
         assert pcfg.total_stages == 10
-
-    def test_offset_recomputed_not_trusted(self, pcfg):
-        assert pcfg.align_offset_d == pcfg.residue_stages - pcfg.exponent_stages == 1
-        wide = PipelineConfig(residue_stages=6, exponent_stages=3, post_stages=2)
-        assert wide.align_offset_d == 3
 
     def test_stage_validation(self):
         with pytest.raises(ValueError, match="stage-depths"):
-            PipelineConfig(residue_stages=0)
+            PipelineConfig(detect_stage=0)
         with pytest.raises(ValueError, match="stage-depths"):
             PipelineConfig(norm_latency=0)
         # The latency is the stage sum: no budget field to disagree with it.
-        assert PipelineConfig(input_stages=3).total_stages == 11
+        assert PipelineConfig(detect_stage=8).total_stages == 11
 
     @pytest.mark.parametrize(
         "depths",
         [
-            dict(residue_stages=5.0),
-            dict(input_stages=True),
+            dict(detect_stage=7.0),
+            dict(detect_stage=True),
             dict(norm_latency="6"),
             dict(norm_latency=0.5),  # out of range too: the type is checked first
             dict(post_stages=3.0),
@@ -117,17 +112,6 @@ class TestPipelineConfig:
     def test_stage_types(self, depths):
         with pytest.raises(ValueError, match="stage-depths: .* is not an int"):
             PipelineConfig(**depths)
-
-    def test_derived_depths_kept_once_per_config(self):
-        depths = dict(input_stages=3, post_stages=2)
-        cfg = PipelineConfig(**depths)
-        assert cfg.detect_stage == 8
-        assert "detect_stage" in vars(cfg)
-        # The kept value is not a field: equality, hashing and repr ignore it.
-        twin = PipelineConfig(**depths)
-        assert twin == cfg and hash(twin) == hash(cfg) and repr(twin) == repr(cfg)
-        with pytest.raises(AttributeError):
-            cfg.detect_stage = 1
 
 
 class TestLatency:
@@ -270,8 +254,9 @@ class TestClosedForm:
 
     CONFIGS = (
         DEFAULT_PIPELINE,
-        PipelineConfig(residue_stages=6, exponent_stages=3, post_stages=2),
+        PipelineConfig(detect_stage=8, post_stages=2),
         PipelineConfig(norm_latency=1),
+        PipelineConfig(detect_stage=1, post_stages=1),
     )
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=40), st.sampled_from(CONFIGS))
@@ -314,11 +299,11 @@ class TestRetirementAlignment:
             assert cycles == {expo[op]}, f"misaligned retire for {op}"
 
     def test_alignment_on_skewed_config(self, hcfg, default_ms):
-        cfg = PipelineConfig(residue_stages=6, exponent_stages=2, post_stages=2)
-        assert cfg.align_offset_d == 4
+        cfg = PipelineConfig(detect_stage=8, post_stages=2)
         sim = simulate(mul_stream(20), cfg, hcfg, default_ms)
-        lane = {e.op for e in sim.trace if e.unit == "lane0" and e.action == "retire"}
-        assert lane == {f"t{i}" for i in range(20)}
+        # No op normalizes, so op i enters the detect stage on cycle i + detect_stage.
+        lane = {e.op: e.cycle for e in sim.trace if e.unit == "lane0" and e.action == "retire"}
+        assert lane == {f"t{i}": i + 8 for i in range(20)}
 
 
 class TestValueTimingSeparation:
@@ -577,7 +562,8 @@ class TestExportPins:
 
     ONE_CYCLE = PipelineConfig(norm_latency=1)
     TEN_CYCLE = PipelineConfig(norm_latency=10)
-    SKEWED = PipelineConfig(residue_stages=6, exponent_stages=3, post_stages=2)
+    SKEWED = PipelineConfig(detect_stage=8, post_stages=2)
+    DEEP_INPUT = PipelineConfig(detect_stage=12, post_stages=4)
     # In the envelope, with back-to-back windows of up to 4 normalizations per op.
     NARROW = HybridConfig(alpha=Fraction(3, 8192), scale_shift_k=3, operand_bound_bits=12)
     DEFAULT_JSON = "706abaeef05c6a3444209ecdb2053fd1f969f2648f01b0027850aca0611468d0"
@@ -596,6 +582,10 @@ class TestExportPins:
         "skewed": (
             DEFAULT_MODULI, DEFAULT_CONFIG, SKEWED, 6514,
             "46b2ff09c16985159fc89aba0b387805601157a9a6c22761172fe91ce39a2a2b", DEFAULT_JSON),
+        "deep-input": (
+            DEFAULT_MODULI, DEFAULT_CONFIG, DEEP_INPUT, 6520,
+            "0c9e87e825ea907b02af6d5b374c3581746d231e97b41fd69f71e9d2afd024ad",
+            "baf34ce2cf1ef648dfd170c0e33a3e734ecf1d007e7005ddc76c06b01e00f4fb"),
         "small-primes": (
             ELEVEN_PRIMES, DEFAULT_CONFIG, DEFAULT_PIPELINE, 11314,
             "47c10c1b32b5b5ab8e806feb7df84053ba85c988b3884e6de4c79411c2b93b75", DEFAULT_JSON),

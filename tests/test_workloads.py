@@ -29,7 +29,9 @@ from hrfna import (
     simulate,
     to_real,
     validate_config,
+    workloads,
 )
+from hrfna.cli import main
 from hrfna.pipeline import Op, evaluate_program
 from hrfna.workloads import (
     _RUN,
@@ -97,6 +99,19 @@ class TestChainedMac:
             chained_mac(0, 3000, default_ms, cfg)
         assert str(exc.value) == REFUSALS["mul"].format(36)
         assert isinstance(exc.value, HrfnaError)
+
+    def test_drift_past_its_bound_raises_and_exits_1(self, default_ms, hcfg, monkeypatch, capsys):
+        # An error of 1 exceeds every chain's bound, so the raise and the CLI's
+        # exit are pinned whatever the chain's own rounding does.
+        monkeypatch.setattr(workloads, "relative_error", lambda approx, exact: Fraction(1))
+        with pytest.raises(DriftBoundExceeded, match=r"^drift 1\.0 exceeds bound "):
+            run_mac_chain(*mac_sequences(7, 50), default_ms, hcfg)
+        monkeypatch.delenv("HRFNA_CONFIG", raising=False)
+        assert main(["workload", "chained_mac", "--seed", "7", "--steps", "50"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: DriftBoundExceeded: drift 1.0 exceeds bound ")
+        assert err.count("\n") == 1
 
     @pytest.mark.xfail(
         strict=True,
