@@ -17,9 +17,11 @@ residues are those the channel ops give on the operands' residues (the CRT
 isomorphism; the tier-1 suite pins each op to its channel op).
 
 Operational envelope: a product is exact only while it stays inside the
-signed range (|N_x * N_y| < M/2). Keeping at least one newly encoded
-operand (|N| < 2^b) per multiplication guarantees that; a product or sum
-outside it is refused, never returned.
+signed range (|N_x * N_y| < M/2). from_real lands a nonzero |N| in
+[2^(b-2), 2^(b-1)), so a product of two newly encoded operands lies below
+2^(2b-2) < tau/2 and never normalizes, and one with a survivor
+(|n| < tau/2) stays inside whenever tau * 2^(b-1) < M. A product or sum
+outside the signed range is refused, never returned.
 
 Each op reads the detector limit (and an add the absorb gap) once, from
 cfg._thresholds[ms.composite] with no Python-level call; only a pair's

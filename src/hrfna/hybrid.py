@@ -28,8 +28,10 @@ class HybridConfig:
     alpha:      safety factor in (0, 1); the normalization threshold is
                 tau = floor(alpha * M).
     scale_shift_k:      bits removed per normalization (scale factor 2^k).
-    operand_bound_bits: b; newly encoded operands satisfy |N| < 2^b so a
-                product of two of them stays below tau and never wraps mod M.
+    operand_bound_bits: b; from_real lands a nonzero |N| in [2^(b-2), 2^(b-1)),
+                so a product of two newly encoded operands lies below
+                2^(2b-2), under the detector limit tau/2: it never
+                normalizes and never wraps mod M.
 
     The interplay with a concrete modulus set (2^(2b) < alpha*M) needs M, so
     validate_config checks it on the config's first use with each set, and

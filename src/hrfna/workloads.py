@@ -256,27 +256,35 @@ def dot_product(
 
     Exponent synchronization happens inside the accumulation adds; the
     reported bound 2^-(b-3) * length comes from the per-operation rounding
-    model. The oracle reads each operand's value from the n it carries. As in
-    run_mac_chain, the three ops are looked up once per call and the add
-    strategies are counted once, after the loop.
+    model. Each pair is encoded as it is reached, and its product (n, f) is
+    formed once, from the n and exponent the two values carry, for both the
+    fold and the oracle's terms. from_real lands a nonzero |N| in
+    [2^(b-2), 2^(b-1)), so a fresh product lies below 2^(2b-2), and on an
+    accepted (set, config) pair operand-bound puts the detector limit at or
+    above 2^(2b-1): the product never normalizes or wraps, and is built as
+    hrfna_mul would build it, without the call. The pair is checked once,
+    after the first pair is encoded, where that pair's hrfna_mul checked it:
+    a refused pair raises InvariantViolation there, after a non-finite first
+    operand's OutOfRange. As in run_mac_chain, the add is looked up once per
+    call and the add strategies are counted once, after the loop.
     """
     if len(xs) != len(ys):
         raise LengthMismatch(f"{len(xs)} vs {len(ys)} elements")
     if not xs:
         raise LengthMismatch("empty input")
 
-    from_real, mul, add = hybrid.from_real, arithmetic.hrfna_mul, arithmetic.hrfna_add
+    from_real, add = hybrid.from_real, arithmetic.hrfna_add
     acc: HybridNum | None = None
     terms, shifts, added = [], [], []
     norm_events = 0
     for x, y in zip(xs, ys):
         hx = from_real(x, ms, cfg)
         hy = from_real(y, ms, cfg)
-        prod = mul(hx, hy, ms, cfg)
-        norm_events += prod.norm_events
-        terms.append(hx.n * hy.n)
-        shifts.append(hx.exponent + hy.exponent)
+        prod = _new(HybridNum, (hx.n * hy.n, ms, hx.exponent + hy.exponent, None, 0))
+        terms.append(prod.n)
+        shifts.append(prod.exponent)
         if acc is None:
+            hybrid.validate_config(ms, cfg)
             acc = prod
         else:
             acc = add(acc, prod, ms, cfg)

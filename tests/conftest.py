@@ -3,13 +3,13 @@ from hypothesis import settings
 
 from hrfna import DEFAULT_CONFIG, DEFAULT_MODULI, DEFAULT_PIPELINE, ModulusSet
 
-# CI runs the reference-op, isomorphism, relative-error and exact-oracle pins
-# and the envelope's program walk (tests/test_reference_ops.py,
+# CI runs the reference-op, isomorphism, relative-error, exact-oracle and
+# dot-product pins and the envelope's program walk (tests/test_reference_ops.py,
 # tests/test_isomorphism.py, tests/test_relative_error.py,
-# tests/test_workloads.py::TestExactOracle,
+# tests/test_workloads.py::TestExactOracle, tests/test_workloads.py::TestDotProduct,
 # tests/test_envelope.py::test_no_program_wraps_silently) harder with
 # --hypothesis-profile=ci; those pins take their example count from
-# support.examples: 400, 300, 500, 200 and 300 under the default profile.
+# support.examples: 400, 300, 500, 200, 200 and 300 under the default profile.
 settings.register_profile("ci", max_examples=4000)
 
 

@@ -10,7 +10,6 @@ import random
 from fractions import Fraction
 
 from hrfna import (
-    ModulusSet,
     Op,
     chained_mac,
     crt_reconstruct,
@@ -21,7 +20,6 @@ from hrfna import (
     normalize,
     signed_value,
     simulate,
-    tau_int,
 )
 from hrfna.pipeline import evaluate_program
 from hrfna.rns import encode

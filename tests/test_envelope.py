@@ -11,7 +11,9 @@ item 2), so on most accepted configs on small sets that product is
 refused. The sweep covers every config that validate_config accepts on
 four small sets, with alpha = n/d for odd n < d and d from 16 to 256 in
 powers of two, and b from 3 to 13: 9,540 configs, 655 of them inside the
-invariant; 8,671 refuse their widest product.
+invariant; 8,671 refuse their widest product. The widest product of two
+fresh mantissas stays below the detector limit on all 9,540, so it never
+normalizes.
 
 The invariant implies alpha < 2^-(b-1), so two survivors also add inside
 M/2. The add sweep runs the largest survivor plus itself, with signs
@@ -76,13 +78,15 @@ def accepted_configs():
 
 @pytest.fixture(scope="module")
 def sweep() -> list:
-    """(config, meets tau * 2^(b-1) < M, WrapDetected text or None), one per accepted config."""
+    """(config, meets tau * 2^(b-1) < M, WrapDetected text or None, whether the
+    largest fresh mantissa squared reaches the detector limit), one per accepted config."""
     rows = []
     for ms, cfg, key, limit, inside in accepted_configs():
+        top = 2 ** (cfg.operand_bound_bits - 1) - 1  # the largest fresh mantissa
         x = make_hybrid(limit - 1, 0, ms)
-        y = make_hybrid(2 ** (cfg.operand_bound_bits - 1) - 1, 0, ms)
+        y = make_hybrid(top, 0, ms)
         z = outcome(hrfna_mul, x, y, ms, cfg)
-        rows.append((key, inside, z if isinstance(z, str) else None))
+        rows.append((key, inside, z if isinstance(z, str) else None, top * top >= limit))
     return rows
 
 
@@ -113,7 +117,7 @@ def assert_none_refused(rows):
 
 def test_configs_inside_the_envelope_never_wrap(sweep):
     inside = [row for row in sweep if row[1]]
-    assert {moduli for (moduli, *_), _, _ in inside} == set(SMALL_SETS)
+    assert {moduli for (moduli, *_), *_ in inside} == set(SMALL_SETS)
     assert (len(sweep), len(inside), len(refused(sweep))) == (9_540, 655, 8_671)
     assert_none_refused(inside)
 
@@ -121,6 +125,14 @@ def test_configs_inside_the_envelope_never_wrap(sweep):
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_2_CONFIGS)
 def test_every_accepted_config_keeps_its_widest_product(sweep):
     assert_none_refused(sweep)
+
+
+def test_every_accepted_config_keeps_its_widest_fresh_product_below_the_limit(sweep):
+    # The widest product of two fresh mantissas, (2^(b-1) - 1) * -(2^(b-1) - 1), lies below
+    # 2^(2b-2) and operand-bound puts the limit at or above 2^(2b-1), so hrfna_mul's detector
+    # never fires on it; dot_product builds such a product without hrfna_mul on the strength
+    # of this.
+    assert (len(sweep), sum(row[3] for row in sweep)) == (9_540, 0)
 
 
 def test_survivor_sums_inside_the_envelope_never_wrap(sum_sweep):

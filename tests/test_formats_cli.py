@@ -496,9 +496,6 @@ class TestVectors:
         assert mul_lines[1].endswith(" 1")
 
     def test_vector_expectations_match_arithmetic(self, default_ms, hcfg):
-        from hrfna import make_hybrid, signed_value
-        from hrfna.arithmetic import hrfna_mul
-
         program = parse_program("hrfna-program v1\nlit a 1.9\nmul a a\n")
         line = vectors_text(program, default_ms, hcfg).strip().splitlines()[-1]
         _, expect = line.split(" | expect ")

@@ -1,7 +1,10 @@
 """Drift workloads: oracle agreement, analytic bounds, pipeline equivalence."""
 
+import operator
 import random
+from collections import Counter
 from fractions import Fraction
+from math import inf, ldexp
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,12 +12,15 @@ from hypothesis import strategies as st
 
 from hrfna import (
     ALIGN_SHIFT_DOWN,
+    DEFAULT_CONFIG,
+    DEFAULT_MODULI,
     DriftBoundExceeded,
     ExactZero,
     HrfnaError,
     HybridConfig,
     LengthMismatch,
     ModulusSet,
+    OutOfRange,
     WrapDetected,
     chained_mac,
     dot_product,
@@ -32,6 +38,7 @@ from hrfna import (
     workloads,
 )
 from hrfna.cli import main
+from hrfna.errors import InvariantViolation
 from hrfna.pipeline import Op, evaluate_program
 from hrfna.workloads import (
     _RUN,
@@ -40,7 +47,7 @@ from hrfna.workloads import (
     mac_sequences,
     relative_error,
 )
-from support import ELEVEN_PRIMES, REFUSALS, examples
+from support import ELEVEN_PRIMES, REFUSALS, TWO_CHANNEL, examples
 
 
 class TestChainedMac:
@@ -157,7 +164,70 @@ class TestChainedMac:
         assert calls == []
 
 
+signs = st.sampled_from((1.0, -1.0))
+# Dot-product entries: signed zeros; subnormals; values that from_real rounds up to the top
+# of its window (the ties at b = 10 and 12, and the float just below a power of two); and
+# magnitudes from 2^-60 to 2^60.
+dot_entries = st.one_of(
+    st.sampled_from((0.0, -0.0)),
+    st.floats(-(2.0**-1022), 2.0**-1022, exclude_min=True, exclude_max=True),
+    st.builds(
+        lambda s, b, e: s * ldexp(1 - 2.0**-b, e),
+        signs,
+        st.sampled_from((10, 12, 53)),
+        st.integers(-60, 60),
+    ),
+    st.builds(operator.mul, signs, st.floats(2.0**-60, 2.0**60)),
+)
+
+
 class TestDotProduct:
+    @pytest.mark.parametrize(
+        "moduli, cfg", [(DEFAULT_MODULI, DEFAULT_CONFIG), TWO_CHANNEL], ids=["default", "two-channel"]
+    )
+    @given(st.lists(st.tuples(dot_entries, dot_entries), min_size=1, max_size=64))
+    @settings(max_examples=examples(200), deadline=None)
+    @example([(0.0, -0.0), (5e-324, 2.0**60), (ldexp(1 - 2.0**-12, 3), -(2.0**-60))])
+    def test_equals_the_plain_op_fold(self, moduli, cfg, pairs):
+        """dot_product's result and report equal, bit for bit, those of the fold
+        acc = hrfna_add(acc, hrfna_mul(from_real(x), from_real(y))), whose relative
+        error is taken here from the encoded operands' exact Fraction values."""
+        ms = ModulusSet(moduli)
+        acc, norm_events, added, exact = None, 0, [], Fraction(0)
+        for x, y in pairs:
+            hx, hy = from_real(x, ms, cfg), from_real(y, ms, cfg)
+            exact += exact_value(hx) * exact_value(hy)
+            prod = hrfna_mul(hx, hy, ms, cfg)
+            norm_events += prod.norm_events
+            if acc is None:
+                acc = prod
+            else:
+                acc = hrfna_add(acc, prod, ms, cfg)
+                norm_events += acc.norm_events
+                added.append(acc.align_strategy)
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        if exact == 0 and acc.n:
+            with pytest.raises(ExactZero):
+                dot_product(xs, ys, ms, cfg)
+            return
+        got, report = dot_product(xs, ys, ms, cfg)
+        assert (got.n, got.exponent) == (acc.n, acc.exponent)
+        assert report.norm_events == norm_events
+        assert report.strategy_counts == dict(Counter(added))
+        assert report.rel_error == (abs(exact_value(acc) - exact) / abs(exact) if exact else 0)
+
+    def test_refused_pair_raises_after_the_first_pair_encodes(self, default_ms):
+        # 2^26 >= alpha*M: the config fails operand-bound on the default set. The first pair
+        # is encoded before the limit is read, so a non-finite first operand is named first.
+        cfg = HybridConfig(Fraction(3, 8192), 11, 13)
+        with pytest.raises(InvariantViolation) as exc:
+            dot_product([1.0], [1.0], default_ms, cfg)
+        assert exc.value.name == "operand-bound"
+        with pytest.raises(OutOfRange):
+            dot_product([inf, 1.0], [1.0, 1.0], default_ms, cfg)
+        with pytest.raises(InvariantViolation, match="operand-bound"):
+            dot_product([1.0, inf], [1.0, 1.0], default_ms, cfg)
+
     def test_single_pair_exact(self, default_ms, hcfg):
         acc, report = dot_product([1.0], [1.0], default_ms, hcfg)
         assert to_real(acc) == 1.0
